@@ -215,7 +215,8 @@ int main(int argc, char** argv) {
     }
     std::printf("%s\n", table.render().c_str());
     std::printf("reading: sessions are independent, so throughput scales with the pool\n"
-                "until the machine runs out of cores (each session itself burns N threads).\n\n");
+                "until the machine runs out of cores (each session runs its N variants as\n"
+                "fibers on its worker's thread).\n\n");
   }
 
   std::printf("--- scaling N per session (pool of %u) ---\n\n", std::min(max_pool, 4U));

@@ -79,7 +79,6 @@ RunResult run_getpid(core::PipelineMode mode, std::uint64_t calls, unsigned reps
   const auto make_system = [mode] {
     return core::NVariantSystem::Builder()
         .pipeline(mode)
-        .rendezvous_timeout(std::chrono::milliseconds(10000))
         .build();
   };
   const auto body = [calls](unsigned, vkernel::SyscallPort& port, vkernel::Process&,
@@ -99,7 +98,6 @@ RunResult run_read(bool batched, std::uint64_t calls, std::size_t batch_size, un
   const auto make_system = [] {
     auto system = core::NVariantSystem::Builder()
                       .pipeline(core::PipelineMode::kPipelined)
-                      .rendezvous_timeout(std::chrono::milliseconds(10000))
                       .build();
     (void)system->fs().write_file("/bench.dat", std::string(4096, 'x'),
                                   os::Credentials::root());

@@ -43,7 +43,6 @@ class InjectedGuest final : public guest::GuestProgram {
 
 std::unique_ptr<core::NVariantSystem> make_system() {
   return core::NVariantSystem::Builder()
-      .rendezvous_timeout(std::chrono::milliseconds(1000))
       .variation(variants::make_builtin("uid-xor"))
       .build();
 }

@@ -3,6 +3,7 @@
 // under the 2-variant UID variation.
 //
 //   $ ./examples/ftp_demo
+#include <chrono>
 #include <cstdio>
 #include <thread>
 
@@ -65,7 +66,7 @@ int main() {
     httpd::install_ftpd_site(fs, config);
     httpd::MiniFtpd server(config);
     std::thread thread([&] { (void)guest::run_plain(ctx, server); });
-    while (!hub.is_bound(kPort)) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    (void)hub.wait_bound(kPort, std::chrono::steady_clock::now() + std::chrono::seconds(30));
     session(hub, "plain", attack_script());
     hub.shutdown();
     thread.join();
@@ -82,7 +83,8 @@ int main() {
     httpd::install_ftpd_site(system->fs(), config);
     httpd::MiniFtpd server(config);
     guest::launch_nvariant(*system, server);
-    while (!system->hub().is_bound(kPort)) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    (void)system->hub().wait_bound(kPort,
+                                   std::chrono::steady_clock::now() + std::chrono::seconds(30));
     session(system->hub(), "nvar ", attack_script());
     const auto report = system->stop();
     std::printf("=> monitor verdict: %s\n",

@@ -63,7 +63,6 @@ core::DiversitySuite make_suite(unsigned n_variants) {
 std::unique_ptr<core::NVariantSystem> make_system(const core::DiversitySuite& suite) {
   auto system = core::NVariantSystem::Builder()
                     .suite(suite)
-                    .rendezvous_timeout(std::chrono::milliseconds(2000))
                     .build();
   const auto root = os::Credentials::root();
   (void)system->fs().mkdir_p("/etc", root);

@@ -4,6 +4,7 @@
 // (root shell for the attacker), then against the N-variant system (alarm).
 //
 //   $ ./examples/webserver_demo
+#include <chrono>
 #include <cstdio>
 #include <thread>
 
@@ -27,7 +28,7 @@ std::map<std::string, std::string> attack_headers() {
 }
 
 void wait_for_bind(vkernel::SocketHub& hub) {
-  while (!hub.is_bound(kPort)) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  (void)hub.wait_bound(kPort, std::chrono::steady_clock::now() + std::chrono::seconds(30));
 }
 
 void drive_attack(vkernel::SocketHub& hub, const char* label) {

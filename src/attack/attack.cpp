@@ -173,7 +173,6 @@ Outcome run_attack(AttackKind attack, DefenseKind defense) {
   }
 
   core::NVariantSystem::Builder builder;
-  builder.rendezvous_timeout(std::chrono::milliseconds(1000));
   for (auto& variation : defense_variations(defense)) builder.variation(std::move(variation));
   const auto system = builder.build();
   seed_trusted_files(system->fs());

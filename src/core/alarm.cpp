@@ -60,7 +60,7 @@ std::string_view to_string(AlarmKind kind) noexcept {
     case AlarmKind::kMemoryFault: return "memory-fault";
     case AlarmKind::kTagFault: return "tag-fault";
     case AlarmKind::kExitDivergence: return "exit-divergence";
-    case AlarmKind::kRendezvousTimeout: return "rendezvous-timeout";
+    case AlarmKind::kRendezvousStall: return "rendezvous-stall";
     case AlarmKind::kGuestError: return "guest-error";
   }
   return "alarm?";

@@ -16,7 +16,7 @@ enum class AlarmKind {
   kMemoryFault,        // simulated SIGSEGV in one variant
   kTagFault,           // instruction tag violation in one variant
   kExitDivergence,     // one variant exited while others continued
-  kRendezvousTimeout,  // a variant stopped arriving at syscall rendezvous
+  kRendezvousStall,    // every live variant parked at a rendezvous, none able to proceed
   kGuestError,         // unexpected guest exception
 };
 

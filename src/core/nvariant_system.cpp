@@ -47,12 +47,6 @@ NVariantSystem::Builder& NVariantSystem::Builder::n_variants(unsigned n) {
   return *this;
 }
 
-NVariantSystem::Builder& NVariantSystem::Builder::rendezvous_timeout(
-    std::chrono::milliseconds timeout) {
-  options_.rendezvous_timeout = timeout;
-  return *this;
-}
-
 NVariantSystem::Builder& NVariantSystem::Builder::memory_base(std::uint64_t base) {
   options_.default_memory_base = base;
   return *this;
@@ -107,9 +101,6 @@ NVariantSystem::Builder::try_build() {
         "an N-variant system needs at least 2 variants to compare, got %u",
         options_.n_variants)};
   }
-  if (options_.rendezvous_timeout <= std::chrono::milliseconds::zero()) {
-    return util::Unexpected{std::string("rendezvous timeout must be positive")};
-  }
   if (options_.default_memory_size == 0) {
     return util::Unexpected{std::string("variant memory size must be non-zero")};
   }
@@ -161,17 +152,18 @@ class NVariantSystem::VariantPort final : public vkernel::SyscallPort {
 };
 
 NVariantSystem::NVariantSystem(NVariantOptions options)
-    : options_(options), ctx_(fs_, hub_) {
-  if (options_.n_variants == 0) throw std::invalid_argument("need at least one variant");
+    : options_(options), ctx_(fs_, hub_), rendezvous_(options.n_variants) {
+  rendezvous_.set_batch_leader(
+      [this](const std::vector<vkernel::SyscallBatch>& raw) { return lead_batch(raw); });
 }
 
 NVariantSystem::~NVariantSystem() {
-  if (!threads_.empty()) {
+  if (session_.joinable()) {
+    // Wake a leader blocked on the network, and abort the run at the
+    // scheduler's next pass.
     hub_.shutdown();
-    if (rendezvous_) {
-      rendezvous_->abort(Alarm{AlarmKind::kGuestError, Alarm::kAllVariants, "system destroyed"});
-    }
-    threads_.clear();  // jthread joins
+    rendezvous_.request_stop();
+    session_.join();
   }
 }
 
@@ -225,32 +217,10 @@ void NVariantSystem::prepare() {
   for (const auto& variation : variations_) {
     variation->prepare_filesystem(fs_, options_.n_variants);
   }
-  prepared_ = true;
-}
-
-RunReport NVariantSystem::run(const VariantBody& body) {
-  launch(body);
-  // Wait for every variant thread to finish on its own (normal completion,
-  // joint exit, or divergence unwind), then harvest without interrupting.
-  for (auto& thread : threads_) {
-    if (thread.joinable()) thread.join();
-  }
-  threads_.clear();
-  return collect_report();
-}
-
-void NVariantSystem::launch(const VariantBody& body) {
-  if (!threads_.empty()) throw std::logic_error("system already running");
-  prepare();
   monitor_.reset();
   hub_.reset();  // re-arm the network after a previous run's shutdown
   procs_.clear();
   shared_fds_.clear();
-  rendezvous_ = std::make_unique<SyscallRendezvous>(options_.n_variants,
-                                                    options_.rendezvous_timeout);
-  rendezvous_->set_batch_leader(
-      [this](const std::vector<vkernel::SyscallBatch>& raw) { return lead_batch(raw); });
-
   for (unsigned v = 0; v < options_.n_variants; ++v) {
     auto proc = std::make_unique<vkernel::Process>(1, "variant-" + std::to_string(v),
                                                    os::Credentials::root());
@@ -258,63 +228,76 @@ void NVariantSystem::launch(const VariantBody& body) {
     proc->memory().set_alloc_base(configs_[v].memory_base);
     procs_.push_back(std::move(proc));
   }
+}
 
-  for (unsigned v = 0; v < options_.n_variants; ++v) {
-    threads_.emplace_back([this, v, body] {
-      VariantPort port(*this, v);
-      try {
-        body(v, port, *procs_[v], configs_[v]);
-        // Guests end with an exit syscall; if the body returned without one,
-        // issue exit(0) so variants that finish together rendezvous cleanly.
-        if (!procs_[v]->exited()) {
-          SyscallArgs exit_call;
-          exit_call.no = Sys::kExit;
-          exit_call.ints = {0};
-          (void)port.syscall(exit_call);
-        }
-      } catch (const DivergenceAbort& abort) {
-        // The alarm may have been recorded by the leader already (comparison
-        // failures) or not at all yet (rendezvous timeout raised on a waiter).
-        if (!monitor_.triggered()) monitor_.raise(abort.alarm);
-        hub_.shutdown();
-      } catch (const vkernel::MemoryFault& fault) {
-        Alarm alarm{AlarmKind::kMemoryFault, v, fault.what};
-        monitor_.raise(alarm);
-        rendezvous_->abort(alarm);
-        hub_.shutdown();
-      } catch (const vkernel::TagFault& fault) {
-        Alarm alarm{AlarmKind::kTagFault, v,
-                    util::format("tag 0x%02x expected 0x%02x at 0x%llx", fault.found,
-                                 fault.expected, static_cast<unsigned long long>(fault.address))};
-        monitor_.raise(alarm);
-        rendezvous_->abort(alarm);
-        hub_.shutdown();
-      } catch (const std::exception& e) {
-        Alarm alarm{AlarmKind::kGuestError, v, e.what()};
-        monitor_.raise(alarm);
-        rendezvous_->abort(alarm);
-        hub_.shutdown();
-      }
-    });
-  }
+RunReport NVariantSystem::run(const VariantBody& body) {
+  if (session_.joinable()) throw std::logic_error("system already running");
+  prepare();
+  run_variants(body);
+  return collect_report();
+}
+
+void NVariantSystem::launch(const VariantBody& body) {
+  if (session_.joinable()) throw std::logic_error("system already running");
+  prepare();
+  session_ = std::jthread([this, body] { run_variants(body); });
 }
 
 RunReport NVariantSystem::stop() {
   hub_.shutdown();
-  for (auto& thread : threads_) {
-    if (thread.joinable()) thread.join();
-  }
-  threads_.clear();
+  if (session_.joinable()) session_.join();
   return collect_report();
+}
+
+void NVariantSystem::run_variants(const VariantBody& body) {
+  rendezvous_.run([this, &body](unsigned v) { run_variant(v, body); });
+  hub_.end_session();  // wakes bind waiters of a server that never bound
+}
+
+void NVariantSystem::run_variant(unsigned v, const VariantBody& body) {
+  VariantPort port(*this, v);
+  try {
+    body(v, port, *procs_[v], configs_[v]);
+    // Guests end with an exit syscall; if the body returned without one,
+    // issue exit(0) so variants that finish together rendezvous cleanly.
+    if (!procs_[v]->exited()) {
+      SyscallArgs exit_call;
+      exit_call.no = Sys::kExit;
+      exit_call.ints = {0};
+      (void)port.syscall(exit_call);
+    }
+  } catch (const DivergenceAbort& abort) {
+    // The alarm may have been recorded by the leader already (comparison
+    // failures) or not at all yet (a stall found by the scheduler).
+    if (!monitor_.triggered()) monitor_.raise(abort.alarm);
+    hub_.shutdown();
+  } catch (const vkernel::MemoryFault& fault) {
+    Alarm alarm{AlarmKind::kMemoryFault, v, fault.what};
+    monitor_.raise(alarm);
+    rendezvous_.abort(alarm);
+    hub_.shutdown();
+  } catch (const vkernel::TagFault& fault) {
+    Alarm alarm{AlarmKind::kTagFault, v,
+                util::format("tag 0x%02x expected 0x%02x at 0x%llx", fault.found, fault.expected,
+                             static_cast<unsigned long long>(fault.address))};
+    monitor_.raise(alarm);
+    rendezvous_.abort(alarm);
+    hub_.shutdown();
+  } catch (const std::exception& e) {
+    Alarm alarm{AlarmKind::kGuestError, v, e.what()};
+    monitor_.raise(alarm);
+    rendezvous_.abort(alarm);
+    hub_.shutdown();
+  }
 }
 
 RunReport NVariantSystem::collect_report() {
   RunReport report;
   report.attack_detected = monitor_.triggered();
   report.alarm = monitor_.first_alarm();
-  report.syscall_rounds = rendezvous_ ? rendezvous_->rounds_completed() : 0;
-  report.syscall_batches = rendezvous_ ? rendezvous_->batches_completed() : 0;
-  report.async_completions = rendezvous_ ? rendezvous_->async_completions() : 0;
+  report.syscall_rounds = rendezvous_.rounds_completed();
+  report.syscall_batches = rendezvous_.batches_completed();
+  report.async_completions = rendezvous_.async_completions();
   report.completed = true;
   for (const auto& proc : procs_) {
     report.completed = report.completed && proc->exited();
@@ -329,7 +312,7 @@ vkernel::SyscallResult NVariantSystem::variant_syscall(unsigned variant, Syscall
       vkernel::descriptor(args.no).batch == vkernel::BatchPolicy::kCompletion) {
     return async_syscall(variant, std::move(args));
   }
-  return rendezvous_->exchange(variant, std::move(args));
+  return rendezvous_.exchange(variant, std::move(args));
 }
 
 std::vector<vkernel::SyscallResult> NVariantSystem::variant_syscall_batch(
@@ -346,7 +329,7 @@ std::vector<vkernel::SyscallResult> NVariantSystem::variant_syscall_batch(
       continue;
     }
     if (!pipelined || desc.batch != vkernel::BatchPolicy::kCoalesce) {
-      out.push_back(rendezvous_->exchange(variant, batch.calls[i]));
+      out.push_back(rendezvous_.exchange(variant, batch.calls[i]));
       ++i;
       continue;
     }
@@ -361,17 +344,17 @@ std::vector<vkernel::SyscallResult> NVariantSystem::variant_syscall_batch(
       segment.calls.push_back(batch.calls[i]);
       ++i;
     }
-    auto segment_results = rendezvous_->exchange_batch(variant, std::move(segment));
+    auto segment_results = rendezvous_.exchange_batch(variant, std::move(segment));
     for (auto& result : segment_results) out.push_back(std::move(result));
   }
   return out;
 }
 
 vkernel::SyscallResult NVariantSystem::async_syscall(unsigned variant, SyscallArgs args) {
-  // R⁻¹ on the issuing thread; the rendezvous compares this canonical form
-  // against the published slot (first arriver) or publishes it (claimer).
+  // R⁻¹ on the issuing fiber; the rendezvous compares this canonical form
+  // against the published slot (later arrivers) or publishes it (claimer).
   for (const auto& variation : variations_) variation->canonicalize_args(variant, args);
-  SyscallResult result = rendezvous_->complete_async(
+  SyscallResult result = rendezvous_.complete_async(
       variant, args, [this](const SyscallArgs& call) {
         monitor_.note_syscall_checked();
         std::vector<SyscallResult> results(options_.n_variants);
@@ -421,7 +404,7 @@ bool NVariantSystem::compare_canonical(const std::vector<SyscallArgs>& canonical
                                std::string(sys_name(canonical[0].no)).c_str(), v,
                                std::string(sys_name(canonical[v].no)).c_str())};
       monitor_.raise(alarm);
-      rendezvous_->abort(alarm);
+      rendezvous_.abort(alarm);
       return false;
     }
     if (canonical[v] != canonical[0]) {
@@ -431,7 +414,7 @@ bool NVariantSystem::compare_canonical(const std::vector<SyscallArgs>& canonical
                                std::string(sys_name(canonical[0].no)).c_str(), v,
                                canonical[0].describe().c_str(), canonical[v].describe().c_str())};
       monitor_.raise(alarm);
-      rendezvous_->abort(alarm);
+      rendezvous_.abort(alarm);
       return false;
     }
   }
@@ -465,7 +448,7 @@ std::vector<std::vector<SyscallResult>> NVariantSystem::lead_batch(
 
   const auto run_positions = [&] {
     for (std::size_t p = 0; p < k; ++p) {
-      if (rendezvous_->aborted()) break;  // mid-batch abort: stop executing
+      if (rendezvous_.aborted()) break;  // mid-batch abort: stop executing
       std::vector<SyscallArgs> column;
       column.reserve(n);
       for (const auto& batch : raw) column.push_back(batch.calls[p]);

@@ -20,7 +20,7 @@
 #ifndef NV_CORE_NVARIANT_SYSTEM_H
 #define NV_CORE_NVARIANT_SYSTEM_H
 
-#include <chrono>
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -51,7 +51,6 @@ enum class PipelineMode : std::uint8_t { kLockstep, kPipelined };
 
 struct NVariantOptions {
   unsigned n_variants = 2;
-  std::chrono::milliseconds rendezvous_timeout{2000};
   /// Default base for variant data segments when no variation overrides it.
   std::uint64_t default_memory_base = 0x10000000;
   std::uint64_t default_memory_size = 1 << 20;
@@ -73,7 +72,7 @@ struct RunReport {
   std::uint64_t async_completions = 0;
 };
 
-/// Per-variant guest entry point: the function each variant thread runs.
+/// Per-variant guest entry point: the function each variant's fiber runs.
 /// Receives the variant's syscall port (already wrapped by the MVEE), its
 /// process (for simulated memory access), and its construction parameters.
 using VariantBody =
@@ -86,14 +85,12 @@ class NVariantSystem {
   ///
   ///   auto system = core::NVariantSystem::Builder()
   ///                     .suite(std::move(validated_suite))   // sets N too
-  ///                     .rendezvous_timeout(500ms)
   ///                     .unshared("/etc/state")
   ///                     .build();                            // unique_ptr
   class Builder {
    public:
     /// Variant count; a suite() call overrides this with the suite's N.
     Builder& n_variants(unsigned n);
-    Builder& rendezvous_timeout(std::chrono::milliseconds timeout);
     Builder& memory_base(std::uint64_t base);
     Builder& memory_size(std::uint64_t size);
     /// Install a validated composition (replacing any previous suite()) and
@@ -117,7 +114,7 @@ class NVariantSystem {
                    std::uint64_t parent_span = 0);
 
     /// Validate and construct. Errors are expected failure paths: n < 2,
-    /// non-positive timeout, zero memory size, or a disjointedness violation
+    /// zero memory size, or a disjointedness violation
     /// among the variations added via variation().
     [[nodiscard]] util::Expected<std::unique_ptr<NVariantSystem>, std::string> try_build();
     /// try_build() that throws std::invalid_argument on error.
@@ -158,15 +155,17 @@ class NVariantSystem {
   /// Builder-made systems reject policy mutation (the immutability contract).
   [[nodiscard]] bool sealed() const noexcept { return sealed_; }
 
-  /// Run `body` in every variant to completion (blocking). Each call builds
-  /// fresh processes; the filesystem persists across runs.
+  /// Run `body` in every variant to completion, as fibers on the calling
+  /// thread (no thread is started). Each call builds fresh processes; the
+  /// filesystem persists across runs.
   [[nodiscard]] RunReport run(const VariantBody& body);
 
-  /// Start variants asynchronously (server mode); stop() interrupts blocking
-  /// network syscalls via SocketHub::shutdown() and joins.
+  /// Server mode: the same run on ONE session thread, started here. stop()
+  /// interrupts blocking network syscalls via SocketHub::shutdown() and
+  /// joins it.
   void launch(const VariantBody& body);
   [[nodiscard]] RunReport stop();
-  [[nodiscard]] bool running() const noexcept { return !threads_.empty(); }
+  [[nodiscard]] bool running() const noexcept { return session_.joinable(); }
 
  private:
   friend class Builder;
@@ -180,7 +179,12 @@ class NVariantSystem {
                      std::uint64_t parent_span);
   void seal() noexcept { sealed_ = true; }
 
+  /// Fresh per-run state: variant configs, monitor, network, processes.
   void prepare();
+  /// One run of every variant through the rendezvous (the session body).
+  void run_variants(const VariantBody& body);
+  /// One variant's fiber: its guest, then alarm bookkeeping on the way out.
+  void run_variant(unsigned variant, const VariantBody& body);
   [[nodiscard]] vkernel::SyscallResult variant_syscall(unsigned variant,
                                                        vkernel::SyscallArgs args);
   /// Guest-issued batch: completion-class calls peel off to the async ring,
@@ -188,8 +192,8 @@ class NVariantSystem {
   /// else falls back to a per-call exchange.
   [[nodiscard]] std::vector<vkernel::SyscallResult> variant_syscall_batch(
       unsigned variant, const vkernel::SyscallBatch& batch);
-  /// Completion-ring path: canonicalize here (caller thread), then publish/
-  /// consume through the rendezvous without a barrier.
+  /// Completion-ring path: canonicalize here (the caller's fiber), then
+  /// publish/consume through the rendezvous without a barrier.
   [[nodiscard]] vkernel::SyscallResult async_syscall(unsigned variant,
                                                      vkernel::SyscallArgs args);
   /// Batch leader (rendezvous BatchLeaderFn): tracing at batch granularity
@@ -202,7 +206,7 @@ class NVariantSystem {
       const std::vector<vkernel::SyscallArgs>& raw);
   [[nodiscard]] RunReport collect_report();
 
-  // Leader-side execution helpers (run with rendezvous lock released).
+  // Leader-side execution helpers (run on the leading variant's fiber).
   void execute_per_variant(const std::vector<vkernel::SyscallArgs>& canonical,
                            std::vector<vkernel::SyscallResult>& results);
   void execute_once(const vkernel::SyscallArgs& call, bool mirror_fd,
@@ -229,9 +233,7 @@ class NVariantSystem {
   std::vector<VariantConfig> configs_;
   std::vector<std::unique_ptr<vkernel::Process>> procs_;
   std::vector<bool> shared_fds_;  // slot -> shared? (kept slot-synchronized)
-  std::unique_ptr<SyscallRendezvous> rendezvous_;
-  std::vector<std::jthread> threads_;
-  bool prepared_ = false;
+  SyscallRendezvous rendezvous_;
   bool sealed_ = false;
 
   /// Structured tracing (Builder::trace): per-syscall-class lead() latency
@@ -240,6 +242,9 @@ class NVariantSystem {
   std::uint32_t trace_track_ = 0;
   std::uint64_t trace_parent_ = 0;
   std::array<std::uint32_t, 6> class_histograms_{};  // one per vkernel::SysClass
+
+  /// launch() only; declared last, after everything its run uses.
+  std::jthread session_;
 };
 
 }  // namespace nv::core

@@ -1,22 +1,107 @@
 #include "core/rendezvous.h"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
+#include <string>
 
-#include "util/mutex.h"
 #include "util/strings.h"
 
 namespace nv::core {
 
-SyscallRendezvous::SyscallRendezvous(unsigned n_variants,
-                                     std::chrono::milliseconds arrival_timeout)
+SyscallRendezvous::SyscallRendezvous(unsigned n_variants)
     : n_(n_variants),
-      arrival_timeout_(arrival_timeout),
+      waits_(n_variants, Wait::kNone),
       slots_(n_variants),
       results_(n_variants),
-      slot_generation_(n_variants, 0),
-      async_cursor_(new std::atomic<std::uint64_t>[n_variants]()) {
+      async_cursors_(n_variants, 0) {
   if (n_variants == 0) throw std::invalid_argument("rendezvous requires at least one variant");
+}
+
+void SyscallRendezvous::run(const VariantFn& body) {
+  if (body_ != nullptr) throw std::logic_error("rendezvous is already running");
+  aborted_ = false;
+  abort_alarm_ = Alarm{};
+  arrived_ = 0;
+  for (auto& slot : slots_) slot.reset();
+  std::fill(waits_.begin(), waits_.end(), Wait::kNone);
+  std::fill(async_cursors_.begin(), async_cursors_.end(), 0);
+  async_published_ = 0;
+  rounds_ = batch_rounds_ = calls_ = 0;
+
+  while (fibers_.size() < n_) fibers_.push_back(std::make_unique<util::Fiber>());
+  body_ = &body;
+  for (unsigned v = 0; v < n_; ++v) fibers_[v]->start([this, v] { (*body_)(v); });
+
+  // One pass resumes every fiber that can proceed. A pass that finds live
+  // fibers but resumes none is a stall: nothing left in the run can release
+  // any of them.
+  std::exception_ptr escaped;
+  for (;;) {
+    if (stop_requested_.load(std::memory_order_acquire)) {
+      abort(Alarm{AlarmKind::kGuestError, Alarm::kAllVariants, "run stopped"});
+    }
+    bool live = false;
+    bool progressed = false;
+    for (unsigned v = 0; v < n_; ++v) {
+      if (!fibers_[v]->active()) continue;
+      live = true;
+      if (!can_proceed(v)) continue;
+      progressed = true;
+      current_ = v;
+      try {
+        fibers_[v]->resume();
+      } catch (...) {
+        if (!escaped) escaped = std::current_exception();
+        abort(Alarm{AlarmKind::kGuestError, v, "variant body threw"});
+      }
+      current_ = kNoVariant;
+    }
+    if (!live) break;
+    if (!progressed) abort(stall_alarm());
+  }
+  body_ = nullptr;
+  if (escaped) std::rethrow_exception(escaped);
+}
+
+void SyscallRendezvous::park(unsigned variant, Wait reason) {
+  waits_[variant] = reason;
+  fibers_[variant]->suspend();  // the scheduler resumes it once can_proceed()
+  waits_[variant] = Wait::kNone;
+}
+
+void SyscallRendezvous::require_own_fiber(unsigned variant) const {
+  if (current_ != variant) {
+    throw std::logic_error(util::format("variant %u can only wait on its own fiber", variant));
+  }
+}
+
+bool SyscallRendezvous::can_proceed(unsigned variant) const {
+  switch (waits_[variant]) {
+    case Wait::kNone: return true;
+    case Wait::kBarrier: return aborted_ || !slots_[variant].has_value();
+    case Wait::kRingSpace:
+      return aborted_ || async_cursors_[variant] < min_async_cursor() + kAsyncRingCapacity;
+  }
+  return true;
+}
+
+Alarm SyscallRendezvous::stall_alarm() const {
+  std::string waiting;
+  for (unsigned v = 0; v < n_; ++v) {
+    if (!fibers_[v]->active()) continue;
+    if (!waiting.empty()) waiting += "; ";
+    if (waits_[v] == Wait::kRingSpace) {
+      waiting += util::format("variant %u is a full completion ring ahead at position %llu", v,
+                              static_cast<unsigned long long>(async_cursors_[v]));
+    } else {
+      waiting += util::format("variant %u waits at the barrier", v);
+    }
+  }
+  return Alarm{AlarmKind::kRendezvousStall, Alarm::kAllVariants,
+               util::format("every live variant is parked and none can proceed (%u of %u "
+                            "arrived at the barrier): %s",
+                            arrived_, n_, waiting.c_str())};
 }
 
 vkernel::SyscallResult SyscallRendezvous::exchange(unsigned variant, vkernel::SyscallArgs args) {
@@ -28,104 +113,57 @@ vkernel::SyscallResult SyscallRendezvous::exchange(unsigned variant, vkernel::Sy
 
 std::vector<vkernel::SyscallResult> SyscallRendezvous::exchange_batch(
     unsigned variant, vkernel::SyscallBatch batch) {
-  util::MutexLock lock(mutex_);
-  if (aborted_) throw DivergenceAbort{abort_alarm_};
+  if (aborted_) throw_aborted();
   if (variant >= n_) throw std::invalid_argument("bad variant index");
   if (batch.calls.empty()) throw std::invalid_argument("empty syscall batch");
   if (slots_[variant].has_value()) throw std::logic_error("variant re-entered rendezvous");
 
+  if (arrived_ + 1 < n_) require_own_fiber(variant);
+
   slots_[variant] = std::move(batch);
-  ++arrived_;
-  const std::uint64_t my_generation = slot_generation_[variant];
-
-  if (arrived_ == n_) {
-    // Leader path: the last arriver validates the round, runs the real work
-    // unlocked, and publishes per-variant result vectors.
-    //
-    // A batch-size mismatch means the variants' call streams have already
-    // diverged (identical guest code forms identical batches): abort before
-    // executing anything.
-    const std::size_t k = slots_[0]->calls.size();
-    for (unsigned v = 1; v < n_; ++v) {
-      if (slots_[v]->calls.size() != k) {
-        abort_locked(Alarm{AlarmKind::kSyscallMismatch, Alarm::kAllVariants,
-                           util::format("batch sizes diverge: variant 0 issued %zu calls but "
-                                        "variant %u issued %zu",
-                                        k, v, slots_[v]->calls.size())});
-        throw DivergenceAbort{abort_alarm_};
-      }
-    }
-    // With every variant parked at this barrier, all completion-class
-    // streams must have drained to the same position — a variant that
-    // skipped (or invented) async calls is a divergence even though the
-    // async path never blocked on it.
-    if (!verify_async_prefix()) throw DivergenceAbort{abort_alarm_};
-
-    std::vector<vkernel::SyscallBatch> snapshot;
-    snapshot.reserve(n_);
-    for (auto& slot : slots_) {
-      snapshot.push_back(std::move(*slot));
-      slot.reset();
-    }
-    executing_ = true;
-    lock.unlock();
-    std::vector<std::vector<vkernel::SyscallResult>> results;
-    if (batch_leader_) {
-      results = batch_leader_(snapshot);
-    } else if (leader_) {
-      // Per-call adapter: one LeaderFn round per batch position. An abort at
-      // any position stops the batch — the remaining calls never execute.
-      results.assign(n_, std::vector<vkernel::SyscallResult>(k));
-      for (std::size_t p = 0; p < k && !aborted(); ++p) {
-        std::vector<vkernel::SyscallArgs> column;
-        column.reserve(n_);
-        for (const auto& b : snapshot) column.push_back(b.calls[p]);
-        auto column_results = leader_(column);
-        column_results.resize(n_);
-        for (unsigned v = 0; v < n_; ++v) results[v][p] = std::move(column_results[v]);
-      }
-    }
-    results.resize(n_);
-    for (auto& per_variant : results) per_variant.resize(k);
-    lock.lock();
-    executing_ = false;
-    if (aborted_) {
-      cv_.notify_all();
-      throw DivergenceAbort{abort_alarm_};
-    }
-    results_ = std::move(results);
-    arrived_ = 0;
-    for (auto& generation : slot_generation_) ++generation;
-    rounds_.fetch_add(1, std::memory_order_relaxed);
-    calls_.fetch_add(k, std::memory_order_relaxed);
-    if (k > 1) batch_rounds_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<vkernel::SyscallResult> mine = results_[variant];
-    cv_.notify_all();
-    return mine;
+  if (++arrived_ < n_) {
+    park(variant, Wait::kBarrier);
+    if (aborted_) throw_aborted();
+    return std::move(results_[variant]);
   }
+  return lead(variant);
+}
 
-  // Follower path: wait for the leader to publish this variant's slot. While
-  // the leader is executing (possibly blocked in a legitimate blocking
-  // syscall like accept), wait indefinitely; the arrival timeout only applies
-  // while we are waiting for peers to *arrive*, which bounds divergence where
-  // a compromised variant stops making syscalls. On expiry the timeout
-  // converts into a proper abort for ALL waiters — current and late arrivers
-  // alike observe aborted_ and unwind, nobody is left parked on a stale
-  // generation.
-  const auto deadline = std::chrono::steady_clock::now() + arrival_timeout_;
-  while (slot_generation_[variant] == my_generation && !aborted_) {
-    if (executing_) {
-      cv_.wait(lock.native());
-      continue;
-    }
-    if (cv_.wait_until(lock.native(), deadline) == std::cv_status::timeout &&
-        slot_generation_[variant] == my_generation && !aborted_ && !executing_) {
-      abort_locked(Alarm{AlarmKind::kRendezvousTimeout, variant,
-                         "peer variant stopped making system calls"});
-      throw DivergenceAbort{abort_alarm_};
+std::vector<vkernel::SyscallResult> SyscallRendezvous::lead(unsigned variant) {
+  // A batch-size mismatch means the variants' call streams have already
+  // diverged (identical guest code forms identical batches): abort before
+  // executing anything.
+  const std::size_t k = slots_[0]->calls.size();
+  for (unsigned v = 1; v < n_; ++v) {
+    if (slots_[v]->calls.size() != k) {
+      abort(Alarm{AlarmKind::kSyscallMismatch, Alarm::kAllVariants,
+                  util::format("batch sizes diverge: variant 0 issued %zu calls but "
+                               "variant %u issued %zu",
+                               k, v, slots_[v]->calls.size())});
+      throw_aborted();
     }
   }
-  if (aborted_) throw DivergenceAbort{abort_alarm_};
+  // With every variant at this barrier, all completion-class streams must
+  // have drained to the same position — a variant that skipped (or invented)
+  // async calls is a divergence even though the async path never parked it.
+  if (!verify_async_prefix()) throw_aborted();
+
+  std::vector<vkernel::SyscallBatch> snapshot;
+  snapshot.reserve(n_);
+  for (auto& slot : slots_) {
+    snapshot.push_back(std::move(*slot));
+    slot.reset();
+  }
+  arrived_ = 0;
+  std::vector<std::vector<vkernel::SyscallResult>> results;
+  if (batch_leader_) results = batch_leader_(snapshot);
+  if (aborted_) throw_aborted();
+  results.resize(n_);
+  for (auto& per_variant : results) per_variant.resize(k);
+  results_ = std::move(results);
+  ++rounds_;
+  calls_ += k;
+  if (k > 1) ++batch_rounds_;
   return std::move(results_[variant]);
 }
 
@@ -133,136 +171,69 @@ vkernel::SyscallResult SyscallRendezvous::complete_async(unsigned variant,
                                                          const vkernel::SyscallArgs& canonical,
                                                          const AsyncExecuteFn& execute) {
   if (variant >= n_) throw std::invalid_argument("bad variant index");
-  const std::uint64_t position = async_cursor_[variant].load(std::memory_order_relaxed);
-
-  if (async_published_.load(std::memory_order_acquire) <= position) {
-    // Slow path: nothing published at our position yet — claim it (we are
-    // the first variant here) or wait for the claimer to publish.
-    util::MutexLock lock(async_mutex_);
-    for (;;) {
-      if (aborted_flag_.load(std::memory_order_acquire)) {
-        lock.unlock();
+  for (;;) {
+    if (aborted_) throw_aborted();
+    const std::uint64_t position = async_cursors_[variant];
+    if (async_published_ > position) {
+      // Consume: a peer published this position. The ring-full guard keeps
+      // an unconsumed slot from being overwritten.
+      const AsyncSlot& slot = async_ring_[position % kAsyncRingCapacity];
+      if (slot.args != canonical) {
+        const bool different_call = slot.args.no != canonical.no;
+        abort(Alarm{different_call ? AlarmKind::kSyscallMismatch : AlarmKind::kArgumentMismatch,
+                    variant,
+                    util::format("completion stream diverged at position %llu: variant %u "
+                                 "issued %s but the published call is %s",
+                                 static_cast<unsigned long long>(position), variant,
+                                 canonical.describe().c_str(), slot.args.describe().c_str())});
         throw_aborted();
       }
-      if (async_published_.load(std::memory_order_acquire) > position) break;
-      if (async_claimed_ == position) {
-        if (position >= min_async_cursor() + kAsyncRingCapacity) {
-          // Ring full: the slowest variant is a whole ring behind. Wait for
-          // it to consume, bounded by the arrival timeout — a variant that
-          // stopped draining completion slots has stopped making syscalls.
-          async_claim_stalled_.store(true, std::memory_order_release);
-          const auto status = async_cv_.wait_for(lock.native(), arrival_timeout_);
-          async_claim_stalled_.store(false, std::memory_order_release);
-          if (aborted_flag_.load(std::memory_order_acquire)) {
-            lock.unlock();
-            throw_aborted();
-          }
-          if (status == std::cv_status::timeout &&
-              position >= min_async_cursor() + kAsyncRingCapacity) {
-            lock.unlock();
-            abort(Alarm{AlarmKind::kRendezvousTimeout, variant,
-                        "peer variant stopped draining completion slots"});
-            throw_aborted();
-          }
-          continue;
-        }
-        async_claimed_ = position + 1;
-        lock.unlock();
-        vkernel::SyscallResult result;
-        try {
-          result = execute(canonical);
-        } catch (...) {
-          abort(Alarm{AlarmKind::kGuestError, variant,
-                      "completion-slot execution failed"});
-          throw;
-        }
-        AsyncSlot& slot = async_ring_[position % kAsyncRingCapacity];
-        slot.args = canonical;
-        slot.result = result;
-        async_published_.store(position + 1, std::memory_order_release);
-        {
-          // Empty critical section: a consumer that checked published_ and
-          // is about to wait must not miss this notify.
-          const util::MutexLock relock(async_mutex_);
-        }
-        async_cv_.notify_all();
-        async_cursor_[variant].store(position + 1, std::memory_order_release);
-        return result;
-      }
-      // Another variant claimed this position and is executing; it publishes
-      // promptly (completion-class calls never block) or the system aborts.
-      async_cv_.wait(lock.native());
+      async_cursors_[variant] = position + 1;
+      return slot.result;
     }
+    if (position < min_async_cursor() + kAsyncRingCapacity) break;
+    // Ring full: the slowest variant is a whole ring behind. Park until it
+    // consumes; a peer may claim this position meanwhile, so look again.
+    require_own_fiber(variant);
+    park(variant, Wait::kRingSpace);
   }
 
-  // Fast path: the slot is published — consume without any lock. The ring-
-  // full guard guarantees an unconsumed slot is never overwritten.
-  const AsyncSlot& slot = async_ring_[position % kAsyncRingCapacity];
-  if (slot.args != canonical) {
-    const bool different_call = slot.args.no != canonical.no;
-    Alarm alarm{different_call ? AlarmKind::kSyscallMismatch : AlarmKind::kArgumentMismatch,
-                variant,
-                util::format("completion stream diverged at position %llu: variant %u issued "
-                             "%s but the published call is %s",
-                             static_cast<unsigned long long>(position), variant,
-                             canonical.describe().c_str(), slot.args.describe().c_str())};
-    abort(alarm);
-    throw DivergenceAbort{std::move(alarm)};
+  // Claim: the first variant at this position executes and publishes.
+  const std::uint64_t position = async_cursors_[variant];
+  vkernel::SyscallResult result;
+  try {
+    result = execute(canonical);
+  } catch (...) {
+    abort(Alarm{AlarmKind::kGuestError, variant, "completion-slot execution failed"});
+    throw;
   }
-  vkernel::SyscallResult result = slot.result;
-  async_cursor_[variant].store(position + 1, std::memory_order_release);
-  if (async_claim_stalled_.load(std::memory_order_acquire)) {
-    {
-      const util::MutexLock relock(async_mutex_);
-    }
-    async_cv_.notify_all();
-  }
+  const std::size_t index = position % kAsyncRingCapacity;
+  if (index == async_ring_.size()) async_ring_.emplace_back();
+  async_ring_[index] = AsyncSlot{canonical, result};
+  async_published_ = position + 1;
+  async_cursors_[variant] = position + 1;
   return result;
 }
 
 void SyscallRendezvous::abort(Alarm alarm) {
-  const util::MutexLock lock(mutex_);
-  abort_locked(std::move(alarm));
-}
-
-void SyscallRendezvous::abort_locked(Alarm alarm) {
   if (aborted_) return;
   abort_alarm_ = std::move(alarm);
   aborted_ = true;
-  aborted_flag_.store(true, std::memory_order_release);
-  cv_.notify_all();
-  {
-    // mutex_ -> async_mutex_ is the one permitted nesting order (the async
-    // slow path always drops async_mutex_ before touching mutex_).
-    const util::MutexLock async_lock(async_mutex_);
-  }
-  async_cv_.notify_all();
-}
-
-void SyscallRendezvous::throw_aborted() {
-  const util::MutexLock lock(mutex_);
-  throw DivergenceAbort{abort_alarm_};
 }
 
 std::uint64_t SyscallRendezvous::min_async_cursor() const noexcept {
-  std::uint64_t lowest = async_cursor_[0].load(std::memory_order_acquire);
-  for (unsigned v = 1; v < n_; ++v) {
-    lowest = std::min(lowest, async_cursor_[v].load(std::memory_order_acquire));
-  }
-  return lowest;
+  return *std::min_element(async_cursors_.begin(), async_cursors_.end());
 }
 
 bool SyscallRendezvous::verify_async_prefix() {
-  const std::uint64_t reference = async_cursor_[0].load(std::memory_order_acquire);
+  const std::uint64_t reference = async_cursors_[0];
   for (unsigned v = 1; v < n_; ++v) {
-    const std::uint64_t cursor = async_cursor_[v].load(std::memory_order_acquire);
-    if (cursor != reference) {
-      abort_locked(
-          Alarm{AlarmKind::kSyscallMismatch, Alarm::kAllVariants,
-                util::format("completion-class syscall streams diverged before the barrier "
-                             "(variant 0 consumed %llu, variant %u consumed %llu)",
-                             static_cast<unsigned long long>(reference), v,
-                             static_cast<unsigned long long>(cursor))});
+    if (async_cursors_[v] != reference) {
+      abort(Alarm{AlarmKind::kSyscallMismatch, Alarm::kAllVariants,
+                  util::format("completion-class syscall streams diverged before the barrier "
+                               "(variant 0 consumed %llu, variant %u consumed %llu)",
+                               static_cast<unsigned long long>(reference), v,
+                               static_cast<unsigned long long>(async_cursors_[v]))});
       return false;
     }
   }

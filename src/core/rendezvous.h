@@ -1,92 +1,103 @@
-// Pipelined syscall rendezvous (§3.1 with a relaxed barrier).
+// Syscall rendezvous and variant executor (§3.1).
 //
 // The paper's rule — "once one variant makes a system call, it will not
-// proceed until all other variants make the same system call" — is preserved
-// for every divergence-relevant call, but the PER-CALL barrier is not the
-// only way to enforce it. This rendezvous offers three exchange shapes,
-// selected by the descriptor table's BatchPolicy:
+// proceed until all other variants make the same system call" — holds for
+// every divergence-relevant call. The N variants run as fibers (util/fiber.h)
+// on the thread that calls run(): a variant that must wait for its peers
+// parks (suspends its fiber), and the scheduler resumes a variant that can
+// proceed. Nothing runs concurrently with anything else, so there are no
+// locks and no clocks here.
+//
+// Three exchange shapes, selected by the descriptor table's BatchPolicy:
 //
 //   exchange()        one call, full barrier (the classic lockstep round).
 //   exchange_batch()  several calls, ONE barrier: every variant arrives with
-//                     a SyscallBatch; sizes are cross-checked; the leader
-//                     (last arriver) runs the batch leader once per position
-//                     and publishes per-variant result vectors. K coalesced
-//                     calls cost one barrier instead of K.
+//                     a SyscallBatch; sizes are cross-checked; the leader runs
+//                     the batch leader once per position and hands each
+//                     variant its own result vector. K coalesced calls cost
+//                     one round instead of K.
 //   complete_async()  completion-slot path for non-divergence-relevant calls
 //                     (read-only, argument-free input class): the FIRST
-//                     variant to reach stream position i claims the slot,
-//                     executes, and publishes; the others consume lock-free
-//                     (acquire-load on the published count) and compare their
-//                     canonical args against the published ones. Nobody waits
-//                     for anybody unless the ring is empty at their cursor.
+//                     variant to reach stream position i executes and
+//                     publishes {args, result} in the completion ring; the
+//                     others consume the slot and compare their canonical
+//                     args against it, without parking.
+//
+// The last variant to arrive at a barrier leads in place, on its own fiber,
+// then keeps running its guest until its next call; each parked peer takes
+// its results when the scheduler resumes it. A round costs one switch round
+// trip plus the leader's work.
 //
 // Divergence detection is delayed-but-guaranteed on the async path: an
-// argument mismatch is caught at consume time; a variant that silently skips
-// async calls is caught at the next barrier (the leader cross-checks all
-// async cursors before executing) or by the arrival timeout.
-//
-// All counters are atomics readable without the round lock; abort() wakes
-// every waiter on both the barrier and the completion ring.
+// argument mismatch is caught when a variant consumes the slot; a variant
+// that silently skips async calls is caught at the next barrier (the leader
+// checks every async cursor before executing). A variant that stops making
+// the calls its peers make leaves every live fiber parked with none able to
+// proceed — peers at a barrier it never reaches, or a claimer a whole ring
+// ahead of it — and the scheduler raises kRendezvousStall in that same pass.
+// The host's speed never enters into it: a slow variant is only late.
 #ifndef NV_CORE_RENDEZVOUS_H
 #define NV_CORE_RENDEZVOUS_H
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/alarm.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
+#include "util/fiber.h"
 #include "vkernel/syscalls.h"
 
 namespace nv::core {
 
-/// Thrown out of exchange()/complete_async() when the system is aborted by an
-/// alarm. Variant runner threads catch it and unwind.
+/// Thrown out of exchange()/complete_async() when the run is aborted by an
+/// alarm. Variant bodies catch it and unwind.
 struct DivergenceAbort {
   Alarm alarm;
 };
 
 class SyscallRendezvous {
  public:
-  /// Receives one SyscallArgs per variant; returns one result per variant.
-  /// Runs on the leader's thread with the rendezvous lock released. If it
-  /// detects divergence it must call abort() and may return garbage results.
-  using LeaderFn =
-      std::function<std::vector<vkernel::SyscallResult>(const std::vector<vkernel::SyscallArgs>&)>;
-
-  /// Batch form: one SyscallBatch per variant (sizes already verified equal);
-  /// returns one result vector per variant, positionally matching the batch.
-  /// Same locking contract as LeaderFn. Should stop early (returning what it
-  /// has) if it aborts mid-batch.
+  /// One SyscallBatch per variant (sizes already verified equal); returns one
+  /// result vector per variant, positionally matching the batch. Runs on the
+  /// leading variant's fiber. If it detects divergence it must call abort()
+  /// and should stop early, returning what it has.
   using BatchLeaderFn = std::function<std::vector<std::vector<vkernel::SyscallResult>>(
       const std::vector<vkernel::SyscallBatch>&)>;
 
   /// Executes one already-canonical call for the completion-slot path; runs
-  /// on the claiming variant's thread with no rendezvous lock held.
+  /// on the claiming variant's fiber.
   using AsyncExecuteFn = std::function<vkernel::SyscallResult(const vkernel::SyscallArgs&)>;
 
-  SyscallRendezvous(unsigned n_variants, std::chrono::milliseconds arrival_timeout);
+  /// One variant's body; runs on that variant's fiber.
+  using VariantFn = std::function<void(unsigned variant)>;
 
-  /// Per-call leader. When only this is set, exchange_batch() adapts it: one
-  /// LeaderFn invocation per batch position.
-  void set_leader(LeaderFn leader) { leader_ = std::move(leader); }
-  /// Batch-aware leader; preferred over the per-call adapter when set.
+  explicit SyscallRendezvous(unsigned n_variants);
+
+  // Fiber bodies hold `this`.
+  SyscallRendezvous(const SyscallRendezvous&) = delete;
+  SyscallRendezvous& operator=(const SyscallRendezvous&) = delete;
+
   void set_batch_leader(BatchLeaderFn leader) { batch_leader_ = std::move(leader); }
 
-  /// Block until all variants arrive; leader executes; everyone gets their
-  /// per-variant result. Throws DivergenceAbort if the system aborted.
+  /// Run body(v) for every variant as a fiber on the calling thread until
+  /// every body has returned. Each run starts fresh: barrier, ring, counters
+  /// and abort state are reset. Fiber stacks are mapped by the first run and
+  /// reused by every later one. An exception escaping a body aborts the run
+  /// (kGuestError) and is rethrown here once every fiber has unwound.
+  void run(const VariantFn& body);
+
+  /// Park until every variant arrives; the last arriver leads; everyone gets
+  /// their per-variant result. Throws DivergenceAbort if the run aborted.
   [[nodiscard]] vkernel::SyscallResult exchange(unsigned variant, vkernel::SyscallArgs args);
 
   /// One barrier for a whole batch. Every variant must arrive with the SAME
   /// number of calls (identical guest code produces identical batches); a
-  /// size mismatch is a divergence and aborts the system. Throws
-  /// DivergenceAbort if the system aborted (before, during, or because of
-  /// this batch) — per-position partial results are never returned.
+  /// size mismatch is a divergence and aborts the run. Throws DivergenceAbort
+  /// if the run aborted (before, during, or because of this batch) —
+  /// per-position partial results are never returned.
   [[nodiscard]] std::vector<vkernel::SyscallResult> exchange_batch(unsigned variant,
                                                                    vkernel::SyscallBatch batch);
 
@@ -94,37 +105,33 @@ class SyscallRendezvous {
   /// must already be canonicalized (R⁻¹ applied). The first variant at this
   /// stream position executes via `execute` and publishes {args, result};
   /// later variants verify their canonical args match the published ones and
-  /// consume without blocking. Aborts (and throws) on mismatch.
+  /// consume. A claimer a whole ring ahead of the slowest variant parks until
+  /// that variant consumes. Aborts (and throws) on mismatch.
   [[nodiscard]] vkernel::SyscallResult complete_async(unsigned variant,
                                                       const vkernel::SyscallArgs& canonical,
                                                       const AsyncExecuteFn& execute);
 
-  /// Wake all waiters; all current and future exchanges throw DivergenceAbort.
+  /// The first alarm wins. Every parked variant unwinds with DivergenceAbort
+  /// when next resumed, and every later exchange throws it.
   void abort(Alarm alarm);
-  [[nodiscard]] bool aborted() const noexcept {
-    return aborted_flag_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] bool aborted() const noexcept { return aborted_; }
 
-  [[nodiscard]] unsigned variants() const noexcept { return n_; }
-  /// Barrier rounds completed (a batch counts as ONE round). Lock-free.
-  [[nodiscard]] std::uint64_t rounds_completed() const noexcept {
-    return rounds_.load(std::memory_order_relaxed);
-  }
+  /// The one member another thread may call while run() is on the stack: the
+  /// scheduler checks the flag on every pass and aborts the run (kGuestError).
+  /// Final — this run and every later one abort.
+  void request_stop() noexcept { stop_requested_.store(true, std::memory_order_release); }
+
+  /// Barrier rounds completed (a batch counts as ONE round).
+  [[nodiscard]] std::uint64_t rounds_completed() const noexcept { return rounds_; }
   /// Barrier rounds that carried more than one call.
-  [[nodiscard]] std::uint64_t batches_completed() const noexcept {
-    return batch_rounds_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t batches_completed() const noexcept { return batch_rounds_; }
   /// Calls that went through a barrier round (sum of batch sizes).
-  [[nodiscard]] std::uint64_t calls_exchanged() const noexcept {
-    return calls_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t calls_exchanged() const noexcept { return calls_; }
   /// Completion slots published on the async ring (one per async call).
-  [[nodiscard]] std::uint64_t async_completions() const noexcept {
-    return async_published_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t async_completions() const noexcept { return async_published_; }
 
   /// Completion-ring capacity: the furthest a variant may run ahead of the
-  /// slowest variant on async calls before the claim path blocks.
+  /// slowest variant on async calls before its claim parks.
   static constexpr std::size_t kAsyncRingCapacity = 1024;
 
  private:
@@ -132,58 +139,50 @@ class SyscallRendezvous {
     vkernel::SyscallArgs args;
     vkernel::SyscallResult result;
   };
+  /// Why a variant's fiber is suspended.
+  enum class Wait : std::uint8_t { kNone, kBarrier, kRingSpace };
 
-  void abort_locked(Alarm alarm) NV_REQUIRES(mutex_);
-  [[noreturn]] void throw_aborted() NV_EXCLUDES(mutex_);
+  static constexpr unsigned kNoVariant = ~0U;
+
+  [[noreturn]] void throw_aborted() const { throw DivergenceAbort{abort_alarm_}; }
+  /// Suspend `variant`'s fiber until the scheduler finds it can proceed.
+  void park(unsigned variant, Wait reason);
+  /// Waiting needs the variant's own fiber: not another's, not outside run().
+  void require_own_fiber(unsigned variant) const;
+  [[nodiscard]] bool can_proceed(unsigned variant) const;
+  /// Last arriver: validate the round, run the leader, hand out results.
+  [[nodiscard]] std::vector<vkernel::SyscallResult> lead(unsigned variant);
   [[nodiscard]] std::uint64_t min_async_cursor() const noexcept;
-  /// Leader-side cross-check before a barrier round executes: with every
-  /// variant parked at the barrier, all async streams must have drained to
-  /// the same position. Returns false (after aborting) on divergence.
-  [[nodiscard]] bool verify_async_prefix() NV_REQUIRES(mutex_);
+  /// With every variant at the barrier, all async streams must have drained
+  /// to the same position. Returns false (after aborting) on divergence.
+  [[nodiscard]] bool verify_async_prefix();
+  [[nodiscard]] Alarm stall_alarm() const;
 
   const unsigned n_;
-  const std::chrono::milliseconds arrival_timeout_;
-  LeaderFn leader_;
   BatchLeaderFn batch_leader_;
+  std::vector<std::unique_ptr<util::Fiber>> fibers_;  // mapped by the first run()
+  const VariantFn* body_ = nullptr;                   // set while run() is on the stack
+  unsigned current_ = kNoVariant;                     // variant whose fiber is running
+  std::vector<Wait> waits_;
+  std::atomic<bool> stop_requested_{false};
 
-  // ---- Barrier state (mutex_/cv_): arrivals, leader election, publish -----
-  mutable util::Mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<std::optional<vkernel::SyscallBatch>> slots_ NV_GUARDED_BY(mutex_);
-  std::vector<std::vector<vkernel::SyscallResult>> results_ NV_GUARDED_BY(mutex_);
-  /// Per-variant publish generation: bumped for a variant when its results_
-  /// entry for the current round is ready. Replaces the old single
-  /// generation_ counter so a variant's wait condition only touches its own
-  /// slot.
-  std::vector<std::uint64_t> slot_generation_ NV_GUARDED_BY(mutex_);
-  unsigned arrived_ NV_GUARDED_BY(mutex_) = 0;
-  // Leader is running the real syscall(s).
-  bool executing_ NV_GUARDED_BY(mutex_) = false;
-  // Mirrored in aborted_flag_ for lock-free readers.
-  bool aborted_ NV_GUARDED_BY(mutex_) = false;
-  Alarm abort_alarm_ NV_GUARDED_BY(mutex_);
+  // ---- Barrier ----------------------------------------------------------------
+  /// A variant's batch from its arrival until the leader takes the round.
+  std::vector<std::optional<vkernel::SyscallBatch>> slots_;
+  std::vector<std::vector<vkernel::SyscallResult>> results_;
+  unsigned arrived_ = 0;
+  bool aborted_ = false;
+  Alarm abort_alarm_;
 
-  // ---- Completion ring (async path) ---------------------------------------
-  std::vector<AsyncSlot> async_ring_{kAsyncRingCapacity};
-  /// Slots fully published; consumers acquire-load this and then read the
-  /// ring without any lock (the ring-full guard keeps unconsumed slots from
-  /// being overwritten).
-  std::atomic<std::uint64_t> async_published_{0};
-  /// Next per-variant stream position. Each entry is written only by its own
-  /// variant's thread; the barrier leader and the ring-full guard read them.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> async_cursor_;
-  util::Mutex async_mutex_;
-  std::condition_variable async_cv_;
-  std::uint64_t async_claimed_ NV_GUARDED_BY(async_mutex_) = 0;
-  /// True while a claimer is parked on a full ring; fast-path consumers check
-  /// it (one relaxed load) and only then pay for a notify.
-  std::atomic<bool> async_claim_stalled_{false};
+  // ---- Completion ring (async path) ---------------------------------------------
+  /// Grows to kAsyncRingCapacity on first use; position p lives at p % capacity.
+  std::vector<AsyncSlot> async_ring_;
+  std::uint64_t async_published_ = 0;
+  std::vector<std::uint64_t> async_cursors_;  // next stream position per variant
 
-  // ---- Lock-free counters --------------------------------------------------
-  std::atomic<std::uint64_t> rounds_{0};
-  std::atomic<std::uint64_t> batch_rounds_{0};
-  std::atomic<std::uint64_t> calls_{0};
-  std::atomic<bool> aborted_flag_{false};
+  std::uint64_t rounds_ = 0;
+  std::uint64_t batch_rounds_ = 0;
+  std::uint64_t calls_ = 0;
 };
 
 }  // namespace nv::core

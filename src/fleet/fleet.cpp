@@ -711,7 +711,7 @@ void VariantFleet::run_job(unsigned lane, PendingJob job) {
   } catch (...) {
     outcome.error = "job raised a non-standard exception";
   }
-  // A job that threw between launch() and stop() leaves variant threads
+  // A job that threw between launch() and stop() leaves its session thread
   // live; harvest them before the session is reused or quarantined. Keep
   // the harvested report even alongside an error: if the monitor tripped
   // before the job threw, the quarantine record must retain the REAL alarm,

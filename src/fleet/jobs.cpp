@@ -1,7 +1,6 @@
 #include "fleet/jobs.h"
 
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "guest/runners.h"
@@ -12,14 +11,12 @@ namespace nv::fleet::jobs {
 
 namespace {
 
-/// Block until the session's server binds its port, the monitor trips, or a
-/// deadline passes (a launch that alarms before bind must not hang the lane).
+/// Block until the session's server binds its port or its session ends (an
+/// alarm shuts the hub down; a guest may exit without binding). The 2 s cap
+/// is a backstop: a launch that never binds must not hang the lane.
 void wait_for_bind(core::NVariantSystem& system, std::uint16_t port) {
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  while (!system.hub().is_bound(port) && !system.monitor().triggered() &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  (void)system.hub().wait_bound(port,
+                                std::chrono::steady_clock::now() + std::chrono::seconds(2));
 }
 
 /// The privilege-churn guest: repeated drop / detection-check / restore.
@@ -86,7 +83,7 @@ FleetJob httpd_request_stream(httpd::ServerConfig config, std::vector<HttpPlay> 
     httpd::install_default_site(system.fs(), config);
     httpd::MiniHttpd server;
     guest::launch_nvariant(system, server);
-    // The variant threads reference `server`; every exit path below must
+    // The session thread references `server`; every exit path below must
     // stop() (join) before this frame unwinds.
     try {
       wait_for_bind(system, config.listen_port);
@@ -118,7 +115,7 @@ FleetJob ftpd_command_stream(httpd::FtpdConfig config, std::vector<std::string> 
     httpd::install_ftpd_site(system.fs(), config);
     httpd::MiniFtpd server(config);
     guest::launch_nvariant(system, server);
-    // The variant threads reference `server`; every exit path below must
+    // The session thread references `server`; every exit path below must
     // stop() (join) before this frame unwinds.
     try {
       wait_for_bind(system, config.listen_port);

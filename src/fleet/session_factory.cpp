@@ -219,7 +219,7 @@ util::Expected<Session, std::string> SessionFactory::try_make_locked() {
   if (!suite) return util::Unexpected{suite.error()};
 
   core::NVariantSystem::Builder builder;
-  builder.suite(std::move(*suite)).rendezvous_timeout(spec_.rendezvous_timeout);
+  builder.suite(std::move(*suite));
   for (const auto& path : spec_.unshared) builder.unshared(path);
   if (spec_.trace) {
     session.trace_span = spec_.trace->new_span();

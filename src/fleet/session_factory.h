@@ -26,7 +26,6 @@
 #ifndef NV_FLEET_SESSION_FACTORY_H
 #define NV_FLEET_SESSION_FACTORY_H
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -49,7 +48,6 @@ namespace nv::fleet {
 struct SessionSpec {
   unsigned n_variants = 2;
   std::vector<std::string> variations = {"uid-xor"};
-  std::chrono::milliseconds rendezvous_timeout{2000};
   std::vector<std::string> unshared;
   /// Draw fresh random parameters per session (the fleet posture). When
   /// false every session uses the registry defaults — useful for

@@ -2,12 +2,12 @@
 //
 // A GuestProgram is the "program P" of the paper: deterministic code written
 // against the simulated kernel's syscall interface. The SAME program object
-// runs once per variant (on separate threads under the MVEE), each run
+// runs once per variant (on separate fibers under the MVEE), each run
 // receiving a GuestContext bound to that variant's syscall port, process, and
 // construction parameters (the VariantConfig produced by the variations).
 //
 // Programs must keep per-run state in locals or in simulated memory — never
-// in member variables — because variant runs execute concurrently.
+// in member variables — because variant runs interleave at every syscall.
 #ifndef NV_GUEST_GUEST_PROGRAM_H
 #define NV_GUEST_GUEST_PROGRAM_H
 

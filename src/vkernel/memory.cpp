@@ -1,7 +1,7 @@
 #include "vkernel/memory.h"
 
-#include <cstring>
-#include <utility>
+#include <algorithm>
+#include <iterator>
 
 #include "util/strings.h"
 
@@ -11,27 +11,40 @@ namespace {
 constexpr std::uint64_t page_base(std::uint64_t addr) noexcept {
   return addr & ~(AddressSpace::kPageSize - 1);
 }
+
+MemoryFault unmapped(std::uint64_t addr) {
+  return MemoryFault{addr, "unmapped address " + util::format("0x%llx",
+                                                              static_cast<unsigned long long>(addr))};
+}
 }  // namespace
 
 void AddressSpace::map(std::uint64_t base, std::uint64_t size) {
   if (size == 0) return;
-  const std::uint64_t first = page_base(base);
-  const std::uint64_t last = page_base(base + size - 1);
-  for (std::uint64_t page = first;; page += kPageSize) {
-    pages_.try_emplace(page, kPageSize, std::uint8_t{0});
-    if (page == last) break;
+  std::uint64_t first = page_base(base);
+  std::uint64_t last = page_base(base + size - 1);
+  // Absorb every range that overlaps or abuts [first, last].
+  auto it = ranges_.upper_bound(first);
+  if (it != ranges_.begin()) {
+    const auto prev = std::prev(it);
+    if (prev->second >= first || first - prev->second == kPageSize) it = prev;
   }
+  while (it != ranges_.end() && (it->first <= last || it->first - last == kPageSize)) {
+    first = std::min(first, it->first);
+    last = std::max(last, it->second);
+    mapped_pages_ -= (it->second - it->first) / kPageSize + 1;
+    it = ranges_.erase(it);
+  }
+  ranges_.emplace(first, last);
+  mapped_pages_ += (last - first) / kPageSize + 1;
 }
 
 bool AddressSpace::is_mapped(std::uint64_t addr, std::uint64_t size) const noexcept {
   if (size == 0) return true;
   const std::uint64_t first = page_base(addr);
-  const std::uint64_t last = page_base(addr + size - 1);
-  for (std::uint64_t page = first;; page += kPageSize) {
-    if (!pages_.contains(page)) return false;
-    if (page == last) break;
-  }
-  return true;
+  auto it = ranges_.upper_bound(first);
+  if (it == ranges_.begin()) return false;
+  --it;
+  return page_base(addr + size - 1) <= it->second && first <= it->second;
 }
 
 std::uint64_t AddressSpace::alloc(std::uint64_t size, std::uint64_t align) {
@@ -44,16 +57,18 @@ std::uint64_t AddressSpace::alloc(std::uint64_t size, std::uint64_t align) {
 }
 
 const std::uint8_t* AddressSpace::page_for(std::uint64_t addr) const {
-  const auto it = pages_.find(page_base(addr));
-  if (it == pages_.end()) {
-    throw MemoryFault{addr, "unmapped address " + util::format("0x%llx",
-                                                               static_cast<unsigned long long>(addr))};
-  }
-  return it->second.data();
+  static const std::vector<std::uint8_t> kZeroPage(kPageSize, 0);
+  const std::uint64_t page = page_base(addr);
+  if (const auto it = pages_.find(page); it != pages_.end()) return it->second.data();
+  if (!is_mapped(page)) throw unmapped(addr);
+  return kZeroPage.data();
 }
 
 std::uint8_t* AddressSpace::page_for(std::uint64_t addr) {
-  return const_cast<std::uint8_t*>(std::as_const(*this).page_for(addr));
+  const std::uint64_t page = page_base(addr);
+  if (const auto it = pages_.find(page); it != pages_.end()) return it->second.data();
+  if (!is_mapped(page)) throw unmapped(addr);
+  return pages_.try_emplace(page, kPageSize, std::uint8_t{0}).first->second.data();
 }
 
 std::uint8_t AddressSpace::load_u8(std::uint64_t addr) const {

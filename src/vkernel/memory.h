@@ -22,8 +22,10 @@ struct MemoryFault {
   std::string what = "memory fault";
 };
 
-/// Sparse page-granular address space. Pages are allocated on map() only;
-/// all loads/stores bounds-check against the mapped set.
+/// Sparse page-granular address space. map() records page ranges without
+/// allocating them: a page's bytes are allocated, zero-filled, on its first
+/// store, and a load from a mapped page never stored to reads 0. Every load
+/// and store bounds-checks against the mapped ranges.
 class AddressSpace {
  public:
   static constexpr std::uint64_t kPageSize = 4096;
@@ -52,13 +54,18 @@ class AddressSpace {
   void store_string(std::uint64_t addr, std::string_view text);
   [[nodiscard]] std::string load_string(std::uint64_t addr, std::uint64_t max_len) const;
 
-  [[nodiscard]] std::uint64_t mapped_pages() const noexcept { return pages_.size(); }
+  /// Pages mapped, whether or not they have been touched.
+  [[nodiscard]] std::uint64_t mapped_pages() const noexcept { return mapped_pages_; }
 
  private:
   [[nodiscard]] const std::uint8_t* page_for(std::uint64_t addr) const;
   [[nodiscard]] std::uint8_t* page_for(std::uint64_t addr);
 
-  std::map<std::uint64_t, std::vector<std::uint8_t>> pages_;  // page base -> bytes
+  /// Mapped ranges: first page base -> last page base, disjoint and never
+  /// adjacent (map() coalesces), so a mapped span lies in one range.
+  std::map<std::uint64_t, std::uint64_t> ranges_;
+  std::uint64_t mapped_pages_ = 0;
+  std::map<std::uint64_t, std::vector<std::uint8_t>> pages_;  // stored-to page base -> bytes
   std::uint64_t alloc_next_ = 0;
 };
 

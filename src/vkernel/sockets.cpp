@@ -78,12 +78,28 @@ os::Errno SocketHub::bind(std::uint16_t port) {
   if (shutdown_) return os::Errno::kEINTR;
   if (listeners_.contains(port)) return os::Errno::kEADDRINUSE;
   listeners_.emplace(port, Listener{});
+  cv_.notify_all();
   return os::Errno::kOk;
 }
 
 bool SocketHub::is_bound(std::uint16_t port) const {
   const util::MutexLock lock(mutex_);
   return listeners_.contains(port);
+}
+
+bool SocketHub::wait_bound(std::uint16_t port,
+                           std::chrono::steady_clock::time_point deadline) {
+  util::MutexLock lock(mutex_);
+  while (!listeners_.contains(port) && !shutdown_ && !session_ended_) {
+    if (cv_.wait_until(lock.native(), deadline) == std::cv_status::timeout) break;
+  }
+  return listeners_.contains(port);
+}
+
+void SocketHub::end_session() {
+  const util::MutexLock lock(mutex_);
+  session_ended_ = true;
+  cv_.notify_all();
 }
 
 void SocketHub::unbind(std::uint16_t port) {
@@ -140,6 +156,7 @@ bool SocketHub::is_shutdown() const {
 void SocketHub::reset() {
   const util::MutexLock lock(mutex_);
   shutdown_ = false;
+  session_ended_ = false;
   listeners_.clear();
   streams_.clear();
 }

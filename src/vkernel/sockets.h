@@ -3,9 +3,12 @@
 //
 // Blocking semantics use condition variables; SocketHub::shutdown() wakes
 // every blocked operation with EINTR so servers can be torn down cleanly.
+// Host code that starts a server waits for its bind with wait_bound(), which
+// bind(), shutdown() and end_session() all wake.
 #ifndef NV_VKERNEL_SOCKETS_H
 #define NV_VKERNEL_SOCKETS_H
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -71,6 +74,13 @@ class SocketHub {
   [[nodiscard]] os::Errno bind(std::uint16_t port);
   [[nodiscard]] bool is_bound(std::uint16_t port) const;
   void unbind(std::uint16_t port);
+  /// Block until `port` is bound, the hub shuts down, the session serving it
+  /// ends (end_session()), or `deadline` passes. Returns is_bound(port).
+  [[nodiscard]] bool wait_bound(std::uint16_t port,
+                                std::chrono::steady_clock::time_point deadline);
+  /// The guest session serving this hub has ended, so a port it has not
+  /// bound will never be bound: wake wait_bound() callers. reset() re-arms.
+  void end_session();
 
   /// Server side: block until a client connects to `port` (or interrupt).
   [[nodiscard]] NetResult<Connection> accept(std::uint16_t port);
@@ -94,6 +104,7 @@ class SocketHub {
   std::condition_variable cv_;
   std::map<std::uint16_t, Listener> listeners_ NV_GUARDED_BY(mutex_);
   bool shutdown_ NV_GUARDED_BY(mutex_) = false;
+  bool session_ended_ NV_GUARDED_BY(mutex_) = false;
   // Every stream ever created (for interrupt).
   std::vector<StreamPtr> streams_ NV_GUARDED_BY(mutex_);
 };

@@ -22,7 +22,6 @@ inline SessionSpec uid_spec() {
   SessionSpec spec;
   spec.n_variants = 2;
   spec.variations = {"uid-xor"};
-  spec.rendezvous_timeout = std::chrono::milliseconds(2000);
   return spec;
 }
 

@@ -17,7 +17,7 @@ using testing::LambdaGuest;
 std::unique_ptr<NVariantSystem> fast_system(
     std::initializer_list<std::string_view> variation_names = {},
     std::initializer_list<std::string> unshared = {}, unsigned n_variants = 2) {
-  return testing::build_system(std::chrono::milliseconds(500), n_variants, variation_names,
+  return testing::build_system(n_variants, variation_names,
                                unshared);
 }
 

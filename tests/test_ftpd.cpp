@@ -143,7 +143,7 @@ struct NvFtpd {
   MiniFtpd server;
 
   explicit NvFtpd(FtpdConfig config) : server(config) {
-    system = testing::build_system(std::chrono::milliseconds(1000), 2, {"uid-xor"});
+    system = testing::build_system(2, {"uid-xor"});
     httpd::install_ftpd_site(system->fs(), config);
     guest::launch_nvariant(*system, server);
     wait_for_bind(system->hub());
@@ -215,7 +215,7 @@ TEST(MiniFtpdNVariant, AttackWithoutDetectionSyscallsCaughtAtSeteuid) {
 // --- synchronized event delivery (extension) ---------------------------------
 
 TEST(EventDelivery, SynchronizedEventsDoNotDiverge) {
-  const auto system_owner = testing::build_system(std::chrono::milliseconds(1000));
+  const auto system_owner = testing::build_system();
   auto& system = *system_owner;
   // Queue events BEFORE launch; both variants must observe the identical
   // sequence at identical points (poll_event is an input-class syscall).

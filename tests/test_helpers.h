@@ -9,16 +9,17 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "core/nvariant_system.h"
 #include "guest/guest_program.h"
 #include "variants/registry.h"
+#include "vkernel/sockets.h"
 
 namespace nv::testing {
 
 /// Guest program defined inline from a lambda. The lambda runs once per
-/// variant, concurrently — keep all state in locals or simulated memory.
+/// variant, interleaved at syscalls — keep all state in locals or simulated
+/// memory.
 class LambdaGuest final : public guest::GuestProgram {
  public:
   using Fn = std::function<void(guest::GuestContext&)>;
@@ -30,14 +31,13 @@ class LambdaGuest final : public guest::GuestProgram {
   Fn fn_;
 };
 
-/// Builder shorthand for tests: N variants, rendezvous timeout, variations
-/// named from the builtin registry, extra unshared paths.
+/// Builder shorthand for tests: N variants, variations named from the
+/// builtin registry, extra unshared paths.
 inline std::unique_ptr<core::NVariantSystem> build_system(
-    std::chrono::milliseconds timeout, unsigned n_variants = 2,
-    std::initializer_list<std::string_view> variation_names = {},
+    unsigned n_variants = 2, std::initializer_list<std::string_view> variation_names = {},
     std::initializer_list<std::string> unshared = {}) {
   core::NVariantSystem::Builder builder;
-  builder.n_variants(n_variants).rendezvous_timeout(timeout);
+  builder.n_variants(n_variants);
   for (const auto name : variation_names) {
     builder.variation(variants::make_builtin(name));
   }
@@ -45,18 +45,11 @@ inline std::unique_ptr<core::NVariantSystem> build_system(
   return builder.build();
 }
 
-/// Yield-spin (never sleep) until a server guest binds `port`. Sleeping 1 ms
-/// per poll serializes badly under sanitizers; yielding keeps the wait as
-/// short as the scheduler allows. The timeout only bounds a FAILING test.
-template <typename Hub>
-[[nodiscard]] inline bool wait_for_bind(Hub& hub, std::uint16_t port,
+/// Block until a server guest binds `port` (SocketHub::wait_bound: woken by
+/// the bind itself, so no polling). The timeout only bounds a FAILING test.
+[[nodiscard]] inline bool wait_for_bind(vkernel::SocketHub& hub, std::uint16_t port,
                                         std::chrono::seconds timeout = std::chrono::seconds(30)) {
-  const auto give_up = std::chrono::steady_clock::now() + timeout;
-  while (!hub.is_bound(port)) {
-    if (std::chrono::steady_clock::now() >= give_up) return false;
-    std::this_thread::yield();
-  }
-  return true;
+  return hub.wait_bound(port, std::chrono::steady_clock::now() + timeout);
 }
 
 }  // namespace nv::testing

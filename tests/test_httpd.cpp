@@ -104,7 +104,7 @@ struct NvServer {
   MiniHttpd server;
 
   explicit NvServer(const ServerConfig& config) {
-    system = testing::build_system(std::chrono::milliseconds(1000), 2, {"uid-xor"});
+    system = testing::build_system(2, {"uid-xor"});
     httpd::install_default_site(system->fs(), config);
     guest::launch_nvariant(*system, server);
     wait_for_bind(system->hub());

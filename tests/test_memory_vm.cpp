@@ -53,6 +53,49 @@ TEST(AddressSpace, CrossPageAccessNeedsBothPages) {
   EXPECT_NO_THROW((void)mem.load_u32(0x1FFE));
 }
 
+TEST(AddressSpace, LazyPagesReadZeroUntilStored) {
+  AddressSpace mem;
+  mem.map(0x100000, 1 << 20);  // 256 pages, none allocated yet
+  EXPECT_EQ(mem.load_u64(0x100000), 0u);
+  EXPECT_EQ(mem.load_u64(0x1FFFF8), 0u);
+  EXPECT_EQ(mem.load_string(0x180000, 16), "");
+  mem.store_u32(0x180010, 0xCAFEF00D);  // first store zero-fills the page
+  EXPECT_EQ(mem.load_u32(0x180010), 0xCAFEF00Du);
+  EXPECT_EQ(mem.load_u32(0x18000C), 0u);
+  EXPECT_EQ(mem.load_u32(0x180014), 0u);
+  EXPECT_EQ(mem.load_u8(0x180FFF), 0u);
+}
+
+TEST(AddressSpace, UnmappedAccessFaultsBesideLazyPages) {
+  AddressSpace mem;
+  mem.map(0x1000, 4096);
+  EXPECT_THROW((void)mem.load_u8(0x2000), MemoryFault);   // just past the mapping
+  EXPECT_THROW(mem.store_u8(0x0FFF, 1), MemoryFault);     // just before it
+  EXPECT_THROW((void)mem.load_u32(0x1FFE), MemoryFault);  // straddles the end
+  EXPECT_NO_THROW((void)mem.load_u8(0x1FFF));
+  EXPECT_EQ(mem.mapped_pages(), 1u);
+}
+
+TEST(AddressSpace, MappedPagesCountsMappedNotTouched) {
+  AddressSpace mem;
+  mem.map(0x1000, 4 * 4096);  // pages 0x1000..0x4000
+  EXPECT_EQ(mem.mapped_pages(), 4u);
+  mem.store_u8(0x2000, 7);
+  EXPECT_EQ(mem.mapped_pages(), 4u);
+  mem.map(0x3000, 4 * 4096);  // overlaps: 0x1000..0x6000
+  EXPECT_EQ(mem.mapped_pages(), 6u);
+  mem.map(0x7000, 4096);  // abuts: 0x1000..0x7000
+  EXPECT_EQ(mem.mapped_pages(), 7u);
+  EXPECT_TRUE(mem.is_mapped(0x1000, 7 * 4096));
+  mem.map(0x9000, 4096);  // a hole at 0x8000
+  EXPECT_EQ(mem.mapped_pages(), 8u);
+  EXPECT_FALSE(mem.is_mapped(0x7000, 3 * 4096));
+  EXPECT_THROW((void)mem.load_u8(0x8000), MemoryFault);
+  mem.map(0x1000, 4096);  // remapping is idempotent and keeps the data
+  EXPECT_EQ(mem.mapped_pages(), 8u);
+  EXPECT_EQ(mem.load_u8(0x2000), 7u);
+}
+
 TEST(AddressSpace, AllocBumpsAndMaps) {
   AddressSpace mem;
   mem.set_alloc_base(0x10000);

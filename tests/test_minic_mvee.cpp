@@ -13,7 +13,6 @@ namespace {
 
 std::unique_ptr<core::NVariantSystem> make_system() {
   auto system = core::NVariantSystem::Builder()
-                    .rendezvous_timeout(std::chrono::milliseconds(1000))
                     .variation(variants::make_builtin("uid-xor"))
                     .build();
   const auto root = os::Credentials::root();

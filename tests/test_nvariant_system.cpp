@@ -2,6 +2,10 @@
 // detection, unshared files, detection syscalls, and fault handling.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+#include <vector>
+
 #include "core/nvariant_system.h"
 #include "guest/runners.h"
 #include "test_helpers.h"
@@ -15,7 +19,7 @@ using testing::LambdaGuest;
 std::unique_ptr<NVariantSystem> fast_system(
     std::initializer_list<std::string_view> variation_names = {},
     std::initializer_list<std::string> unshared = {}, unsigned n_variants = 2) {
-  return testing::build_system(std::chrono::milliseconds(500), n_variants, variation_names,
+  return testing::build_system(n_variants, variation_names,
                                unshared);
 }
 
@@ -50,10 +54,8 @@ TEST(NVariantSystem, SyscallRoundsAreCounted) {
 }
 
 TEST(NVariantSystem, LockstepModeCountsEveryCallAsARound) {
-  const auto system_owner = core::NVariantSystem::Builder()
-                                .rendezvous_timeout(std::chrono::milliseconds(2000))
-                                .pipeline(core::PipelineMode::kLockstep)
-                                .build();
+  const auto system_owner =
+      core::NVariantSystem::Builder().pipeline(core::PipelineMode::kLockstep).build();
   auto& system = *system_owner;
   LambdaGuest guest([](guest::GuestContext& ctx) {
     for (int i = 0; i < 5; ++i) (void)ctx.getpid();
@@ -158,26 +160,71 @@ TEST(NVariantSystem, ExitCodeDivergenceDetected) {
   EXPECT_EQ(report.alarm->kind, core::AlarmKind::kArgumentMismatch);
 }
 
-TEST(NVariantSystem, VariantThatStopsMakingSyscallsTimesOut) {
+TEST(NVariantSystem, RingFullAgainstBarrierStalls) {
+  // Variant 0 runs a whole completion ring ahead on getpid while variant 1
+  // waits at a seteuid barrier variant 0 will never reach: neither can
+  // proceed, and the scheduler says so in the pass that finds it.
   const auto system_owner = fast_system();
   auto& system = *system_owner;
   LambdaGuest guest([](guest::GuestContext& ctx) {
     if (ctx.variant() == 0) {
-      (void)ctx.getpid();
+      for (std::size_t i = 0; i <= core::SyscallRendezvous::kAsyncRingCapacity; ++i) {
+        (void)ctx.getpid();
+      }
     } else {
-      // Variant 1 "spins" (returns without syscalls and without exit, so the
-      // implicit exit arrives while variant 0 waits at getpid — a mismatch),
-      // or in the timeout case simply never arrives. Model the never-arrives
-      // case with a long sleep outside syscalls.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1200));
-      (void)ctx.getpid();
+      (void)ctx.seteuid(ctx.uid_const(1000));
     }
     ctx.exit(0);
   });
+  const auto start = std::chrono::steady_clock::now();
   const auto report = guest::run_nvariant(system, guest);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_TRUE(report.attack_detected);
   ASSERT_TRUE(report.alarm.has_value());
-  EXPECT_EQ(report.alarm->kind, core::AlarmKind::kRendezvousTimeout);
+  EXPECT_EQ(report.alarm->kind, core::AlarmKind::kRendezvousStall);
+  EXPECT_EQ(report.async_completions, core::SyscallRendezvous::kAsyncRingCapacity);
+  // At once: no deadline is involved, so even a sanitizer build is far
+  // inside this bound.
+  EXPECT_LT(elapsed, std::chrono::milliseconds(500));
+}
+
+TEST(NVariantSystem, SlowVariantNeverAlarms) {
+  // A variant that is merely slow — here 50 ms outside any syscall, as a
+  // loaded host might make it — is late, not divergent.
+  const auto system_owner = fast_system();
+  auto& system = *system_owner;
+  LambdaGuest guest([](guest::GuestContext& ctx) {
+    if (ctx.variant() == 1) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    (void)ctx.getpid();
+    (void)ctx.seteuid(ctx.uid_const(1000));
+    ctx.exit(0);
+  });
+  const auto report = guest::run_nvariant(system, guest);
+  EXPECT_FALSE(report.attack_detected);
+  EXPECT_FALSE(report.alarm.has_value());
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.exit_codes, (std::vector<int>{0, 0}));
+}
+
+TEST(NVariantSystem, RunStartsNoThreadAndLaunchStartsOne) {
+  const auto system_owner = fast_system();
+  auto& system = *system_owner;
+  std::vector<std::thread::id> ids(2);
+  LambdaGuest guest([&ids](guest::GuestContext& ctx) {
+    ids[ctx.variant()] = std::this_thread::get_id();
+    (void)ctx.getpid();
+    ctx.exit(0);
+  });
+  EXPECT_TRUE(guest::run_nvariant(system, guest).completed);
+  EXPECT_EQ(ids[0], std::this_thread::get_id());
+  EXPECT_EQ(ids[1], std::this_thread::get_id());
+
+  guest::launch_nvariant(system, guest);
+  EXPECT_TRUE(system.running());
+  EXPECT_TRUE(system.stop().completed);
+  EXPECT_FALSE(system.running());
+  EXPECT_EQ(ids[0], ids[1]);  // one session thread for both variants
+  EXPECT_NE(ids[0], std::this_thread::get_id());
 }
 
 TEST(NVariantSystem, UnsharedFilesOpenVariantCopies) {
@@ -310,6 +357,19 @@ TEST(NVariantSystem, InjectedAbsoluteAddressFaultsInOneVariant) {
   ASSERT_TRUE(report.alarm.has_value());
   EXPECT_EQ(report.alarm->kind, core::AlarmKind::kMemoryFault);
   EXPECT_EQ(report.alarm->variant, 1u);
+}
+
+TEST(NVariantSystem, ServerThatExitsBeforeBindingWakesTheBindWaiter) {
+  const auto system_owner = fast_system();
+  auto& system = *system_owner;
+  LambdaGuest guest([](guest::GuestContext& ctx) { ctx.exit(3); });
+  guest::launch_nvariant(system, guest);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(system.hub().wait_bound(9091, start + std::chrono::seconds(30)));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  const auto report = system.stop();
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.exit_codes, (std::vector<int>{3, 3}));
 }
 
 TEST(NVariantSystem, ServerModeStopsCleanly) {

@@ -165,16 +165,6 @@ TEST(Builder, RejectsFewerThanTwoVariants) {
   EXPECT_THROW((void)NVariantSystem::Builder().n_variants(0).build(), std::invalid_argument);
 }
 
-TEST(Builder, RejectsNonPositiveTimeout) {
-  auto result =
-      NVariantSystem::Builder().rendezvous_timeout(std::chrono::milliseconds(0)).try_build();
-  ASSERT_FALSE(result.has_value());
-  EXPECT_NE(result.error().find("timeout"), std::string::npos);
-  EXPECT_FALSE(NVariantSystem::Builder()
-                   .rendezvous_timeout(std::chrono::milliseconds(-5))
-                   .try_build());
-}
-
 TEST(Builder, RejectsZeroMemorySize) {
   EXPECT_FALSE(NVariantSystem::Builder().memory_size(0).try_build());
 }
@@ -232,10 +222,7 @@ TEST(Builder, ThreeVariantSuiteRunsEndToEnd) {
   auto suite = DiversitySuite::compose(
       3, {*registry().make("uid-xor"), *registry().make("address-partitioning")});
   ASSERT_TRUE(suite.has_value());
-  const auto system = NVariantSystem::Builder()
-                          .suite(*std::move(suite))
-                          .rendezvous_timeout(std::chrono::milliseconds(1000))
-                          .build();
+  const auto system = NVariantSystem::Builder().suite(*std::move(suite)).build();
   const auto root = os::Credentials::root();
   ASSERT_TRUE(system->fs().mkdir_p("/etc", root));
   ASSERT_TRUE(system->fs().write_file("/etc/passwd", "root:x:0:0:r:/:/bin/sh\n", root));

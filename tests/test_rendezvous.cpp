@@ -1,9 +1,14 @@
-// Rendezvous barrier semantics and the monitor's alarm bookkeeping.
+// Rendezvous barrier semantics on the fiber scheduler, and the monitor's
+// alarm bookkeeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <future>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/monitor.h"
 #include "core/rendezvous.h"
@@ -13,6 +18,7 @@ namespace {
 
 using vkernel::Sys;
 using vkernel::SyscallArgs;
+using vkernel::SyscallBatch;
 using vkernel::SyscallResult;
 
 SyscallArgs call(Sys no, std::uint64_t a = 0) {
@@ -22,188 +28,299 @@ SyscallArgs call(Sys no, std::uint64_t a = 0) {
   return args;
 }
 
-TEST(Rendezvous, LeaderSeesAllArgumentsAndDistributesResults) {
-  SyscallRendezvous rdv(2, std::chrono::milliseconds(1000));
-  rdv.set_leader([](const std::vector<SyscallArgs>& all) {
-    EXPECT_EQ(all.size(), 2u);
-    std::vector<SyscallResult> results(2);
-    results[0].value = all[0].ints[0] * 10;
-    results[1].value = all[1].ints[0] * 10;
+/// A batch leader built from a per-call leader: one call per batch position.
+template <typename CallLeader>
+SyscallRendezvous::BatchLeaderFn per_call(CallLeader leader) {
+  return [leader](const std::vector<SyscallBatch>& batches) {
+    std::vector<std::vector<SyscallResult>> out(batches.size());
+    for (std::size_t p = 0; p < batches[0].calls.size(); ++p) {
+      std::vector<SyscallArgs> column;
+      for (const auto& batch : batches) column.push_back(batch.calls[p]);
+      const std::vector<SyscallResult> results = leader(column);
+      for (std::size_t v = 0; v < out.size(); ++v) out[v].push_back(results[v]);
+    }
+    return out;
+  };
+}
+
+/// Leader that answers every variant with its own first argument times `k`.
+SyscallRendezvous::BatchLeaderFn scaled(std::uint64_t k) {
+  return per_call([k](const std::vector<SyscallArgs>& all) {
+    std::vector<SyscallResult> results(all.size());
+    for (std::size_t v = 0; v < all.size(); ++v) results[v].value = all[v].ints[0] * k;
     return results;
   });
-  SyscallResult r0;
-  SyscallResult r1;
-  std::thread t0([&] { r0 = rdv.exchange(0, call(Sys::kGetpid, 1)); });
-  std::thread t1([&] { r1 = rdv.exchange(1, call(Sys::kGetpid, 2)); });
-  t0.join();
-  t1.join();
-  EXPECT_EQ(r0.value, 10u);
-  EXPECT_EQ(r1.value, 20u);
+}
+
+SyscallResult echo(const SyscallArgs& args) {
+  SyscallResult result;
+  result.value = args.ints[0];
+  return result;
+}
+
+TEST(Rendezvous, LeaderSeesAllArgumentsAndRoutesResults) {
+  SyscallRendezvous rdv(2);
+  rdv.set_batch_leader(scaled(10));
+  std::vector<SyscallResult> results(2);
+  rdv.run([&](unsigned v) { results[v] = rdv.exchange(v, call(Sys::kGetpid, v + 1)); });
+  EXPECT_EQ(results[0].value, 10u);
+  EXPECT_EQ(results[1].value, 20u);
   EXPECT_EQ(rdv.rounds_completed(), 1u);
+  EXPECT_FALSE(rdv.aborted());
 }
 
 TEST(Rendezvous, ManyRoundsKeepOrder) {
-  SyscallRendezvous rdv(2, std::chrono::milliseconds(1000));
-  rdv.set_leader([](const std::vector<SyscallArgs>& all) {
-    std::vector<SyscallResult> results(2);
-    results[0].value = all[0].ints[0];
-    results[1].value = all[1].ints[0];
-    return results;
-  });
-  auto worker = [&](unsigned v) {
+  SyscallRendezvous rdv(3);
+  rdv.set_batch_leader(scaled(1));
+  std::vector<int> mismatches(3, 0);
+  rdv.run([&](unsigned v) {
     for (std::uint64_t i = 0; i < 100; ++i) {
-      const auto r = rdv.exchange(v, call(Sys::kGettime, i));
-      ASSERT_EQ(r.value, i);
+      const auto r = rdv.exchange(v, call(Sys::kGettime, i * 3 + v));
+      if (r.value != i * 3 + v) ++mismatches[v];
     }
-  };
-  std::thread t0(worker, 0);
-  std::thread t1(worker, 1);
-  t0.join();
-  t1.join();
-  EXPECT_EQ(rdv.rounds_completed(), 100u);
-}
-
-TEST(Rendezvous, AbortWakesWaiter) {
-  SyscallRendezvous rdv(2, std::chrono::milliseconds(10000));
-  rdv.set_leader([](const std::vector<SyscallArgs>&) { return std::vector<SyscallResult>(2); });
-  std::thread t0([&] {
-    EXPECT_THROW((void)rdv.exchange(0, call(Sys::kGetpid)), DivergenceAbort);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  rdv.abort(Alarm{AlarmKind::kMemoryFault, 1, "test"});
-  t0.join();
-  EXPECT_TRUE(rdv.aborted());
+  EXPECT_EQ(mismatches, (std::vector<int>{0, 0, 0}));
+  EXPECT_EQ(rdv.rounds_completed(), 100u);
+  EXPECT_FALSE(rdv.aborted());
 }
 
-TEST(Rendezvous, ExchangeAfterAbortThrowsImmediately) {
-  SyscallRendezvous rdv(2, std::chrono::milliseconds(1000));
-  rdv.abort(Alarm{AlarmKind::kGuestError, 0, "dead"});
-  EXPECT_THROW((void)rdv.exchange(0, call(Sys::kGetpid)), DivergenceAbort);
+TEST(Rendezvous, VariantsRunOnTheCallingThread) {
+  SyscallRendezvous rdv(2);
+  rdv.set_batch_leader(scaled(1));
+  std::vector<std::thread::id> ids(2);
+  rdv.run([&](unsigned v) {
+    ids[v] = std::this_thread::get_id();
+    (void)rdv.exchange(v, call(Sys::kGetpid));
+  });
+  EXPECT_EQ(ids[0], std::this_thread::get_id());
+  EXPECT_EQ(ids[1], std::this_thread::get_id());
 }
 
-TEST(Rendezvous, TimeoutWhenPeerNeverArrives) {
-  SyscallRendezvous rdv(2, std::chrono::milliseconds(50));
-  rdv.set_leader([](const std::vector<SyscallArgs>&) { return std::vector<SyscallResult>(2); });
-  try {
-    (void)rdv.exchange(0, call(Sys::kGetpid));
-    FAIL() << "expected timeout abort";
-  } catch (const DivergenceAbort& abort) {
-    EXPECT_EQ(abort.alarm.kind, AlarmKind::kRendezvousTimeout);
-  }
-}
-
-TEST(Rendezvous, TimeoutAbortsEveryWaiterWhenOnePeerStalls) {
-  // 3-variant barrier, two arrive, the third never does: BOTH waiters must
-  // unwind with the rendezvous-timeout alarm — no waiter may hang on the
-  // other's abort.
-  SyscallRendezvous rdv(3, std::chrono::milliseconds(50));
-  rdv.set_leader([](const std::vector<SyscallArgs>&) { return std::vector<SyscallResult>(3); });
-  std::atomic<int> aborts{0};
-  auto worker = [&](unsigned v) {
-    try {
-      (void)rdv.exchange(v, call(Sys::kGetpid));
-      FAIL() << "variant " << v << " expected a timeout abort";
-    } catch (const DivergenceAbort& abort) {
-      EXPECT_EQ(abort.alarm.kind, AlarmKind::kRendezvousTimeout);
-      aborts.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  std::thread t0(worker, 0);
-  std::thread t1(worker, 1);
-  t0.join();
-  t1.join();
-  EXPECT_EQ(aborts.load(std::memory_order_relaxed), 2);
-  EXPECT_TRUE(rdv.aborted());
-}
-
-TEST(Rendezvous, LateArriverAfterTimeoutAbortUnwindsImmediately) {
-  // Regression: the arrival-timeout expiry must become a PROPER abort, not a
-  // private unwind. Two of three variants stall out waiting for the third;
-  // when the third finally shows up (long after the timeout already aborted
-  // the round) it must throw immediately — not park on a stale generation.
-  SyscallRendezvous rdv(3, std::chrono::milliseconds(50));
-  rdv.set_leader([](const std::vector<SyscallArgs>&) { return std::vector<SyscallResult>(3); });
-  std::atomic<int> aborts{0};
-  auto waiter = [&](unsigned v) {
-    try {
-      (void)rdv.exchange(v, call(Sys::kGetpid));
-    } catch (const DivergenceAbort& abort) {
-      EXPECT_EQ(abort.alarm.kind, AlarmKind::kRendezvousTimeout);
-      aborts.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  std::thread t0(waiter, 0);
-  std::thread t1(waiter, 1);
-  t0.join();
-  t1.join();
-  ASSERT_EQ(aborts.load(std::memory_order_relaxed), 2);
-  // The late arriver: the round it missed is dead and the system is aborted —
-  // its exchange must return (by throwing) well before another timeout.
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW((void)rdv.exchange(2, call(Sys::kGetpid)), DivergenceAbort);
-  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(40));
+TEST(Rendezvous, LastArriverLeadsInPlaceAndRunsOn) {
+  // The last variant to arrive runs the leader on its own fiber and keeps
+  // running its guest until its next call; the parked peer resumes after.
+  SyscallRendezvous rdv(2);
+  std::vector<std::string> trace;
+  rdv.set_batch_leader(per_call([&](const std::vector<SyscallArgs>& all) {
+    trace.push_back("lead");
+    return std::vector<SyscallResult>(all.size());
+  }));
+  rdv.run([&](unsigned v) {
+    trace.push_back("arrive" + std::to_string(v));
+    (void)rdv.exchange(v, call(Sys::kGetpid));
+    trace.push_back("after" + std::to_string(v));
+  });
+  EXPECT_EQ(trace,
+            (std::vector<std::string>{"arrive0", "arrive1", "lead", "after1", "after0"}));
 }
 
 TEST(Rendezvous, BatchExchangeRunsOneBarrierForManyCalls) {
-  SyscallRendezvous rdv(2, std::chrono::milliseconds(1000));
-  rdv.set_leader([](const std::vector<SyscallArgs>& all) {
-    std::vector<SyscallResult> results(2);
-    results[0].value = all[0].ints[0] + 100;
-    results[1].value = all[1].ints[0] + 100;
+  SyscallRendezvous rdv(2);
+  rdv.set_batch_leader(per_call([](const std::vector<SyscallArgs>& all) {
+    std::vector<SyscallResult> results(all.size());
+    for (std::size_t v = 0; v < all.size(); ++v) results[v].value = all[v].ints[0] + 100;
     return results;
-  });
-  auto worker = [&](unsigned v) {
-    vkernel::SyscallBatch batch;
+  }));
+  std::vector<std::vector<SyscallResult>> results(2);
+  rdv.run([&](unsigned v) {
+    SyscallBatch batch;
     for (std::uint64_t i = 0; i < 4; ++i) batch.calls.push_back(call(Sys::kGettime, i));
-    const auto results = rdv.exchange_batch(v, std::move(batch));
-    ASSERT_EQ(results.size(), 4u);
-    for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(results[i].value, i + 100);
-  };
-  std::thread t0(worker, 0);
-  std::thread t1(worker, 1);
-  t0.join();
-  t1.join();
+    results[v] = rdv.exchange_batch(v, std::move(batch));
+  });
+  for (unsigned v = 0; v < 2; ++v) {
+    ASSERT_EQ(results[v].size(), 4u);
+    for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(results[v][i].value, i + 100);
+  }
   EXPECT_EQ(rdv.rounds_completed(), 1u);   // ONE barrier for the whole batch
   EXPECT_EQ(rdv.batches_completed(), 1u);  // and it counted as a batch round
   EXPECT_EQ(rdv.calls_exchanged(), 4u);
 }
 
-TEST(Rendezvous, BatchSizeDivergenceAborts) {
+TEST(Rendezvous, BatchSizeDivergenceAbortsBeforeAnythingExecutes) {
   // Identical guest code produces identical batch shapes; a size mismatch
   // means the variants took different paths — a divergence, not a protocol
   // quirk to paper over.
-  SyscallRendezvous rdv(2, std::chrono::milliseconds(1000));
-  rdv.set_leader([](const std::vector<SyscallArgs>&) { return std::vector<SyscallResult>(2); });
-  std::atomic<int> aborts{0};
-  auto worker = [&](unsigned v, std::size_t size) {
-    vkernel::SyscallBatch batch;
-    for (std::size_t i = 0; i < size; ++i) batch.calls.push_back(call(Sys::kGettime, i));
+  SyscallRendezvous rdv(2);
+  int executed = 0;
+  rdv.set_batch_leader(per_call([&](const std::vector<SyscallArgs>& all) {
+    ++executed;
+    return std::vector<SyscallResult>(all.size());
+  }));
+  std::vector<AlarmKind> kinds;
+  rdv.run([&](unsigned v) {
+    SyscallBatch batch;
+    for (std::size_t i = 0; i < 2 + v; ++i) batch.calls.push_back(call(Sys::kGettime, i));
     try {
       (void)rdv.exchange_batch(v, std::move(batch));
     } catch (const DivergenceAbort& abort) {
-      EXPECT_EQ(abort.alarm.kind, AlarmKind::kSyscallMismatch);
-      aborts.fetch_add(1, std::memory_order_relaxed);
+      kinds.push_back(abort.alarm.kind);
     }
-  };
-  std::thread t0(worker, 0u, 2u);
-  std::thread t1(worker, 1u, 3u);
-  t0.join();
-  t1.join();
-  EXPECT_EQ(aborts.load(std::memory_order_relaxed), 2);
-  EXPECT_TRUE(rdv.aborted());
+  });
+  EXPECT_EQ(kinds, (std::vector<AlarmKind>(2, AlarmKind::kSyscallMismatch)));
+  EXPECT_EQ(executed, 0);
   EXPECT_EQ(rdv.rounds_completed(), 0u);
+}
+
+TEST(Rendezvous, AbortUnwindsEveryParkedVariant) {
+  // Two variants park at the barrier; the third faults instead of arriving.
+  // Both parked variants unwind with the fault's alarm, and the faulting
+  // variant's own later exchange throws at once.
+  SyscallRendezvous rdv(3);
+  rdv.set_batch_leader(scaled(1));
+  std::vector<AlarmKind> kinds(3, AlarmKind::kGuestError);
+  std::vector<bool> unwound(3, false);
+  rdv.run([&](unsigned v) {
+    try {
+      if (v == 2) rdv.abort(Alarm{AlarmKind::kMemoryFault, 2, "fault injected"});
+      (void)rdv.exchange(v, call(Sys::kGetpid));
+    } catch (const DivergenceAbort& abort) {
+      kinds[v] = abort.alarm.kind;
+      unwound[v] = true;
+    }
+  });
+  EXPECT_EQ(unwound, (std::vector<bool>{true, true, true}));
+  EXPECT_EQ(kinds, (std::vector<AlarmKind>(3, AlarmKind::kMemoryFault)));
+  EXPECT_EQ(rdv.rounds_completed(), 0u);
+}
+
+TEST(Rendezvous, AbortInsideTheLeaderUnwindsEveryone) {
+  // The leader runs the real syscall on its own fiber; a divergence it finds
+  // there (the monitor's comparison) aborts the round it is leading.
+  SyscallRendezvous rdv(2);
+  rdv.set_batch_leader(per_call([&](const std::vector<SyscallArgs>& all) {
+    rdv.abort(Alarm{AlarmKind::kArgumentMismatch, Alarm::kAllVariants, "compare failed"});
+    return std::vector<SyscallResult>(all.size());
+  }));
+  std::vector<AlarmKind> kinds;
+  rdv.run([&](unsigned v) {
+    try {
+      (void)rdv.exchange(v, call(Sys::kGetpid));
+    } catch (const DivergenceAbort& abort) {
+      kinds.push_back(abort.alarm.kind);
+    }
+  });
+  EXPECT_EQ(kinds, (std::vector<AlarmKind>(2, AlarmKind::kArgumentMismatch)));
+  EXPECT_EQ(rdv.rounds_completed(), 0u);
+}
+
+TEST(Rendezvous, ExchangeAfterAbortThrowsImmediately) {
+  SyscallRendezvous rdv(2);
+  rdv.abort(Alarm{AlarmKind::kGuestError, 0, "dead"});
+  try {
+    (void)rdv.exchange(0, call(Sys::kGetpid));
+    FAIL() << "expected DivergenceAbort";
+  } catch (const DivergenceAbort& abort) {
+    EXPECT_EQ(abort.alarm.kind, AlarmKind::kGuestError);
+  }
+  EXPECT_THROW((void)rdv.complete_async(0, call(Sys::kGetpid), echo), DivergenceAbort);
+}
+
+TEST(Rendezvous, StallWhenPeerNeverArrives) {
+  // Variant 1 returns without ever reaching the barrier variant 0 waits at:
+  // the scheduler's next pass finds nothing runnable and raises the stall.
+  SyscallRendezvous rdv(2);
+  rdv.set_batch_leader(scaled(1));
+  std::optional<Alarm> seen;
+  rdv.run([&](unsigned v) {
+    if (v == 1) return;
+    try {
+      (void)rdv.exchange(v, call(Sys::kGetpid));
+    } catch (const DivergenceAbort& abort) {
+      seen = abort.alarm;
+    }
+  });
+  ASSERT_TRUE(seen.has_value());
+  EXPECT_EQ(seen->kind, AlarmKind::kRendezvousStall);
+  EXPECT_EQ(to_string(seen->kind), "rendezvous-stall");
+  EXPECT_NE(seen->detail.find("variant 0 waits at the barrier"), std::string::npos);
+}
+
+TEST(Rendezvous, StallAbortsEveryWaiter) {
+  // 3-variant barrier, two arrive, the third returns: BOTH waiters unwind
+  // with the stall alarm; nobody stays parked.
+  SyscallRendezvous rdv(3);
+  rdv.set_batch_leader(scaled(1));
+  std::vector<AlarmKind> kinds;
+  rdv.run([&](unsigned v) {
+    if (v == 2) return;
+    try {
+      (void)rdv.exchange(v, call(Sys::kGetpid));
+      ADD_FAILURE() << "variant " << v << " expected a stall abort";
+    } catch (const DivergenceAbort& abort) {
+      kinds.push_back(abort.alarm.kind);
+    }
+  });
+  EXPECT_EQ(kinds, (std::vector<AlarmKind>(2, AlarmKind::kRendezvousStall)));
+  EXPECT_TRUE(rdv.aborted());
+}
+
+TEST(Rendezvous, EscapingExceptionAbortsTheRunAndIsRethrown) {
+  SyscallRendezvous rdv(2);
+  rdv.set_batch_leader(scaled(1));
+  std::optional<AlarmKind> peer;
+  EXPECT_THROW(rdv.run([&](unsigned v) {
+    if (v == 1) throw std::runtime_error("guest bug");
+    try {
+      (void)rdv.exchange(v, call(Sys::kGetpid));
+    } catch (const DivergenceAbort& abort) {
+      peer = abort.alarm.kind;
+    }
+  }),
+               std::runtime_error);
+  ASSERT_TRUE(peer.has_value());
+  EXPECT_EQ(*peer, AlarmKind::kGuestError);
+}
+
+TEST(Rendezvous, EachRunStartsFresh) {
+  SyscallRendezvous rdv(2);
+  rdv.set_batch_leader(scaled(2));
+  rdv.run([&](unsigned v) {
+    if (v == 0) rdv.abort(Alarm{AlarmKind::kTagFault, 0, "first run"});
+  });
+  EXPECT_TRUE(rdv.aborted());
+  std::vector<std::uint64_t> values(2);
+  rdv.run([&](unsigned v) {
+    values[v] = rdv.exchange(v, call(Sys::kGetpid, 21)).value;
+    (void)rdv.complete_async(v, call(Sys::kGetpid, 1), echo);
+  });
+  EXPECT_FALSE(rdv.aborted());
+  EXPECT_EQ(values, (std::vector<std::uint64_t>{42, 42}));
+  EXPECT_EQ(rdv.rounds_completed(), 1u);
+  EXPECT_EQ(rdv.async_completions(), 1u);
+}
+
+TEST(Rendezvous, StopRequestFromAnotherThreadAbortsTheRun) {
+  // The one cross-thread entry: a session whose variants would exchange
+  // forever ends at the scheduler's next pass after request_stop().
+  SyscallRendezvous rdv(2);
+  std::atomic<std::uint64_t> led{0};
+  rdv.set_batch_leader(per_call([&](const std::vector<SyscallArgs>& all) {
+    led.fetch_add(1, std::memory_order_relaxed);
+    return std::vector<SyscallResult>(all.size());
+  }));
+  std::thread stopper([&] {
+    while (led.load(std::memory_order_relaxed) < 100) std::this_thread::yield();
+    rdv.request_stop();
+  });
+  std::vector<AlarmKind> kinds;
+  rdv.run([&](unsigned v) {
+    try {
+      for (;;) (void)rdv.exchange(v, call(Sys::kGetpid));
+    } catch (const DivergenceAbort& abort) {
+      kinds.push_back(abort.alarm.kind);
+    }
+  });
+  stopper.join();
+  EXPECT_EQ(kinds, (std::vector<AlarmKind>(2, AlarmKind::kGuestError)));
 }
 
 TEST(Rendezvous, SingleVariantBatchAndAsyncRunWithoutPeers) {
   // N=1 degenerate path: no peers means every arrival is the leader and
-  // every async claim is uncontested — both shapes must still work.
-  SyscallRendezvous rdv(1, std::chrono::milliseconds(1000));
-  rdv.set_leader([](const std::vector<SyscallArgs>& all) {
-    std::vector<SyscallResult> results(1);
-    results[0].value = all[0].ints[0] * 2;
-    return results;
-  });
-  vkernel::SyscallBatch batch;
+  // every async claim is uncontested — neither shape ever waits, so both
+  // work even outside run().
+  SyscallRendezvous rdv(1);
+  rdv.set_batch_leader(scaled(2));
+  SyscallBatch batch;
   batch.calls = {call(Sys::kGettime, 3), call(Sys::kGettime, 4)};
   const auto results = rdv.exchange_batch(0, std::move(batch));
   ASSERT_EQ(results.size(), 2u);
@@ -215,28 +332,30 @@ TEST(Rendezvous, SingleVariantBatchAndAsyncRunWithoutPeers) {
     return result;
   });
   EXPECT_EQ(r.value, 10u);
-  EXPECT_EQ(rdv.rounds_completed(), 1u);
+  EXPECT_EQ(rdv.exchange(0, call(Sys::kGetpid, 21)).value, 42u);
+  EXPECT_EQ(rdv.rounds_completed(), 2u);
   EXPECT_EQ(rdv.async_completions(), 1u);
 }
 
 TEST(Rendezvous, AsyncCompletionsProceedWithoutBarrierRounds) {
-  SyscallRendezvous rdv(2, std::chrono::milliseconds(5000));
+  SyscallRendezvous rdv(2);
   constexpr std::uint64_t kCalls = 200;
-  auto worker = [&](unsigned v) {
+  std::uint64_t executed = 0;
+  std::vector<int> wrong(2, 0);
+  rdv.run([&](unsigned v) {
     for (std::uint64_t i = 0; i < kCalls; ++i) {
-      const auto r = rdv.complete_async(v, call(Sys::kGetpid, i), [](const SyscallArgs& args) {
+      const auto r = rdv.complete_async(v, call(Sys::kGetpid, i), [&](const SyscallArgs& args) {
+        ++executed;
         SyscallResult result;
         result.value = args.ints[0] * 3;
         return result;
       });
-      ASSERT_EQ(r.value, i * 3);  // both variants see the published result
+      if (r.value != i * 3) ++wrong[v];  // both variants see the published result
     }
-  };
-  std::thread t0(worker, 0);
-  std::thread t1(worker, 1);
-  t0.join();
-  t1.join();
-  EXPECT_EQ(rdv.async_completions(), kCalls);  // each slot executed ONCE
+  });
+  EXPECT_EQ(wrong, (std::vector<int>{0, 0}));
+  EXPECT_EQ(executed, kCalls);                 // each slot executed ONCE
+  EXPECT_EQ(rdv.async_completions(), kCalls);
   EXPECT_EQ(rdv.rounds_completed(), 0u);       // and no barrier was paid
   EXPECT_FALSE(rdv.aborted());
 }
@@ -245,23 +364,31 @@ TEST(Rendezvous, AsyncStreamDivergenceAborts) {
   // The delayed-but-guaranteed check: whichever variant consumes a published
   // slot compares its canonical call against the claimer's — a different
   // syscall at the same stream position is a divergence.
-  SyscallRendezvous rdv(2, std::chrono::milliseconds(1000));
-  std::atomic<int> aborts{0};
-  auto worker = [&](unsigned v, Sys no) {
+  SyscallRendezvous rdv(2);
+  std::vector<AlarmKind> kinds;
+  rdv.run([&](unsigned v) {
     try {
-      (void)rdv.complete_async(v, call(no, 0), [](const SyscallArgs&) {
-        return SyscallResult{};
-      });
+      (void)rdv.complete_async(v, call(v == 0 ? Sys::kGetpid : Sys::kGettime), echo);
     } catch (const DivergenceAbort& abort) {
-      EXPECT_EQ(abort.alarm.kind, AlarmKind::kSyscallMismatch);
-      aborts.fetch_add(1, std::memory_order_relaxed);
+      kinds.push_back(abort.alarm.kind);
     }
-  };
-  std::thread t0(worker, 0u, Sys::kGetpid);
-  std::thread t1(worker, 1u, Sys::kGettime);
-  t0.join();
-  t1.join();
-  EXPECT_GE(aborts.load(std::memory_order_relaxed), 1);  // the claimer may have finished cleanly
+  });
+  // The claimer (variant 0) finished cleanly; the consumer caught it.
+  EXPECT_EQ(kinds, (std::vector<AlarmKind>{AlarmKind::kSyscallMismatch}));
+  EXPECT_TRUE(rdv.aborted());
+}
+
+TEST(Rendezvous, AsyncArgumentMismatchRaisesAnAlarm) {
+  SyscallRendezvous rdv(2);
+  std::vector<AlarmKind> kinds;
+  rdv.run([&](unsigned v) {
+    try {
+      (void)rdv.complete_async(v, call(Sys::kGetpid, v), echo);
+    } catch (const DivergenceAbort& abort) {
+      kinds.push_back(abort.alarm.kind);
+    }
+  });
+  EXPECT_EQ(kinds, (std::vector<AlarmKind>{AlarmKind::kArgumentMismatch}));
   EXPECT_TRUE(rdv.aborted());
 }
 
@@ -269,94 +396,68 @@ TEST(Rendezvous, BarrierCrossChecksAsyncStreamPrefix) {
   // A variant that silently SKIPS an async call diverges without ever
   // publishing mismatched args; the next barrier catches it — the leader
   // verifies every variant drained its async stream to the same position.
-  SyscallRendezvous rdv(2, std::chrono::milliseconds(1000));
-  rdv.set_leader([](const std::vector<SyscallArgs>&) { return std::vector<SyscallResult>(2); });
-  std::atomic<int> aborts{0};
-  auto worker = [&](unsigned v) {
+  SyscallRendezvous rdv(2);
+  rdv.set_batch_leader(scaled(1));
+  std::vector<AlarmKind> kinds;
+  rdv.run([&](unsigned v) {
     try {
-      if (v == 0) {  // variant 0 issues the async call; variant 1 skips it
-        (void)rdv.complete_async(0, call(Sys::kGetpid, 0), [](const SyscallArgs&) {
-          return SyscallResult{};
-        });
-      }
+      if (v == 0) (void)rdv.complete_async(0, call(Sys::kGetpid, 0), echo);
       (void)rdv.exchange(v, call(Sys::kExit, 0));
     } catch (const DivergenceAbort& abort) {
-      EXPECT_EQ(abort.alarm.kind, AlarmKind::kSyscallMismatch);
-      aborts.fetch_add(1, std::memory_order_relaxed);
+      kinds.push_back(abort.alarm.kind);
     }
-  };
-  std::thread t0(worker, 0);
-  std::thread t1(worker, 1);
-  t0.join();
-  t1.join();
-  EXPECT_EQ(aborts.load(std::memory_order_relaxed), 2);
-  EXPECT_TRUE(rdv.aborted());
+  });
+  EXPECT_EQ(kinds, (std::vector<AlarmKind>(2, AlarmKind::kSyscallMismatch)));
   EXPECT_EQ(rdv.rounds_completed(), 0u);  // the poisoned round never ran
 }
 
-TEST(Rendezvous, AbortWhileLeaderMidExecuteWakesEveryone) {
-  // The leader runs the real syscall with the lock released (it may block in
-  // accept indefinitely). An abort() during that window must unwind both the
-  // leader (when its work returns) and the follower (immediately) — and the
-  // follower's arrival timeout must NOT fire while the leader executes.
-  SyscallRendezvous rdv(2, std::chrono::milliseconds(50));
-  std::promise<void> entered_execute;
-  std::promise<void> release_leader;
-  auto released = release_leader.get_future().share();
-  rdv.set_leader([&](const std::vector<SyscallArgs>&) {
-    entered_execute.set_value();
-    released.wait();  // simulate a long-blocking real syscall
-    return std::vector<SyscallResult>(2);
-  });
-  std::atomic<int> aborts{0};
-  auto worker = [&](unsigned v) {
-    try {
-      (void)rdv.exchange(v, call(Sys::kGetpid));
-      FAIL() << "variant " << v << " expected DivergenceAbort";
-    } catch (const DivergenceAbort& abort) {
-      EXPECT_EQ(abort.alarm.kind, AlarmKind::kMemoryFault);
-      aborts.fetch_add(1, std::memory_order_relaxed);
+TEST(Rendezvous, FullRingAppliesBackPressure) {
+  // Variant 0 runs first and claims a whole ring of completion slots; its
+  // next claim parks until variant 1 consumes, so variant 1 — now level with
+  // it — claims the positions past the ring. Nothing is executed twice.
+  SyscallRendezvous rdv(2);
+  constexpr std::size_t kCap = SyscallRendezvous::kAsyncRingCapacity;
+  constexpr std::size_t kCalls = kCap + 10;
+  std::vector<unsigned> claimer;
+  std::vector<std::size_t> consumed(2, 0);
+  std::vector<int> wrong(2, 0);
+  rdv.run([&](unsigned v) {
+    for (std::size_t i = 0; i < kCalls; ++i) {
+      const auto r = rdv.complete_async(v, call(Sys::kGetpid, i), [&](const SyscallArgs& args) {
+        // The claim never runs a whole ring ahead of the slowest variant.
+        EXPECT_LT(claimer.size(), std::min(consumed[0], consumed[1]) + kCap);
+        claimer.push_back(v);
+        return echo(args);
+      });
+      if (r.value != i) ++wrong[v];
+      ++consumed[v];
     }
-  };
-  std::thread t0(worker, 0);
-  std::thread t1(worker, 1);
-  entered_execute.get_future().wait();
-  // Hold the leader mid-execute well past the arrival timeout: the follower
-  // must keep waiting (execute may legitimately block), not raise a timeout.
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  rdv.abort(Alarm{AlarmKind::kMemoryFault, 0, "fault injected mid-execute"});
-  release_leader.set_value();
-  t0.join();
-  t1.join();
-  EXPECT_EQ(aborts.load(std::memory_order_relaxed), 2);
-
-  // Exchange-after-abort: the barrier stays poisoned; later arrivals unwind
-  // immediately instead of waiting for peers that will never come.
-  try {
-    (void)rdv.exchange(0, call(Sys::kGetpid));
-    FAIL() << "expected immediate DivergenceAbort after abort";
-  } catch (const DivergenceAbort& abort) {
-    EXPECT_EQ(abort.alarm.kind, AlarmKind::kMemoryFault);
-  }
+  });
+  EXPECT_FALSE(rdv.aborted());
+  EXPECT_EQ(wrong, (std::vector<int>{0, 0}));
+  ASSERT_EQ(claimer.size(), kCalls);
+  EXPECT_EQ(std::count(claimer.begin(), claimer.begin() + kCap, 0u),
+            static_cast<std::ptrdiff_t>(kCap));
+  EXPECT_EQ(std::count(claimer.begin() + kCap, claimer.end(), 1u), 10);
 }
 
-TEST(Rendezvous, SingleVariantRunsWithoutPeers) {
-  SyscallRendezvous rdv(1, std::chrono::milliseconds(100));
-  rdv.set_leader([](const std::vector<SyscallArgs>& all) {
-    std::vector<SyscallResult> results(1);
-    results[0].value = all[0].ints[0] + 1;
-    return results;
-  });
-  EXPECT_EQ(rdv.exchange(0, call(Sys::kGetpid, 41)).value, 42u);
+TEST(Rendezvous, WaitingOutsideRunIsALogicError) {
+  SyscallRendezvous rdv(2);
+  rdv.set_batch_leader(scaled(1));
+  EXPECT_THROW((void)rdv.exchange(0, call(Sys::kGetpid)), std::logic_error);
+  // Nothing was left behind: a run afterwards completes normally.
+  std::vector<std::uint64_t> values(2);
+  rdv.run([&](unsigned v) { values[v] = rdv.exchange(v, call(Sys::kGetpid, 5)).value; });
+  EXPECT_EQ(values, (std::vector<std::uint64_t>{5, 5}));
 }
 
 TEST(Rendezvous, InvalidVariantIndexRejected) {
-  SyscallRendezvous rdv(2, std::chrono::milliseconds(100));
+  SyscallRendezvous rdv(2);
   EXPECT_THROW((void)rdv.exchange(5, call(Sys::kGetpid)), std::invalid_argument);
 }
 
 TEST(Rendezvous, ZeroVariantsRejected) {
-  EXPECT_THROW(SyscallRendezvous(0, std::chrono::milliseconds(1)), std::invalid_argument);
+  EXPECT_THROW(SyscallRendezvous(0), std::invalid_argument);
 }
 
 TEST(Monitor, FirstAlarmWinsAndAllRecorded) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "vkernel/sockets.h"
@@ -117,6 +118,41 @@ TEST(SocketHub, ResetAllowsReuse) {
   hub.reset();
   EXPECT_FALSE(hub.is_shutdown());
   EXPECT_EQ(hub.bind(80), os::Errno::kOk);
+}
+
+/// Runs `trigger` on another thread 20 ms after the test thread starts
+/// waiting for port 80, and returns what wait_bound() returned. The 30 s
+/// deadline only bounds a failing test.
+template <typename Trigger>
+bool wait_bound_woken_by(SocketHub& hub, Trigger trigger) {
+  std::thread other([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    trigger();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const bool bound = hub.wait_bound(80, start + std::chrono::seconds(30));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  other.join();
+  return bound;
+}
+
+TEST(SocketHub, BindWakesABindWaiter) {
+  SocketHub hub;
+  EXPECT_TRUE(wait_bound_woken_by(hub, [&] { ASSERT_EQ(hub.bind(80), os::Errno::kOk); }));
+}
+
+TEST(SocketHub, ShutdownWakesABindWaiter) {
+  SocketHub hub;
+  EXPECT_FALSE(wait_bound_woken_by(hub, [&] { hub.shutdown(); }));
+}
+
+TEST(SocketHub, SessionEndWakesABindWaiter) {
+  SocketHub hub;
+  EXPECT_FALSE(wait_bound_woken_by(hub, [&] { hub.end_session(); }));
+  hub.reset();  // re-armed: the next wait waits again
+  EXPECT_FALSE(hub.wait_bound(80, std::chrono::steady_clock::now()));
+  ASSERT_EQ(hub.bind(80), os::Errno::kOk);
+  EXPECT_TRUE(hub.wait_bound(80, std::chrono::steady_clock::now()));
 }
 
 TEST(SocketHub, MultipleClientsQueueInOrder) {

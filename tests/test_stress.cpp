@@ -19,7 +19,7 @@ using testing::LambdaGuest;
 
 std::unique_ptr<NVariantSystem> stress_system(
     std::initializer_list<std::string_view> variation_names = {}, unsigned n_variants = 2) {
-  return testing::build_system(std::chrono::milliseconds(5000), n_variants, variation_names);
+  return testing::build_system(n_variants, variation_names);
 }
 
 class VariantCount : public ::testing::TestWithParam<unsigned> {};
@@ -161,9 +161,9 @@ TEST(Stress, ConcurrentClientsAgainstSequentialServer) {
 
 TEST(Stress, ComputeHeavyGuestBetweenSyscalls) {
   // Long CPU bursts between rendezvous (fib via mini-C would be slow; plain
-  // C++ loop here) must not trip the arrival timeout as long as both
-  // variants keep making progress.
-  const auto system_owner = testing::build_system(std::chrono::milliseconds(2000));
+  // C++ loop here) must not raise an alarm as long as both variants keep
+  // making progress.
+  const auto system_owner = testing::build_system();
   auto& system = *system_owner;
   LambdaGuest guest([](guest::GuestContext& ctx) {
     volatile std::uint64_t sink = 0;

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,7 +25,7 @@ using testing::LambdaGuest;
 std::unique_ptr<NVariantSystem> pipeline_system(PipelineMode mode,
                                                 std::shared_ptr<obs::TraceRecorder> trace = {}) {
   core::NVariantSystem::Builder builder;
-  builder.n_variants(2).rendezvous_timeout(std::chrono::milliseconds(2000)).pipeline(mode);
+  builder.n_variants(2).pipeline(mode);
   if (trace) builder.trace(std::move(trace));
   return builder.build();
 }

@@ -18,7 +18,7 @@ using variants::UidVariation;
 
 std::unique_ptr<NVariantSystem> make_uid_system(unsigned n_variants = 2) {
   auto system =
-      testing::build_system(std::chrono::milliseconds(500), n_variants, {"uid-xor"});
+      testing::build_system(n_variants, {"uid-xor"});
   EXPECT_TRUE(system->fs().mkdir_p("/etc", os::Credentials::root()));
   EXPECT_TRUE(system->fs().write_file("/etc/passwd",
                                       "root:x:0:0:root:/root:/bin/sh\n"

@@ -231,7 +231,7 @@ TEST(PortHoppingVariation, BenignGuestBindAgreesAcrossVariants) {
   // the monitor's kPort canonicalization sees the same canonical port from
   // every variant: no alarm, and the socket hub binds the canonical port.
   const auto system =
-      testing::build_system(std::chrono::milliseconds(500), 2, {"port-hopping"});
+      testing::build_system(2, {"port-hopping"});
   testing::LambdaGuest guest([](guest::GuestContext& ctx) {
     auto sock = ctx.socket();
     ASSERT_TRUE(sock.has_value());
@@ -250,7 +250,7 @@ TEST(PortHoppingVariation, InjectedRawPortDivergesAndAlarms) {
   // every variant, bypassing the coder. Canonicalization then inverts
   // per-variant masks and the values disagree.
   const auto system =
-      testing::build_system(std::chrono::milliseconds(500), 2, {"port-hopping"});
+      testing::build_system(2, {"port-hopping"});
   testing::LambdaGuest guest([](guest::GuestContext& ctx) {
     auto sock = ctx.socket();
     ASSERT_TRUE(sock.has_value());
