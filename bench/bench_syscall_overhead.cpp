@@ -235,10 +235,10 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(
-      "reading: lockstep pays one full cross-variant barrier (two condvar sleeps)\n"
-      "per call; the pipeline completes completion-class calls through a lock-free\n"
-      "ring and coalesces same-class runs into one barrier per batch, so the\n"
-      "barrier count — the dominant cost — drops by the batch factor.\n\n");
+      "reading: lockstep pays one fiber barrier round per call (the early variant\n"
+      "parks, the last leads in place, the parked one resumes); the pipeline\n"
+      "completes completion-class calls through a completion slot with no barrier,\n"
+      "and coalesces same-class runs into one barrier round per batch.\n\n");
 
   const std::string json = to_json(scenarios, quick, calls, batch_size, reps);
   std::ofstream out(out_path);

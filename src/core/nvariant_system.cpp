@@ -152,9 +152,15 @@ class NVariantSystem::VariantPort final : public vkernel::SyscallPort {
 };
 
 NVariantSystem::NVariantSystem(NVariantOptions options)
-    : options_(options), ctx_(fs_, hub_), rendezvous_(options.n_variants) {
-  rendezvous_.set_batch_leader(
-      [this](const std::vector<vkernel::SyscallBatch>& raw) { return lead_batch(raw); });
+    : options_(options),
+      ctx_(fs_, hub_),
+      rendezvous_(options.n_variants),
+      canonical_(options.n_variants),
+      lead_results_(options.n_variants) {
+  rendezvous_.set_batch_leader([this](std::span<const SyscallRendezvous::Calls> raw,
+                                      std::vector<std::vector<SyscallResult>>& out) {
+    lead_batch(raw, out);
+  });
 }
 
 NVariantSystem::~NVariantSystem() {
@@ -307,62 +313,66 @@ RunReport NVariantSystem::collect_report() {
   return report;
 }
 
-vkernel::SyscallResult NVariantSystem::variant_syscall(unsigned variant, SyscallArgs args) {
+vkernel::SyscallResult NVariantSystem::variant_syscall(unsigned variant,
+                                                       const SyscallArgs& args) {
   if (options_.pipeline == PipelineMode::kPipelined &&
       vkernel::descriptor(args.no).batch == vkernel::BatchPolicy::kCompletion) {
-    return async_syscall(variant, std::move(args));
+    return async_syscall(variant, args);
   }
-  return rendezvous_.exchange(variant, std::move(args));
+  return rendezvous_.exchange(variant, args);
 }
 
 std::vector<vkernel::SyscallResult> NVariantSystem::variant_syscall_batch(
     unsigned variant, const vkernel::SyscallBatch& batch) {
+  const std::span<const SyscallArgs> calls(batch.calls);
   std::vector<SyscallResult> out;
-  out.reserve(batch.calls.size());
+  out.reserve(calls.size());
   const bool pipelined = options_.pipeline == PipelineMode::kPipelined;
   std::size_t i = 0;
-  while (i < batch.calls.size()) {
-    const auto& desc = vkernel::descriptor(batch.calls[i].no);
+  while (i < calls.size()) {
+    const auto& desc = vkernel::descriptor(calls[i].no);
     if (pipelined && desc.batch == vkernel::BatchPolicy::kCompletion) {
-      out.push_back(async_syscall(variant, batch.calls[i]));
+      out.push_back(async_syscall(variant, calls[i]));
       ++i;
       continue;
     }
     if (!pipelined || desc.batch != vkernel::BatchPolicy::kCoalesce) {
-      out.push_back(rendezvous_.exchange(variant, batch.calls[i]));
+      out.push_back(rendezvous_.exchange(variant, calls[i]));
       ++i;
       continue;
     }
-    // Maximal run of same-class coalescible calls -> ONE barrier round.
-    // Splitting on the class boundary keeps the per-class trace timing and
-    // the leader's per-class policies exact.
-    vkernel::SyscallBatch segment;
-    const auto cls = desc.cls;
-    while (i < batch.calls.size()) {
-      const auto& next = vkernel::descriptor(batch.calls[i].no);
-      if (next.batch != vkernel::BatchPolicy::kCoalesce || next.cls != cls) break;
-      segment.calls.push_back(batch.calls[i]);
-      ++i;
+    // Maximal run of same-class coalescible calls -> ONE barrier round, over
+    // a view of the guest's own batch. Splitting on the class boundary keeps
+    // the per-class trace timing and the leader's per-class policies exact.
+    std::size_t end = i + 1;
+    while (end < calls.size()) {
+      const auto& next = vkernel::descriptor(calls[end].no);
+      if (next.batch != vkernel::BatchPolicy::kCoalesce || next.cls != desc.cls) break;
+      ++end;
     }
-    auto segment_results = rendezvous_.exchange_batch(variant, std::move(segment));
-    for (auto& result : segment_results) out.push_back(std::move(result));
+    for (auto& result : rendezvous_.exchange_batch(variant, calls.subspan(i, end - i))) {
+      out.push_back(std::move(result));
+    }
+    i = end;
   }
   return out;
 }
 
-vkernel::SyscallResult NVariantSystem::async_syscall(unsigned variant, SyscallArgs args) {
-  // R⁻¹ on the issuing fiber; the rendezvous compares this canonical form
-  // against the published slot (later arrivers) or publishes it (claimer).
-  for (const auto& variation : variations_) variation->canonicalize_args(variant, args);
+vkernel::SyscallResult NVariantSystem::async_syscall(unsigned variant, const SyscallArgs& args) {
+  // R⁻¹ on the issuing fiber, into this variant's scratch: no round can use
+  // it meanwhile, since a round needs this variant at its barrier. The
+  // rendezvous compares this canonical form against the published slot
+  // (later arrivers) or publishes it (claimer).
+  SyscallArgs& canonical = canonical_[variant];
+  canonical = args;
+  for (const auto& variation : variations_) variation->canonicalize_args(variant, canonical);
   SyscallResult result = rendezvous_.complete_async(
-      variant, args, [this](const SyscallArgs& call) {
+      variant, canonical, [this](const SyscallArgs& call) {
         monitor_.note_syscall_checked();
-        std::vector<SyscallResult> results(options_.n_variants);
-        execute_once(call, /*mirror_fd=*/false, results);
-        return results[0];
+        return vkernel::execute_syscall(ctx_, *procs_[0], call);
       });
   for (const auto& variation : variations_) {
-    variation->reexpress_result(variant, args, result);
+    variation->reexpress_result(variant, canonical, result);
   }
   return result;
 }
@@ -440,21 +450,15 @@ void NVariantSystem::execute_once(const SyscallArgs& call, bool mirror_fd,
   std::fill(results.begin(), results.end(), once);
 }
 
-std::vector<std::vector<SyscallResult>> NVariantSystem::lead_batch(
-    const std::vector<vkernel::SyscallBatch>& raw) {
-  const unsigned n = options_.n_variants;
-  const std::size_t k = raw.empty() ? 0 : raw[0].calls.size();
-  std::vector<std::vector<SyscallResult>> out(n);
+void NVariantSystem::lead_batch(std::span<const SyscallRendezvous::Calls> raw,
+                                std::vector<std::vector<SyscallResult>>& out) {
+  const std::size_t k = raw.empty() ? 0 : raw[0].size();
 
   const auto run_positions = [&] {
     for (std::size_t p = 0; p < k; ++p) {
       if (rendezvous_.aborted()) break;  // mid-batch abort: stop executing
-      std::vector<SyscallArgs> column;
-      column.reserve(n);
-      for (const auto& batch : raw) column.push_back(batch.calls[p]);
-      auto column_results = lead_impl(column);
-      column_results.resize(n);
-      for (unsigned v = 0; v < n; ++v) out[v].push_back(std::move(column_results[v]));
+      lead_impl(raw, p);
+      for (unsigned v = 0; v < options_.n_variants; ++v) out[v][p] = std::move(lead_results_[v]);
     }
   };
 
@@ -467,9 +471,9 @@ std::vector<std::vector<SyscallResult>> NVariantSystem::lead_batch(
   // under ManualClock — deterministic, not wall-clock noise).
   if (!trace_ || k == 0 || !trace_->sample_round(trace_track_)) {
     run_positions();
-    return out;
+    return;
   }
-  const auto cls = static_cast<std::size_t>(vkernel::sys_class(raw[0].calls[0].no));
+  const auto cls = static_cast<std::size_t>(vkernel::sys_class(raw[0][0].no));
   const auto start = trace_->now();
   run_positions();
   const auto elapsed_us =
@@ -477,35 +481,37 @@ std::vector<std::vector<SyscallResult>> NVariantSystem::lead_batch(
   trace_->observe(class_histograms_[cls], elapsed_us);
   trace_->record(trace_track_,
                  k > 1 ? obs::TraceEventKind::kSyscallBatch : obs::TraceEventKind::kSyscallRound,
-                 0, trace_parent_, static_cast<std::uint64_t>(raw[0].calls[0].no),
+                 0, trace_parent_, static_cast<std::uint64_t>(raw[0][0].no),
                  k > 1 ? static_cast<std::uint64_t>(k) : static_cast<std::uint64_t>(cls));
-  return out;
 }
 
-std::vector<SyscallResult> NVariantSystem::lead_impl(const std::vector<SyscallArgs>& raw) {
+void NVariantSystem::lead_impl(std::span<const SyscallRendezvous::Calls> raw,
+                               std::size_t position) {
   const unsigned n = options_.n_variants;
+  std::vector<SyscallArgs>& canonical = canonical_;
+  std::vector<SyscallResult>& results = lead_results_;
 
   // Step 1: canonicalize per variant — each variation applies R⁻¹_i to the
-  // argument slots whose descriptor role it diversifies.
-  std::vector<SyscallArgs> canonical = raw;
+  // argument slots whose descriptor role it diversifies. The guest's own
+  // call is copied into the reused scratch, never modified.
   for (unsigned v = 0; v < n; ++v) {
+    canonical[v] = raw[v][position];
     for (const auto& variation : variations_) variation->canonicalize_args(v, canonical[v]);
   }
 
   // Step 2: compare canonicalized invocations (normal equivalence check).
-  if (!compare_canonical(canonical)) return {};
+  if (!compare_canonical(canonical)) return;
 
   // Step 3: execute according to the descriptor's policy.
-  std::vector<SyscallResult> results(n);
   const SyscallArgs& call = canonical[0];
   const auto& desc = vkernel::descriptor(call.no);
   switch (desc.exec) {
     case ExecPolicy::kOpen:
-      results = lead_open(canonical);
+      lead_open(canonical, results);
       break;
 
     case ExecPolicy::kDetection:
-      results = lead_detection(canonical);
+      lead_detection(canonical, results);
       break;
 
     case ExecPolicy::kExit:
@@ -563,12 +569,11 @@ std::vector<SyscallResult> NVariantSystem::lead_impl(const std::vector<SyscallAr
       variation->reexpress_result(v, canonical[v], results[v]);
     }
   }
-  return results;
 }
 
-std::vector<SyscallResult> NVariantSystem::lead_open(const std::vector<SyscallArgs>& canonical) {
+void NVariantSystem::lead_open(const std::vector<SyscallArgs>& canonical,
+                               std::vector<SyscallResult>& results) {
   const unsigned n = options_.n_variants;
-  std::vector<SyscallResult> results(n);
   const std::string path = vfs::normalize_path(canonical[0].strs.at(0));
   const auto flags = static_cast<os::OpenFlags>(canonical[0].ints.at(0));
   const auto mode = static_cast<os::mode_t>(canonical[0].ints.size() > 1 ? canonical[0].ints[1]
@@ -598,14 +603,13 @@ std::vector<SyscallResult> NVariantSystem::lead_open(const std::vector<SyscallAr
   const bool ok = std::all_of(results.begin(), results.end(),
                               [](const SyscallResult& r) { return r.ok(); });
   if (ok) mark_fd(slot, !unshared);
-  return results;
 }
 
-std::vector<SyscallResult> NVariantSystem::lead_detection(
-    const std::vector<SyscallArgs>& canonical) {
+void NVariantSystem::lead_detection(const std::vector<SyscallArgs>& canonical,
+                                    std::vector<SyscallResult>& results) {
   const unsigned n = options_.n_variants;
   monitor_.note_detection_check();
-  std::vector<SyscallResult> results(n);
+  std::fill(results.begin(), results.end(), SyscallResult{});  // reused scratch: reset
   ctx_.count_syscall();
   switch (canonical[0].no) {
     case Sys::kUidValue:
@@ -633,7 +637,6 @@ std::vector<SyscallResult> NVariantSystem::lead_detection(
       std::fill(results.begin(), results.end(), errno_result(os::Errno::kENOSYS));
       break;
   }
-  return results;
 }
 
 }  // namespace nv::core

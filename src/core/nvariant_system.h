@@ -25,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -186,24 +187,24 @@ class NVariantSystem {
   /// One variant's fiber: its guest, then alarm bookkeeping on the way out.
   void run_variant(unsigned variant, const VariantBody& body);
   [[nodiscard]] vkernel::SyscallResult variant_syscall(unsigned variant,
-                                                       vkernel::SyscallArgs args);
+                                                       const vkernel::SyscallArgs& args);
   /// Guest-issued batch: completion-class calls peel off to the async ring,
   /// maximal same-class kCoalesce runs share one barrier round, everything
   /// else falls back to a per-call exchange.
   [[nodiscard]] std::vector<vkernel::SyscallResult> variant_syscall_batch(
       unsigned variant, const vkernel::SyscallBatch& batch);
-  /// Completion-ring path: canonicalize here (the caller's fiber), then
-  /// publish/consume through the rendezvous without a barrier.
+  /// Completion-ring path: canonicalize here (the caller's fiber) into the
+  /// variant's scratch, then publish/consume through the rendezvous without a
+  /// barrier.
   [[nodiscard]] vkernel::SyscallResult async_syscall(unsigned variant,
-                                                     vkernel::SyscallArgs args);
+                                                     const vkernel::SyscallArgs& args);
   /// Batch leader (rendezvous BatchLeaderFn): tracing at batch granularity
   /// around one lead_impl() per position.
-  [[nodiscard]] std::vector<std::vector<vkernel::SyscallResult>> lead_batch(
-      const std::vector<vkernel::SyscallBatch>& raw);
-  /// The actual canonicalize/compare/execute/reexpress pipeline for one
-  /// batch position (one SyscallArgs per variant).
-  [[nodiscard]] std::vector<vkernel::SyscallResult> lead_impl(
-      const std::vector<vkernel::SyscallArgs>& raw);
+  void lead_batch(std::span<const SyscallRendezvous::Calls> raw,
+                  std::vector<std::vector<vkernel::SyscallResult>>& out);
+  /// The actual canonicalize/compare/execute/reexpress pipeline for batch
+  /// position `position` (raw[v][position] per variant), into lead_results_.
+  void lead_impl(std::span<const SyscallRendezvous::Calls> raw, std::size_t position);
   [[nodiscard]] RunReport collect_report();
 
   // Leader-side execution helpers (run on the leading variant's fiber).
@@ -211,10 +212,10 @@ class NVariantSystem {
                            std::vector<vkernel::SyscallResult>& results);
   void execute_once(const vkernel::SyscallArgs& call, bool mirror_fd,
                     std::vector<vkernel::SyscallResult>& results);
-  [[nodiscard]] std::vector<vkernel::SyscallResult> lead_open(
-      const std::vector<vkernel::SyscallArgs>& canonical);
-  [[nodiscard]] std::vector<vkernel::SyscallResult> lead_detection(
-      const std::vector<vkernel::SyscallArgs>& canonical);
+  void lead_open(const std::vector<vkernel::SyscallArgs>& canonical,
+                 std::vector<vkernel::SyscallResult>& results);
+  void lead_detection(const std::vector<vkernel::SyscallArgs>& canonical,
+                      std::vector<vkernel::SyscallResult>& results);
   [[nodiscard]] bool compare_canonical(const std::vector<vkernel::SyscallArgs>& canonical);
   [[nodiscard]] bool fd_is_shared(os::fd_t fd) const;
   [[nodiscard]] static std::optional<os::fd_t> routed_fd(const vkernel::SyscallArgs& call);
@@ -234,6 +235,11 @@ class NVariantSystem {
   std::vector<std::unique_ptr<vkernel::Process>> procs_;
   std::vector<bool> shared_fds_;  // slot -> shared? (kept slot-synchronized)
   SyscallRendezvous rendezvous_;
+  /// Per-variant scratch, reused by every round: each call's canonical form
+  /// (a round's, or a variant's own completion-slot call while it is not at
+  /// a barrier) and one batch position's results.
+  std::vector<vkernel::SyscallArgs> canonical_;
+  std::vector<vkernel::SyscallResult> lead_results_;
   bool sealed_ = false;
 
   /// Structured tracing (Builder::trace): per-syscall-class lead() latency

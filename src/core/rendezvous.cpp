@@ -23,7 +23,7 @@ void SyscallRendezvous::run(const VariantFn& body) {
   aborted_ = false;
   abort_alarm_ = Alarm{};
   arrived_ = 0;
-  for (auto& slot : slots_) slot.reset();
+  std::fill(slots_.begin(), slots_.end(), Calls{});
   std::fill(waits_.begin(), waits_.end(), Wait::kNone);
   std::fill(async_cursors_.begin(), async_cursors_.end(), 0);
   async_published_ = 0;
@@ -79,7 +79,7 @@ void SyscallRendezvous::require_own_fiber(unsigned variant) const {
 bool SyscallRendezvous::can_proceed(unsigned variant) const {
   switch (waits_[variant]) {
     case Wait::kNone: return true;
-    case Wait::kBarrier: return aborted_ || !slots_[variant].has_value();
+    case Wait::kBarrier: return aborted_ || slots_[variant].empty();
     case Wait::kRingSpace:
       return aborted_ || async_cursors_[variant] < min_async_cursor() + kAsyncRingCapacity;
   }
@@ -104,42 +104,49 @@ Alarm SyscallRendezvous::stall_alarm() const {
                             arrived_, n_, waiting.c_str())};
 }
 
-vkernel::SyscallResult SyscallRendezvous::exchange(unsigned variant, vkernel::SyscallArgs args) {
-  vkernel::SyscallBatch batch;
-  batch.calls.push_back(std::move(args));
-  auto results = exchange_batch(variant, std::move(batch));
-  return std::move(results.at(0));
+vkernel::SyscallResult SyscallRendezvous::exchange(unsigned variant,
+                                                   const vkernel::SyscallArgs& args) {
+  return std::move(exchange_batch(variant, Calls(&args, 1))[0]);
 }
 
-std::vector<vkernel::SyscallResult> SyscallRendezvous::exchange_batch(
-    unsigned variant, vkernel::SyscallBatch batch) {
+std::span<vkernel::SyscallResult> SyscallRendezvous::exchange_batch(unsigned variant,
+                                                                    Calls calls) {
   if (aborted_) throw_aborted();
   if (variant >= n_) throw std::invalid_argument("bad variant index");
-  if (batch.calls.empty()) throw std::invalid_argument("empty syscall batch");
-  if (slots_[variant].has_value()) throw std::logic_error("variant re-entered rendezvous");
+  if (calls.empty()) throw std::invalid_argument("empty syscall batch");
+  if (!slots_[variant].empty()) throw std::logic_error("variant re-entered rendezvous");
 
   if (arrived_ + 1 < n_) require_own_fiber(variant);
 
-  slots_[variant] = std::move(batch);
+  slots_[variant] = calls;
   if (++arrived_ < n_) {
     park(variant, Wait::kBarrier);
     if (aborted_) throw_aborted();
-    return std::move(results_[variant]);
+    return results_[variant];
   }
   return lead(variant);
 }
 
-std::vector<vkernel::SyscallResult> SyscallRendezvous::lead(unsigned variant) {
+std::span<vkernel::SyscallResult> SyscallRendezvous::lead(unsigned variant) {
+  // The slots view the variants' own frames: release them on every way out
+  // of the round, a throw included, so none outlives the round.
+  struct Release {
+    SyscallRendezvous& r;
+    ~Release() {
+      std::fill(r.slots_.begin(), r.slots_.end(), Calls{});
+      r.arrived_ = 0;
+    }
+  } const release{*this};
   // A batch-size mismatch means the variants' call streams have already
   // diverged (identical guest code forms identical batches): abort before
   // executing anything.
-  const std::size_t k = slots_[0]->calls.size();
+  const std::size_t k = slots_[0].size();
   for (unsigned v = 1; v < n_; ++v) {
-    if (slots_[v]->calls.size() != k) {
+    if (slots_[v].size() != k) {
       abort(Alarm{AlarmKind::kSyscallMismatch, Alarm::kAllVariants,
                   util::format("batch sizes diverge: variant 0 issued %zu calls but "
                                "variant %u issued %zu",
-                               k, v, slots_[v]->calls.size())});
+                               k, v, slots_[v].size())});
       throw_aborted();
     }
   }
@@ -148,23 +155,16 @@ std::vector<vkernel::SyscallResult> SyscallRendezvous::lead(unsigned variant) {
   // async calls is a divergence even though the async path never parked it.
   if (!verify_async_prefix()) throw_aborted();
 
-  std::vector<vkernel::SyscallBatch> snapshot;
-  snapshot.reserve(n_);
-  for (auto& slot : slots_) {
-    snapshot.push_back(std::move(*slot));
-    slot.reset();
+  for (auto& per_variant : results_) {
+    per_variant.clear();  // keeps its capacity
+    per_variant.resize(k);
   }
-  arrived_ = 0;
-  std::vector<std::vector<vkernel::SyscallResult>> results;
-  if (batch_leader_) results = batch_leader_(snapshot);
+  if (batch_leader_) batch_leader_(slots_, results_);
   if (aborted_) throw_aborted();
-  results.resize(n_);
-  for (auto& per_variant : results) per_variant.resize(k);
-  results_ = std::move(results);
   ++rounds_;
   calls_ += k;
   if (k > 1) ++batch_rounds_;
-  return std::move(results_[variant]);
+  return results_[variant];
 }
 
 vkernel::SyscallResult SyscallRendezvous::complete_async(unsigned variant,
@@ -209,7 +209,9 @@ vkernel::SyscallResult SyscallRendezvous::complete_async(unsigned variant,
   }
   const std::size_t index = position % kAsyncRingCapacity;
   if (index == async_ring_.size()) async_ring_.emplace_back();
-  async_ring_[index] = AsyncSlot{canonical, result};
+  AsyncSlot& slot = async_ring_[index];  // assigned in place: keeps its capacity
+  slot.args = canonical;
+  slot.result = result;
   async_published_ = position + 1;
   async_cursors_[variant] = position + 1;
   return result;

@@ -12,10 +12,10 @@
 //
 //   exchange()        one call, full barrier (the classic lockstep round).
 //   exchange_batch()  several calls, ONE barrier: every variant arrives with
-//                     a SyscallBatch; sizes are cross-checked; the leader runs
+//                     a run of calls; sizes are cross-checked; the leader runs
 //                     the batch leader once per position and hands each
-//                     variant its own result vector. K coalesced calls cost
-//                     one round instead of K.
+//                     variant its own results. K coalesced calls cost one
+//                     round instead of K.
 //   complete_async()  completion-slot path for non-divergence-relevant calls
 //                     (read-only, argument-free input class): the FIRST
 //                     variant to reach stream position i executes and
@@ -26,7 +26,11 @@
 // The last variant to arrive at a barrier leads in place, on its own fiber,
 // then keeps running its guest until its next call; each parked peer takes
 // its results when the scheduler resumes it. A round costs one switch round
-// trip plus the leader's work.
+// trip plus the leader's work, and allocates nothing: the leader reads each
+// variant's arguments in place (a slot views the caller's own calls, valid
+// while that variant is parked, because a parked fiber's frame is untouched
+// until it resumes), and writes into per-variant result slots that every
+// round reuses (a variant's results are valid until its next exchange).
 //
 // Divergence detection is delayed-but-guaranteed on the async path: an
 // argument mismatch is caught when a variant consumes the slot; a variant
@@ -43,7 +47,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/alarm.h"
@@ -60,12 +64,15 @@ struct DivergenceAbort {
 
 class SyscallRendezvous {
  public:
-  /// One SyscallBatch per variant (sizes already verified equal); returns one
-  /// result vector per variant, positionally matching the batch. Runs on the
-  /// leading variant's fiber. If it detects divergence it must call abort()
-  /// and should stop early, returning what it has.
-  using BatchLeaderFn = std::function<std::vector<std::vector<vkernel::SyscallResult>>(
-      const std::vector<vkernel::SyscallBatch>&)>;
+  /// One variant's calls in a round: a view of the caller's own arguments.
+  using Calls = std::span<const vkernel::SyscallArgs>;
+
+  /// One Calls per variant (sizes already verified equal); writes
+  /// results[v][p] for every variant v and position p, each results[v]
+  /// already sized to the batch. Runs on the leading variant's fiber. If it
+  /// detects divergence it must call abort() and should stop early.
+  using BatchLeaderFn = std::function<void(
+      std::span<const Calls>, std::vector<std::vector<vkernel::SyscallResult>>&)>;
 
   /// Executes one already-canonical call for the completion-slot path; runs
   /// on the claiming variant's fiber.
@@ -91,15 +98,16 @@ class SyscallRendezvous {
 
   /// Park until every variant arrives; the last arriver leads; everyone gets
   /// their per-variant result. Throws DivergenceAbort if the run aborted.
-  [[nodiscard]] vkernel::SyscallResult exchange(unsigned variant, vkernel::SyscallArgs args);
+  [[nodiscard]] vkernel::SyscallResult exchange(unsigned variant,
+                                                const vkernel::SyscallArgs& args);
 
   /// One barrier for a whole batch. Every variant must arrive with the SAME
   /// number of calls (identical guest code produces identical batches); a
   /// size mismatch is a divergence and aborts the run. Throws DivergenceAbort
   /// if the run aborted (before, during, or because of this batch) —
-  /// per-position partial results are never returned.
-  [[nodiscard]] std::vector<vkernel::SyscallResult> exchange_batch(unsigned variant,
-                                                                   vkernel::SyscallBatch batch);
+  /// per-position partial results are never returned. The returned view is
+  /// this variant's result slots, valid until its next exchange.
+  [[nodiscard]] std::span<vkernel::SyscallResult> exchange_batch(unsigned variant, Calls calls);
 
   /// Completion-slot exchange for a non-divergence-relevant call. `canonical`
   /// must already be canonicalized (R⁻¹ applied). The first variant at this
@@ -151,7 +159,7 @@ class SyscallRendezvous {
   void require_own_fiber(unsigned variant) const;
   [[nodiscard]] bool can_proceed(unsigned variant) const;
   /// Last arriver: validate the round, run the leader, hand out results.
-  [[nodiscard]] std::vector<vkernel::SyscallResult> lead(unsigned variant);
+  [[nodiscard]] std::span<vkernel::SyscallResult> lead(unsigned variant);
   [[nodiscard]] std::uint64_t min_async_cursor() const noexcept;
   /// With every variant at the barrier, all async streams must have drained
   /// to the same position. Returns false (after aborting) on divergence.
@@ -167,8 +175,9 @@ class SyscallRendezvous {
   std::atomic<bool> stop_requested_{false};
 
   // ---- Barrier ----------------------------------------------------------------
-  /// A variant's batch from its arrival until the leader takes the round.
-  std::vector<std::optional<vkernel::SyscallBatch>> slots_;
+  /// A variant's calls from its arrival until its round ends; empty = none.
+  std::vector<Calls> slots_;
+  /// A variant's results, written by the leader and reused by every round.
   std::vector<std::vector<vkernel::SyscallResult>> results_;
   unsigned arrived_ = 0;
   bool aborted_ = false;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -31,15 +32,14 @@ SyscallArgs call(Sys no, std::uint64_t a = 0) {
 /// A batch leader built from a per-call leader: one call per batch position.
 template <typename CallLeader>
 SyscallRendezvous::BatchLeaderFn per_call(CallLeader leader) {
-  return [leader](const std::vector<SyscallBatch>& batches) {
-    std::vector<std::vector<SyscallResult>> out(batches.size());
-    for (std::size_t p = 0; p < batches[0].calls.size(); ++p) {
+  return [leader](std::span<const SyscallRendezvous::Calls> batches,
+                  std::vector<std::vector<SyscallResult>>& out) {
+    for (std::size_t p = 0; p < batches[0].size(); ++p) {
       std::vector<SyscallArgs> column;
-      for (const auto& batch : batches) column.push_back(batch.calls[p]);
+      for (const auto& batch : batches) column.push_back(batch[p]);
       const std::vector<SyscallResult> results = leader(column);
-      for (std::size_t v = 0; v < out.size(); ++v) out[v].push_back(results[v]);
+      for (std::size_t v = 0; v < out.size(); ++v) out[v][p] = results[v];
     }
-    return out;
   };
 }
 
@@ -125,7 +125,8 @@ TEST(Rendezvous, BatchExchangeRunsOneBarrierForManyCalls) {
   rdv.run([&](unsigned v) {
     SyscallBatch batch;
     for (std::uint64_t i = 0; i < 4; ++i) batch.calls.push_back(call(Sys::kGettime, i));
-    results[v] = rdv.exchange_batch(v, std::move(batch));
+    const auto taken = rdv.exchange_batch(v, batch.calls);
+    results[v].assign(taken.begin(), taken.end());
   });
   for (unsigned v = 0; v < 2; ++v) {
     ASSERT_EQ(results[v].size(), 4u);
@@ -134,6 +135,78 @@ TEST(Rendezvous, BatchExchangeRunsOneBarrierForManyCalls) {
   EXPECT_EQ(rdv.rounds_completed(), 1u);   // ONE barrier for the whole batch
   EXPECT_EQ(rdv.batches_completed(), 1u);  // and it counted as a batch round
   EXPECT_EQ(rdv.calls_exchanged(), 4u);
+}
+
+TEST(Rendezvous, LeaderReadsEachVariantsOwnArgumentsInPlace) {
+  // A slot views the caller's own calls: the leader sees the very objects
+  // each variant passed, for a single exchange and for a batch.
+  SyscallRendezvous rdv(2);
+  std::vector<const SyscallArgs*> seen;
+  rdv.set_batch_leader([&](std::span<const SyscallRendezvous::Calls> batches,
+                           std::vector<std::vector<SyscallResult>>&) {
+    for (const auto& calls : batches) seen.push_back(calls.data());
+  });
+  std::vector<const SyscallArgs*> passed(4, nullptr);
+  rdv.run([&](unsigned v) {
+    const SyscallArgs single = call(Sys::kGetpid, v);
+    passed[v] = &single;
+    (void)rdv.exchange(v, single);
+    SyscallBatch batch;
+    batch.calls = {call(Sys::kGettime, v), call(Sys::kGettime, v)};
+    passed[2 + v] = batch.calls.data();
+    (void)rdv.exchange_batch(v, batch.calls);
+  });
+  EXPECT_EQ(seen, passed);
+}
+
+TEST(Rendezvous, EveryVariantTakesExactlyItsOwnResultsEveryRound) {
+  // Result slots are reused by every round. 3 variants, 300 rounds, batch
+  // sizes cycling 1..4, a value unique to (round, position, variant), and a
+  // heap-sized payload on every third round only: each variant must get its
+  // own values, and no payload may linger into a later round.
+  constexpr unsigned kVariants = 3;
+  constexpr std::uint64_t kRounds = 300;
+  const auto value = [](std::uint64_t round, std::size_t position, std::size_t variant) {
+    return round * 100 + position * 10 + variant;
+  };
+  const auto payload = [](std::uint64_t round, std::size_t position, std::size_t variant) {
+    return round % 3 == 0 ? "payload of round " + std::to_string(round) + " position " +
+                                std::to_string(position) + " variant " + std::to_string(variant)
+                          : std::string();
+  };
+  SyscallRendezvous rdv(kVariants);
+  std::uint64_t round = 0;
+  rdv.set_batch_leader([&](std::span<const SyscallRendezvous::Calls> batches,
+                           std::vector<std::vector<SyscallResult>>& results) {
+    for (std::size_t v = 0; v < batches.size(); ++v) {
+      for (std::size_t p = 0; p < batches[v].size(); ++p) {
+        results[v][p].value = value(round, p, v);
+        if (round % 3 == 0) results[v][p].data = payload(round, p, v);
+      }
+    }
+    ++round;
+  });
+  std::vector<int> wrong(kVariants, 0);
+  rdv.run([&](unsigned v) {
+    SyscallBatch batch;
+    for (std::uint64_t r = 0; r < kRounds; ++r) {
+      batch.calls.assign(r % 4 + 1, call(Sys::kGettime, r));
+      std::vector<SyscallResult> taken;
+      if (batch.calls.size() == 1) {
+        taken.push_back(rdv.exchange(v, batch.calls[0]));
+      } else {
+        const auto results = rdv.exchange_batch(v, batch.calls);
+        taken.assign(results.begin(), results.end());
+      }
+      if (taken.size() != batch.calls.size()) ++wrong[v];
+      for (std::size_t p = 0; p < taken.size(); ++p) {
+        if (taken[p].value != value(r, p, v) || taken[p].data != payload(r, p, v)) ++wrong[v];
+      }
+    }
+  });
+  EXPECT_EQ(wrong, (std::vector<int>(kVariants, 0)));
+  EXPECT_EQ(rdv.rounds_completed(), kRounds);
+  EXPECT_FALSE(rdv.aborted());
 }
 
 TEST(Rendezvous, BatchSizeDivergenceAbortsBeforeAnythingExecutes) {
@@ -151,7 +224,7 @@ TEST(Rendezvous, BatchSizeDivergenceAbortsBeforeAnythingExecutes) {
     SyscallBatch batch;
     for (std::size_t i = 0; i < 2 + v; ++i) batch.calls.push_back(call(Sys::kGettime, i));
     try {
-      (void)rdv.exchange_batch(v, std::move(batch));
+      (void)rdv.exchange_batch(v, batch.calls);
     } catch (const DivergenceAbort& abort) {
       kinds.push_back(abort.alarm.kind);
     }
@@ -201,6 +274,51 @@ TEST(Rendezvous, AbortInsideTheLeaderUnwindsEveryone) {
   });
   EXPECT_EQ(kinds, (std::vector<AlarmKind>(2, AlarmKind::kArgumentMismatch)));
   EXPECT_EQ(rdv.rounds_completed(), 0u);
+}
+
+TEST(Rendezvous, LeaderThatThrowsMidBatchUnwindsEveryoneAndTheNextRunIsClean) {
+  // The leader throws at the second of three positions: the leading variant
+  // unwinds with the leader's exception, every parked variant with the
+  // run's abort, and no partial results reach anyone. The next run on the
+  // same rendezvous starts from released slots and completes normally.
+  SyscallRendezvous rdv(3);
+  bool fail = true;
+  rdv.set_batch_leader([&](std::span<const SyscallRendezvous::Calls> batches,
+                           std::vector<std::vector<SyscallResult>>& results) {
+    for (std::size_t p = 0; p < batches[0].size(); ++p) {
+      if (fail && p == 1) throw std::runtime_error("leader failed mid-batch");
+      for (std::size_t v = 0; v < batches.size(); ++v) results[v][p].value = batches[v][p].ints[0];
+    }
+  });
+  std::vector<std::optional<AlarmKind>> aborted(3);
+  std::vector<std::vector<std::uint64_t>> values(3);
+  const auto body = [&](unsigned v) {
+    SyscallBatch batch;
+    batch.calls = {call(Sys::kGettime, 10 + v), call(Sys::kGettime, 20 + v),
+                   call(Sys::kGettime, 30 + v)};
+    try {
+      for (const auto& result : rdv.exchange_batch(v, batch.calls)) {
+        values[v].push_back(result.value);
+      }
+    } catch (const DivergenceAbort& abort) {
+      aborted[v] = abort.alarm.kind;
+    }
+  };
+  EXPECT_THROW(rdv.run(body), std::runtime_error);
+  EXPECT_EQ(std::count(aborted.begin(), aborted.end(), AlarmKind::kGuestError), 2);
+  EXPECT_EQ(values, (std::vector<std::vector<std::uint64_t>>(3)));
+  EXPECT_EQ(rdv.rounds_completed(), 0u);
+
+  fail = false;
+  aborted.assign(3, std::nullopt);
+  values.assign(3, {});
+  rdv.run(body);
+  EXPECT_FALSE(rdv.aborted());
+  EXPECT_EQ(aborted, (std::vector<std::optional<AlarmKind>>(3)));
+  for (std::uint64_t v = 0; v < 3; ++v) {
+    EXPECT_EQ(values[v], (std::vector<std::uint64_t>{10 + v, 20 + v, 30 + v}));
+  }
+  EXPECT_EQ(rdv.rounds_completed(), 1u);
 }
 
 TEST(Rendezvous, ExchangeAfterAbortThrowsImmediately) {
@@ -322,7 +440,7 @@ TEST(Rendezvous, SingleVariantBatchAndAsyncRunWithoutPeers) {
   rdv.set_batch_leader(scaled(2));
   SyscallBatch batch;
   batch.calls = {call(Sys::kGettime, 3), call(Sys::kGettime, 4)};
-  const auto results = rdv.exchange_batch(0, std::move(batch));
+  const auto results = rdv.exchange_batch(0, batch.calls);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].value, 6u);
   EXPECT_EQ(results[1].value, 8u);
