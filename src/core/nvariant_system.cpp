@@ -243,6 +243,27 @@ RunReport NVariantSystem::run(const VariantBody& body) {
   return collect_report();
 }
 
+RunReport NVariantSystem::serve(const VariantBody& server, const std::function<void()>& client) {
+  if (session_.joinable()) throw std::logic_error("system already running");
+  prepare();
+  hub_.set_waiter([this](const std::function<bool()>& ready) { return rendezvous_.wait_io(ready); });
+  struct RemoveWaiter {
+    vkernel::SocketHub& hub;
+    ~RemoveWaiter() { hub.set_waiter(nullptr); }
+  } const remove_waiter{hub_};
+  run_variants(server, [this, &client] {
+    // The client is done: the server unwinds as it does after stop().
+    try {
+      client();
+    } catch (...) {
+      hub_.shutdown();
+      throw;
+    }
+    hub_.shutdown();
+  });
+  return collect_report();
+}
+
 void NVariantSystem::launch(const VariantBody& body) {
   if (session_.joinable()) throw std::logic_error("system already running");
   prepare();
@@ -255,8 +276,9 @@ RunReport NVariantSystem::stop() {
   return collect_report();
 }
 
-void NVariantSystem::run_variants(const VariantBody& body) {
-  rendezvous_.run([this, &body](unsigned v) { run_variant(v, body); });
+void NVariantSystem::run_variants(const VariantBody& body,
+                                  const SyscallRendezvous::ClientFn& client) {
+  rendezvous_.run([this, &body](unsigned v) { run_variant(v, body); }, client);
   hub_.end_session();  // wakes bind waiters of a server that never bound
 }
 

@@ -161,9 +161,18 @@ class NVariantSystem {
   /// filesystem persists across runs.
   [[nodiscard]] RunReport run(const VariantBody& body);
 
-  /// Server mode: the same run on ONE session thread, started here. stop()
-  /// interrupts blocking network syscalls via SocketHub::shutdown() and
-  /// joins it.
+  /// Server mode with one client, on the calling thread: the N variants of
+  /// `server` and `client` run as fibers of one scheduler, and no thread is
+  /// started. Every blocking socket call parks its fiber (SocketHub's
+  /// waiter). When `client` returns, the hub shuts down and the server
+  /// unwinds as it does after stop(). Returns what launch() followed by
+  /// stop() returns. An exception escaping `client` raises no alarm: the hub
+  /// shuts down, every fiber finishes, and it is rethrown here.
+  [[nodiscard]] RunReport serve(const VariantBody& server, const std::function<void()>& client);
+
+  /// Server mode for clients on other threads: the same run on ONE session
+  /// thread, started here. stop() interrupts blocking network syscalls via
+  /// SocketHub::shutdown() and joins it.
   void launch(const VariantBody& body);
   [[nodiscard]] RunReport stop();
   [[nodiscard]] bool running() const noexcept { return session_.joinable(); }
@@ -182,8 +191,9 @@ class NVariantSystem {
 
   /// Fresh per-run state: variant configs, monitor, network, processes.
   void prepare();
-  /// One run of every variant through the rendezvous (the session body).
-  void run_variants(const VariantBody& body);
+  /// One run of every variant through the rendezvous (the session body),
+  /// beside `client` if it is set.
+  void run_variants(const VariantBody& body, const SyscallRendezvous::ClientFn& client = nullptr);
   /// One variant's fiber: its guest, then alarm bookkeeping on the way out.
   void run_variant(unsigned variant, const VariantBody& body);
   [[nodiscard]] vkernel::SyscallResult variant_syscall(unsigned variant,

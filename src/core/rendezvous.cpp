@@ -11,14 +11,15 @@ namespace nv::core {
 
 SyscallRendezvous::SyscallRendezvous(unsigned n_variants)
     : n_(n_variants),
-      waits_(n_variants, Wait::kNone),
+      waits_(n_variants + 1, Wait::kNone),
+      io_ready_(n_variants + 1, nullptr),
       slots_(n_variants),
       results_(n_variants),
       async_cursors_(n_variants, 0) {
   if (n_variants == 0) throw std::invalid_argument("rendezvous requires at least one variant");
 }
 
-void SyscallRendezvous::run(const VariantFn& body) {
+void SyscallRendezvous::run(const VariantFn& body, const ClientFn& client) {
   if (body_ != nullptr) throw std::logic_error("rendezvous is already running");
   aborted_ = false;
   abort_alarm_ = Alarm{};
@@ -29,13 +30,15 @@ void SyscallRendezvous::run(const VariantFn& body) {
   async_published_ = 0;
   rounds_ = batch_rounds_ = calls_ = 0;
 
-  while (fibers_.size() < n_) fibers_.push_back(std::make_unique<util::Fiber>());
+  const unsigned fibers = client ? n_ + 1 : n_;
+  while (fibers_.size() < fibers) fibers_.push_back(std::make_unique<util::Fiber>());
   body_ = &body;
   for (unsigned v = 0; v < n_; ++v) fibers_[v]->start([this, v] { (*body_)(v); });
+  if (client) fibers_[n_]->start([&client] { client(); });
 
   // One pass resumes every fiber that can proceed. A pass that finds live
-  // fibers but resumes none is a stall: nothing left in the run can release
-  // any of them.
+  // fibers but resumes none means nothing left in the run can release any of
+  // them: pending I/O waits are released, and with none, the variants stall.
   std::exception_ptr escaped;
   for (;;) {
     if (stop_requested_.load(std::memory_order_acquire)) {
@@ -43,31 +46,50 @@ void SyscallRendezvous::run(const VariantFn& body) {
     }
     bool live = false;
     bool progressed = false;
-    for (unsigned v = 0; v < n_; ++v) {
-      if (!fibers_[v]->active()) continue;
+    for (unsigned f = 0; f < fibers; ++f) {
+      if (!fibers_[f]->active()) continue;
       live = true;
-      if (!can_proceed(v)) continue;
+      if (!can_proceed(f)) continue;
       progressed = true;
-      current_ = v;
+      current_ = f;
       try {
-        fibers_[v]->resume();
+        fibers_[f]->resume();
       } catch (...) {
         if (!escaped) escaped = std::current_exception();
-        abort(Alarm{AlarmKind::kGuestError, v, "variant body threw"});
+        // The client's exception is its caller's error, not a divergence.
+        if (f < n_) abort(Alarm{AlarmKind::kGuestError, f, "variant body threw"});
       }
-      current_ = kNoVariant;
+      current_ = kNoFiber;
     }
     if (!live) break;
-    if (!progressed) abort(stall_alarm());
+    if (!progressed && !release_io_waits()) abort(stall_alarm());
   }
   body_ = nullptr;
   if (escaped) std::rethrow_exception(escaped);
 }
 
-void SyscallRendezvous::park(unsigned variant, Wait reason) {
-  waits_[variant] = reason;
-  fibers_[variant]->suspend();  // the scheduler resumes it once can_proceed()
-  waits_[variant] = Wait::kNone;
+bool SyscallRendezvous::release_io_waits() {
+  bool released = false;
+  for (Wait& wait : waits_) {
+    if (wait != Wait::kIo) continue;
+    wait = Wait::kIoReleased;
+    released = true;
+  }
+  return released;
+}
+
+bool SyscallRendezvous::wait_io(const std::function<bool()>& ready) {
+  if (current_ == kNoFiber) throw std::logic_error("an I/O wait needs a fiber of the run");
+  io_ready_[current_] = &ready;
+  return park(current_, Wait::kIo) == Wait::kIo;
+}
+
+SyscallRendezvous::Wait SyscallRendezvous::park(unsigned fiber, Wait reason) {
+  waits_[fiber] = reason;
+  fibers_[fiber]->suspend();  // the scheduler resumes it once can_proceed()
+  const Wait woke = waits_[fiber];
+  waits_[fiber] = Wait::kNone;
+  return woke;
 }
 
 void SyscallRendezvous::require_own_fiber(unsigned variant) const {
@@ -76,12 +98,14 @@ void SyscallRendezvous::require_own_fiber(unsigned variant) const {
   }
 }
 
-bool SyscallRendezvous::can_proceed(unsigned variant) const {
-  switch (waits_[variant]) {
+bool SyscallRendezvous::can_proceed(unsigned fiber) const {
+  switch (waits_[fiber]) {
     case Wait::kNone: return true;
-    case Wait::kBarrier: return aborted_ || slots_[variant].empty();
+    case Wait::kBarrier: return aborted_ || slots_[fiber].empty();
     case Wait::kRingSpace:
-      return aborted_ || async_cursors_[variant] < min_async_cursor() + kAsyncRingCapacity;
+      return aborted_ || async_cursors_[fiber] < min_async_cursor() + kAsyncRingCapacity;
+    case Wait::kIo: return (*io_ready_[fiber])();
+    case Wait::kIoReleased: return true;
   }
   return true;
 }

@@ -40,6 +40,25 @@
 // proceed — peers at a barrier it never reaches, or a claimer a whole ring
 // ahead of it — and the scheduler raises kRendezvousStall in that same pass.
 // The host's speed never enters into it: a slow variant is only late.
+//
+// A run may also carry one client: a body on a fiber of its own beside the
+// variants' that drives them over the network (NVariantSystem::serve()). The
+// client is not a variant: it never arrives at a barrier, holds no slot,
+// consumes no completion slot and is in no async-prefix check. Any fiber, the
+// client or a variant (a leader executing accept or read, say), may park on
+// I/O through wait_io() with a wake condition, which the scheduler re-checks
+// each time it looks for a fiber to resume. Only a fiber parked on I/O has a
+// condition to check, so a barrier round pays nothing for this. Nothing
+// outside the run touches what the conditions read, so a pass that resumes
+// no fiber ends as follows, with no clock:
+//
+//   - if some fiber waits on I/O, every pending I/O wait is released (it
+//     fails, and the socket call returns EINTR) and no alarm is raised: a
+//     client/server protocol deadlock, or a server that exited before it
+//     bound its port, is no divergence;
+//   - otherwise the variants have stalled: kRendezvousStall, as above. A
+//     variant that stops making calls still alarms, right after any I/O
+//     waits are released.
 #ifndef NV_CORE_RENDEZVOUS_H
 #define NV_CORE_RENDEZVOUS_H
 
@@ -81,6 +100,9 @@ class SyscallRendezvous {
   /// One variant's body; runs on that variant's fiber.
   using VariantFn = std::function<void(unsigned variant)>;
 
+  /// The client's body; runs on a fiber of its own beside the variants'.
+  using ClientFn = std::function<void()>;
+
   explicit SyscallRendezvous(unsigned n_variants);
 
   // Fiber bodies hold `this`.
@@ -89,12 +111,19 @@ class SyscallRendezvous {
 
   void set_batch_leader(BatchLeaderFn leader) { batch_leader_ = std::move(leader); }
 
-  /// Run body(v) for every variant as a fiber on the calling thread until
-  /// every body has returned. Each run starts fresh: barrier, ring, counters
-  /// and abort state are reset. Fiber stacks are mapped by the first run and
-  /// reused by every later one. An exception escaping a body aborts the run
-  /// (kGuestError) and is rethrown here once every fiber has unwound.
-  void run(const VariantFn& body);
+  /// Run body(v) for every variant, and `client` if it is set, as fibers on
+  /// the calling thread until every body has returned. Each run starts fresh:
+  /// barrier, ring, counters and abort state are reset. Fiber stacks are
+  /// mapped by the first run and reused by every later one. An exception
+  /// escaping a variant's body aborts the run (kGuestError); one escaping the
+  /// client's does not. Either is rethrown here once every fiber has unwound.
+  void run(const VariantFn& body, const ClientFn& client = nullptr);
+
+  /// Park the running fiber, a variant's or the client's, until `ready()`
+  /// holds, and return true then. Returns false if the run released the wait
+  /// instead: a scheduler pass resumed no fiber, so nothing in the run can
+  /// make `ready()` hold. `ready` must stay valid until this returns.
+  [[nodiscard]] bool wait_io(const std::function<bool()>& ready);
 
   /// Park until every variant arrives; the last arriver leads; everyone gets
   /// their per-variant result. Throws DivergenceAbort if the run aborted.
@@ -147,17 +176,21 @@ class SyscallRendezvous {
     vkernel::SyscallArgs args;
     vkernel::SyscallResult result;
   };
-  /// Why a variant's fiber is suspended.
-  enum class Wait : std::uint8_t { kNone, kBarrier, kRingSpace };
+  /// Why a fiber is suspended. kIoReleased: its I/O wait was released.
+  enum class Wait : std::uint8_t { kNone, kBarrier, kRingSpace, kIo, kIoReleased };
 
-  static constexpr unsigned kNoVariant = ~0U;
+  static constexpr unsigned kNoFiber = ~0U;
 
   [[noreturn]] void throw_aborted() const { throw DivergenceAbort{abort_alarm_}; }
-  /// Suspend `variant`'s fiber until the scheduler finds it can proceed.
-  void park(unsigned variant, Wait reason);
+  /// Suspend `fiber` until the scheduler finds it can proceed; returns its
+  /// wait as the scheduler left it (kIoReleased for a released I/O wait).
+  Wait park(unsigned fiber, Wait reason);
   /// Waiting needs the variant's own fiber: not another's, not outside run().
   void require_own_fiber(unsigned variant) const;
-  [[nodiscard]] bool can_proceed(unsigned variant) const;
+  /// `fiber` is a variant's index, or n_ for the client.
+  [[nodiscard]] bool can_proceed(unsigned fiber) const;
+  /// Release every pending I/O wait; false if there was none.
+  bool release_io_waits();
   /// Last arriver: validate the round, run the leader, hand out results.
   [[nodiscard]] std::span<vkernel::SyscallResult> lead(unsigned variant);
   [[nodiscard]] std::uint64_t min_async_cursor() const noexcept;
@@ -168,10 +201,14 @@ class SyscallRendezvous {
 
   const unsigned n_;
   BatchLeaderFn batch_leader_;
-  std::vector<std::unique_ptr<util::Fiber>> fibers_;  // mapped by the first run()
-  const VariantFn* body_ = nullptr;                   // set while run() is on the stack
-  unsigned current_ = kNoVariant;                     // variant whose fiber is running
-  std::vector<Wait> waits_;
+  /// The variants' fibers, then the client's: mapped by the first run() that
+  /// needs each.
+  std::vector<std::unique_ptr<util::Fiber>> fibers_;
+  const VariantFn* body_ = nullptr;  // set while run() is on the stack
+  unsigned current_ = kNoFiber;      // the fiber running, as for can_proceed()
+  std::vector<Wait> waits_;          // per fiber, the client's included
+  /// Per fiber: the wake condition of its I/O wait, read only while pending.
+  std::vector<const std::function<bool()>*> io_ready_;
   std::atomic<bool> stop_requested_{false};
 
   // ---- Barrier ----------------------------------------------------------------

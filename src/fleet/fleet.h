@@ -27,8 +27,9 @@
 //     samples into fleet-wide percentiles.
 //
 // A job receives a session's sealed NVariantSystem and drives it however it
-// likes (run a guest to completion, or launch/drive/stop a server) and
-// returns the RunReport the fleet inspects for the attack verdict.
+// likes (run a guest to completion, serve a server to one client, or
+// launch/drive/stop a server) and returns the RunReport the fleet inspects
+// for the attack verdict.
 #ifndef NV_FLEET_FLEET_H
 #define NV_FLEET_FLEET_H
 

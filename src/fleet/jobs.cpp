@@ -1,6 +1,5 @@
 #include "fleet/jobs.h"
 
-#include <chrono>
 #include <utility>
 
 #include "guest/runners.h"
@@ -10,14 +9,6 @@
 namespace nv::fleet::jobs {
 
 namespace {
-
-/// Block until the session's server binds its port or its session ends (an
-/// alarm shuts the hub down; a guest may exit without binding). The 2 s cap
-/// is a backstop: a launch that never binds must not hang the lane.
-void wait_for_bind(core::NVariantSystem& system, std::uint16_t port) {
-  (void)system.hub().wait_bound(port,
-                                std::chrono::steady_clock::now() + std::chrono::seconds(2));
-}
 
 /// The privilege-churn guest: repeated drop / detection-check / restore.
 class UidChurnGuest final : public guest::GuestProgram {
@@ -82,20 +73,15 @@ FleetJob httpd_request_stream(httpd::ServerConfig config, std::vector<HttpPlay> 
   return [config, plays = std::move(plays)](core::NVariantSystem& system) {
     httpd::install_default_site(system.fs(), config);
     httpd::MiniHttpd server;
-    guest::launch_nvariant(system, server);
-    // The session thread references `server`; every exit path below must
-    // stop() (join) before this frame unwinds.
-    try {
-      wait_for_bind(system, config.listen_port);
+    return guest::serve_nvariant(system, server, [&] {
+      // False once the server can no longer bind: it exited, or an alarm
+      // shut the hub down.
+      if (!system.hub().wait_bound(config.listen_port)) return;
       for (const auto& play : plays) {
         if (system.monitor().triggered()) break;
         (void)httpd::http_get(system.hub(), config.listen_port, play.path, play.headers);
       }
-    } catch (...) {
-      (void)system.stop();
-      throw;
-    }
-    return system.stop();
+    });
   };
 }
 
@@ -114,27 +100,19 @@ FleetJob ftpd_command_stream(httpd::FtpdConfig config, std::vector<std::string> 
   return [config, commands = std::move(commands)](core::NVariantSystem& system) {
     httpd::install_ftpd_site(system.fs(), config);
     httpd::MiniFtpd server(config);
-    guest::launch_nvariant(system, server);
-    // The session thread references `server`; every exit path below must
-    // stop() (join) before this frame unwinds.
-    try {
-      wait_for_bind(system, config.listen_port);
+    return guest::serve_nvariant(system, server, [&] {
+      if (!system.hub().wait_bound(config.listen_port)) return;
       auto conn = system.hub().connect(config.listen_port);
-      if (conn) {
-        (void)conn->recv_until("\r\n");  // greeting
-        for (const auto& command : commands) {
-          if (system.monitor().triggered()) break;
-          if (!conn->send(command + "\r\n")) break;
-          auto reply = conn->recv_until("\r\n");
-          if (!reply || reply->empty()) break;
-        }
-        conn->close();
+      if (!conn) return;
+      (void)conn->recv_until("\r\n");  // greeting
+      for (const auto& command : commands) {
+        if (system.monitor().triggered()) break;
+        if (!conn->send(command + "\r\n")) break;
+        auto reply = conn->recv_until("\r\n");
+        if (!reply || reply->empty()) break;
       }
-    } catch (...) {
-      (void)system.stop();
-      throw;
-    }
-    return system.stop();
+      conn->close();
+    });
   };
 }
 

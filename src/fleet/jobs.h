@@ -1,8 +1,10 @@
 // Ready-made FleetJobs: the guest workloads a fleet dispatches onto its
 // pooled sessions.
 //
-//   httpd_request_stream()  launch mini-httpd in the session, replay a list
-//                           of HTTP requests against its hub, stop, report.
+//   httpd_request_stream()  serve mini-httpd in the session, replay a list
+//                           of HTTP requests against its hub, report. The
+//                           client runs as a fiber beside the variants, on
+//                           the worker's thread (NVariantSystem::serve()).
 //   ftpd_command_stream()   the same for mini-ftpd with a scripted control
 //                           session (USER/PASS/RETR/SITE/...).
 //   uid_churn()             a pure compute job — a guest that churns through
@@ -40,7 +42,7 @@ struct HttpPlay {
 /// restore via a protected request.
 [[nodiscard]] std::vector<HttpPlay> uid_smash_attack(std::uint32_t header_buffer_size = 256);
 
-/// Launch mini-httpd on the session, replay `plays`, stop, and report.
+/// Serve mini-httpd on the session, replay `plays` as its client, report.
 [[nodiscard]] FleetJob httpd_request_stream(httpd::ServerConfig config,
                                             std::vector<HttpPlay> plays);
 
@@ -51,7 +53,7 @@ struct HttpPlay {
 /// UID, then REIN to make the daemon re-install it.
 [[nodiscard]] std::vector<std::string> ftp_site_attack(std::uint32_t command_buffer_size = 128);
 
-/// Launch mini-ftpd on the session, run one scripted control session, stop.
+/// Serve mini-ftpd on the session, run one scripted control session, report.
 [[nodiscard]] FleetJob ftpd_command_stream(httpd::FtpdConfig config,
                                            std::vector<std::string> commands);
 

@@ -46,6 +46,11 @@ core::RunReport run_nvariant(core::NVariantSystem& system, GuestProgram& program
   return system.run(as_variant_body(program));
 }
 
+core::RunReport serve_nvariant(core::NVariantSystem& system, GuestProgram& program,
+                               const std::function<void()>& client) {
+  return system.serve(as_variant_body(program), client);
+}
+
 void launch_nvariant(core::NVariantSystem& system, GuestProgram& program) {
   system.launch(as_variant_body(program));
 }

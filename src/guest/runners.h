@@ -1,9 +1,10 @@
 // Adapters that run GuestPrograms on the two execution substrates:
 //   - run_plain():  single process, no redundancy (configurations 1-2)
-//   - run/launch_nvariant(): the MVEE (configurations 3-4)
+//   - run/serve/launch_nvariant(): the MVEE (configurations 3-4)
 #ifndef NV_GUEST_RUNNERS_H
 #define NV_GUEST_RUNNERS_H
 
+#include <functional>
 #include <string>
 
 #include "core/nvariant_system.h"
@@ -31,6 +32,11 @@ struct PlainRunResult {
 
 /// Run to completion under the MVEE.
 [[nodiscard]] core::RunReport run_nvariant(core::NVariantSystem& system, GuestProgram& program);
+
+/// Server mode with one client, both on the calling thread
+/// (core::NVariantSystem::serve()).
+[[nodiscard]] core::RunReport serve_nvariant(core::NVariantSystem& system, GuestProgram& program,
+                                             const std::function<void()>& client);
 
 /// Start asynchronously (server mode); stop via system.stop().
 void launch_nvariant(core::NVariantSystem& system, GuestProgram& program);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -227,6 +230,28 @@ TEST(NVariantSystem, RunStartsNoThreadAndLaunchStartsOne) {
   EXPECT_NE(ids[0], std::this_thread::get_id());
 }
 
+TEST(NVariantSystem, ServeStartsNoThread) {
+  const auto system_owner = fast_system();
+  auto& system = *system_owner;
+  // Two variants, then the client.
+  std::vector<std::thread::id> ids(3);
+  std::vector<bool> running(3, true);
+  LambdaGuest guest([&](guest::GuestContext& ctx) {
+    ids[ctx.variant()] = std::this_thread::get_id();
+    running[ctx.variant()] = system.running();
+    (void)ctx.getpid();
+    ctx.exit(0);
+  });
+  const auto report = guest::serve_nvariant(system, guest, [&] {
+    ids[2] = std::this_thread::get_id();
+    running[2] = system.running();
+  });
+  EXPECT_TRUE(report.completed);
+  EXPECT_FALSE(system.running());
+  EXPECT_EQ(ids, std::vector<std::thread::id>(3, std::this_thread::get_id()));
+  EXPECT_EQ(running, std::vector<bool>(3, false));
+}
+
 TEST(NVariantSystem, UnsharedFilesOpenVariantCopies) {
   const auto system_owner = fast_system({}, {"/etc/secret"});
   auto& system = *system_owner;
@@ -370,6 +395,130 @@ TEST(NVariantSystem, ServerThatExitsBeforeBindingWakesTheBindWaiter) {
   const auto report = system.stop();
   EXPECT_TRUE(report.completed);
   EXPECT_EQ(report.exit_codes, (std::vector<int>{3, 3}));
+}
+
+TEST(NVariantSystem, ServedServerThatExitsBeforeBindingFailsTheBindWait) {
+  // No deadline: the client's bind wait is released in the first scheduler
+  // pass that finds nothing else to run.
+  const auto system_owner = fast_system();
+  auto& system = *system_owner;
+  LambdaGuest guest([](guest::GuestContext& ctx) { ctx.exit(3); });
+  bool bound = true;
+  const auto report =
+      guest::serve_nvariant(system, guest, [&] { bound = system.hub().wait_bound(9091); });
+  EXPECT_FALSE(bound);
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.exit_codes, (std::vector<int>{3, 3}));
+}
+
+/// A server that binds `port`, accepts one connection and hands it to
+/// `session`, then exits with what `session` returns.
+LambdaGuest one_connection_server(std::uint16_t port,
+                                  std::function<int(guest::GuestContext&, os::fd_t)> session) {
+  return LambdaGuest([port, session = std::move(session)](guest::GuestContext& ctx) {
+    auto sock = ctx.socket();
+    ASSERT_TRUE(sock.has_value());
+    ASSERT_EQ(ctx.bind(*sock, port), os::Errno::kOk);
+    ASSERT_EQ(ctx.listen(*sock), os::Errno::kOk);
+    auto conn = ctx.accept(*sock);
+    ASSERT_TRUE(conn.has_value());
+    ctx.exit(session(ctx, *conn));
+  });
+}
+
+TEST(NVariantSystem, ServedProtocolDeadlockFailsBothWaitsWithoutAlarm) {
+  // The client waits for a reply while the server waits for more input.
+  const auto system_owner = fast_system();
+  auto& system = *system_owner;
+  auto guest = one_connection_server(9092, [](guest::GuestContext& ctx, os::fd_t conn) {
+    auto request = ctx.read(conn, 64);
+    return !request && request.error() == os::Errno::kEINTR ? 4 : 5;
+  });
+  std::optional<os::Errno> client_error;
+  const auto report = guest::serve_nvariant(system, guest, [&] {
+    ASSERT_TRUE(system.hub().wait_bound(9092));
+    auto conn = system.hub().connect(9092);
+    ASSERT_TRUE(conn.has_value());
+    auto reply = conn->recv(64);
+    if (!reply) client_error = reply.error();
+  });
+  EXPECT_EQ(client_error, os::Errno::kEINTR);
+  EXPECT_FALSE(system.monitor().triggered());
+  EXPECT_FALSE(report.attack_detected);
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.exit_codes, (std::vector<int>{4, 4}));
+}
+
+TEST(NVariantSystem, ServedVariantThatSkipsCallsStallsWhileTheClientWaits) {
+  // Variant 0 runs a whole completion ring ahead on getpid while variant 1
+  // waits at a seteuid barrier variant 0 never reaches, and the client waits
+  // in recv for a reply that never comes. The client's wait is released
+  // first; then the stall alarms.
+  const auto system_owner = fast_system();
+  auto& system = *system_owner;
+  auto guest = one_connection_server(9093, [](guest::GuestContext& ctx, os::fd_t) {
+    if (ctx.variant() == 0) {
+      for (std::size_t i = 0; i <= core::SyscallRendezvous::kAsyncRingCapacity; ++i) {
+        (void)ctx.getpid();
+      }
+    } else {
+      (void)ctx.seteuid(ctx.uid_const(1000));
+    }
+    return 0;
+  });
+  std::optional<os::Errno> client_error;
+  const auto report = guest::serve_nvariant(system, guest, [&] {
+    ASSERT_TRUE(system.hub().wait_bound(9093));
+    auto conn = system.hub().connect(9093);
+    ASSERT_TRUE(conn.has_value());
+    auto reply = conn->recv(64);
+    if (!reply) client_error = reply.error();
+  });
+  EXPECT_EQ(client_error, os::Errno::kEINTR);
+  EXPECT_TRUE(report.attack_detected);
+  ASSERT_TRUE(report.alarm.has_value());
+  EXPECT_EQ(report.alarm->kind, core::AlarmKind::kRendezvousStall);
+}
+
+TEST(NVariantSystem, ServeRethrowsAClientExceptionOnceEveryFiberHasFinished) {
+  const auto system_owner = fast_system();
+  auto& system = *system_owner;
+  unsigned finished = 0;
+  LambdaGuest guest([&finished](guest::GuestContext& ctx) {
+    auto sock = ctx.socket();
+    ASSERT_TRUE(sock.has_value());
+    ASSERT_EQ(ctx.bind(*sock, 9094), os::Errno::kOk);
+    ASSERT_EQ(ctx.listen(*sock), os::Errno::kOk);
+    while (true) {
+      auto conn = ctx.accept(*sock);
+      if (!conn) break;  // the hub shut down when the client was done
+      (void)ctx.close(*conn);
+    }
+    ++finished;
+    ctx.exit(0);
+  });
+  EXPECT_THROW((void)guest::serve_nvariant(system, guest,
+                                           [&] {
+                                             ASSERT_TRUE(system.hub().wait_bound(9094));
+                                             throw std::runtime_error("client bug");
+                                           }),
+               std::runtime_error);
+  EXPECT_EQ(finished, 2u);
+  EXPECT_FALSE(system.monitor().triggered());
+  EXPECT_FALSE(system.running());
+
+  // The system serves the next run as if nothing had happened.
+  bool connected = false;
+  const auto report = guest::serve_nvariant(system, guest, [&] {
+    ASSERT_TRUE(system.hub().wait_bound(9094));
+    auto conn = system.hub().connect(9094);
+    connected = conn.has_value();
+    if (conn) conn->close();
+  });
+  EXPECT_TRUE(connected);
+  EXPECT_TRUE(report.completed);
+  EXPECT_FALSE(report.attack_detected);
+  EXPECT_EQ(finished, 4u);
 }
 
 TEST(NVariantSystem, ServerModeStopsCleanly) {

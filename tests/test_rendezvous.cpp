@@ -353,6 +353,69 @@ TEST(Rendezvous, StallWhenPeerNeverArrives) {
   EXPECT_NE(seen->detail.find("variant 0 waits at the barrier"), std::string::npos);
 }
 
+TEST(Rendezvous, ClientIoWaitResumesOnceItsConditionHolds) {
+  // The client is one more fiber, not a variant: the barrier round needs
+  // only the two variants, and the client's wait ends once a variant's
+  // round has made its condition hold.
+  SyscallRendezvous rdv(2);
+  rdv.set_batch_leader(scaled(1));
+  bool replied = false;
+  std::optional<bool> held;
+  rdv.run(
+      [&](unsigned v) {
+        (void)rdv.exchange(v, call(Sys::kGetpid));
+        if (v == 0) replied = true;
+      },
+      [&] { held = rdv.wait_io([&] { return replied; }); });
+  EXPECT_EQ(held, true);
+  EXPECT_FALSE(rdv.aborted());
+  EXPECT_EQ(rdv.rounds_completed(), 1u);
+}
+
+TEST(Rendezvous, PassWithNoProgressReleasesIoWaitsBeforeItStalls) {
+  // Variant 1 returns without reaching the barrier variant 0 waits at, and
+  // the client waits on I/O nothing will answer. The first empty pass
+  // releases the client's wait without an alarm; the next one stalls.
+  SyscallRendezvous rdv(2);
+  rdv.set_batch_leader(scaled(1));
+  std::vector<std::string> events;
+  rdv.run(
+      [&](unsigned v) {
+        if (v == 1) return;
+        try {
+          (void)rdv.exchange(v, call(Sys::kGetpid));
+        } catch (const DivergenceAbort& abort) {
+          events.emplace_back(to_string(abort.alarm.kind));
+        }
+      },
+      [&] {
+        const bool held = rdv.wait_io([] { return false; });
+        events.push_back(held ? "held" : "released");
+        events.push_back(rdv.aborted() ? "aborted" : "not aborted");
+      });
+  EXPECT_EQ(events, (std::vector<std::string>{"released", "not aborted", "rendezvous-stall"}));
+}
+
+TEST(Rendezvous, ClientExceptionIsRethrownWithoutAborting) {
+  SyscallRendezvous rdv(2);
+  rdv.set_batch_leader(scaled(1));
+  unsigned exchanged = 0;
+  EXPECT_THROW(rdv.run(
+                   [&](unsigned v) {
+                     (void)rdv.exchange(v, call(Sys::kGetpid));
+                     ++exchanged;
+                   },
+                   [] { throw std::runtime_error("client bug"); }),
+               std::runtime_error);
+  EXPECT_EQ(exchanged, 2u);
+  EXPECT_FALSE(rdv.aborted());
+}
+
+TEST(Rendezvous, IoWaitOutsideTheRunIsALogicError) {
+  SyscallRendezvous rdv(2);
+  EXPECT_THROW((void)rdv.wait_io([] { return true; }), std::logic_error);
+}
+
 TEST(Rendezvous, StallAbortsEveryWaiter) {
   // 3-variant barrier, two arrive, the third returns: BOTH waiters unwind
   // with the stall alarm; nobody stays parked.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
+#include <optional>
 #include <thread>
 
 #include "vkernel/sockets.h"
@@ -153,6 +155,115 @@ TEST(SocketHub, SessionEndWakesABindWaiter) {
   EXPECT_FALSE(hub.wait_bound(80, std::chrono::steady_clock::now()));
   ASSERT_EQ(hub.bind(80), os::Errno::kOk);
   EXPECT_TRUE(hub.wait_bound(80, std::chrono::steady_clock::now()));
+}
+
+/// A waiter that stands in for a fiber scheduler: it counts its waits, checks
+/// that the condition it was handed does not hold yet, runs `unblock` (the
+/// peer's action a scheduler would resume), and reports the condition then.
+struct ScriptedWaiter {
+  int waits = 0;
+  std::function<void()> unblock;
+
+  IoWaiter waiter() {
+    return [this](const std::function<bool()>& ready) {
+      ++waits;
+      EXPECT_FALSE(ready());
+      unblock();
+      return ready();
+    };
+  }
+};
+
+TEST(SocketHub, BlockingCallsParkThroughAnInstalledWaiter) {
+  SocketHub hub;
+  ScriptedWaiter scripted;
+  hub.set_waiter(scripted.waiter());
+
+  scripted.unblock = [&] { ASSERT_EQ(hub.bind(80), os::Errno::kOk); };
+  EXPECT_TRUE(hub.wait_bound(80));
+  EXPECT_EQ(scripted.waits, 1);
+
+  NetResult<Connection> client = util::Unexpected<os::Errno>{os::Errno::kENOTCONN};
+  scripted.unblock = [&] { client = hub.connect(80); };
+  auto server = hub.accept(80);
+  ASSERT_TRUE(server.has_value());
+  ASSERT_TRUE(client.has_value());
+  EXPECT_EQ(scripted.waits, 2);
+
+  scripted.unblock = [&] { ASSERT_TRUE(client->send("ping").has_value()); };
+  EXPECT_EQ(server->recv(100).value(), "ping");
+  scripted.unblock = [&] { ASSERT_TRUE(server->send("pong").has_value()); };
+  EXPECT_EQ(client->recv(100).value(), "pong");
+  EXPECT_EQ(scripted.waits, 4);
+
+  // A condition that already holds never reaches the waiter.
+  ASSERT_TRUE(client->send("ready").has_value());
+  EXPECT_EQ(server->recv(100).value(), "ready");
+  EXPECT_TRUE(hub.wait_bound(80));
+  EXPECT_EQ(scripted.waits, 4);
+}
+
+TEST(SocketHub, AReleasedWaitFailsWithEintr) {
+  SocketHub hub;
+  int waits = 0;
+  hub.set_waiter([&waits](const std::function<bool()>&) {
+    ++waits;
+    return false;
+  });
+  EXPECT_FALSE(hub.wait_bound(80));
+  ASSERT_EQ(hub.bind(80), os::Errno::kOk);
+  auto refused = hub.accept(80);
+  ASSERT_FALSE(refused.has_value());
+  EXPECT_EQ(refused.error(), os::Errno::kEINTR);
+  auto client = hub.connect(80);
+  auto server = hub.accept(80);  // pending: no wait
+  ASSERT_TRUE(client.has_value() && server.has_value());
+  auto data = server->recv(100);
+  ASSERT_FALSE(data.has_value());
+  EXPECT_EQ(data.error(), os::Errno::kEINTR);
+  EXPECT_EQ(waits, 3);
+  EXPECT_FALSE(hub.is_shutdown());  // a released wait shuts nothing down
+}
+
+TEST(SocketHub, RemovingTheWaiterRestoresTheConditionVariables) {
+  SocketHub hub;
+  int waits = 0;
+  hub.set_waiter([&waits](const std::function<bool()>&) {
+    ++waits;
+    return false;
+  });
+  hub.set_waiter(nullptr);
+  NetResult<Connection> client = util::Unexpected<os::Errno>{os::Errno::kENOTCONN};
+  std::thread peer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_EQ(hub.bind(80), os::Errno::kOk);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    client = hub.connect(80);
+    ASSERT_TRUE(client.has_value());
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(client->send("late").has_value());
+  });
+  EXPECT_TRUE(hub.wait_bound(80));  // woken by the bind
+  auto server = hub.accept(80);     // woken by the connect
+  EXPECT_TRUE(server.has_value());
+  if (server) {
+    EXPECT_EQ(server->recv(100).value(), "late");  // woken by the send
+  }
+  peer.join();
+  EXPECT_EQ(waits, 0);
+}
+
+TEST(SocketHub, ConnectionsOutliveTheirHub) {
+  std::optional<Connection> client;
+  std::optional<Connection> server;
+  {
+    SocketHub hub;
+    ASSERT_EQ(hub.bind(80), os::Errno::kOk);
+    client = hub.connect(80).value();
+    server = hub.accept(80).value();
+  }
+  ASSERT_TRUE(client->send("after").has_value());
+  EXPECT_EQ(server->recv(100).value(), "after");
 }
 
 TEST(SocketHub, MultipleClientsQueueInOrder) {
