@@ -25,7 +25,7 @@ int main() {
     for (unsigned n = 1; n <= 4; ++n) {
       // N variants: N x compute, rendezvous on every syscall when N > 1.
       const double per_syscall_us =
-          model.syscall_overhead_us + (n > 1 ? model.rendezvous_us : 0.0);
+          model.syscall_check_us + (n > 1 ? model.rendezvous_us : 0.0);
       const double demand =
           n * model.cpu_ms + model.syscalls_per_request * per_syscall_us / 1000.0;
       const double visible =
@@ -84,7 +84,7 @@ int main() {
     for (std::size_t c = 1; c <= 3; ++c) table.align_right(c);
     double base = 0;
     for (const Step& step : steps) {
-      const double per_syscall_us = model.syscall_overhead_us + step.rendezvous_us;
+      const double per_syscall_us = model.syscall_check_us + step.rendezvous_us;
       const double demand = step.variants * model.cpu_ms * step.cpu_factor +
                             (model.syscalls_per_request + step.extra_syscalls) *
                                 per_syscall_us / 1000.0;

@@ -72,11 +72,6 @@ NVariantSystem::Builder& NVariantSystem::Builder::unshared(std::string path) {
   return *this;
 }
 
-NVariantSystem::Builder& NVariantSystem::Builder::pipeline(PipelineMode mode) {
-  options_.pipeline = mode;
-  return *this;
-}
-
 NVariantSystem::Builder& NVariantSystem::Builder::trace(
     std::shared_ptr<obs::TraceRecorder> recorder, std::uint32_t track,
     std::uint64_t parent_span) {
@@ -139,11 +134,7 @@ class NVariantSystem::VariantPort final : public vkernel::SyscallPort {
   VariantPort(NVariantSystem& system, unsigned variant) : system_(system), variant_(variant) {}
 
   SyscallResult syscall(const SyscallArgs& args) override {
-    return system_.variant_syscall(variant_, args);
-  }
-
-  std::vector<SyscallResult> syscall_batch(const vkernel::SyscallBatch& batch) override {
-    return system_.variant_syscall_batch(variant_, batch);
+    return system_.rendezvous_.exchange(variant_, args);
   }
 
  private:
@@ -155,12 +146,11 @@ NVariantSystem::NVariantSystem(NVariantOptions options)
     : options_(options),
       ctx_(fs_, hub_),
       rendezvous_(options.n_variants),
-      canonical_(options.n_variants),
-      lead_results_(options.n_variants) {
-  rendezvous_.set_batch_leader([this](std::span<const SyscallRendezvous::Calls> raw,
-                                      std::vector<std::vector<SyscallResult>>& out) {
-    lead_batch(raw, out);
-  });
+      canonical_(options.n_variants) {
+  rendezvous_.set_leader(
+      [this](std::span<const SyscallArgs* const> raw, std::span<SyscallResult> results) {
+        lead_impl(raw, results);
+      });
 }
 
 NVariantSystem::~NVariantSystem() {
@@ -324,8 +314,6 @@ RunReport NVariantSystem::collect_report() {
   report.attack_detected = monitor_.triggered();
   report.alarm = monitor_.first_alarm();
   report.syscall_rounds = rendezvous_.rounds_completed();
-  report.syscall_batches = rendezvous_.batches_completed();
-  report.async_completions = rendezvous_.async_completions();
   report.completed = true;
   for (const auto& proc : procs_) {
     report.completed = report.completed && proc->exited();
@@ -333,70 +321,6 @@ RunReport NVariantSystem::collect_report() {
   }
   if (report.attack_detected) report.completed = false;
   return report;
-}
-
-vkernel::SyscallResult NVariantSystem::variant_syscall(unsigned variant,
-                                                       const SyscallArgs& args) {
-  if (options_.pipeline == PipelineMode::kPipelined &&
-      vkernel::descriptor(args.no).batch == vkernel::BatchPolicy::kCompletion) {
-    return async_syscall(variant, args);
-  }
-  return rendezvous_.exchange(variant, args);
-}
-
-std::vector<vkernel::SyscallResult> NVariantSystem::variant_syscall_batch(
-    unsigned variant, const vkernel::SyscallBatch& batch) {
-  const std::span<const SyscallArgs> calls(batch.calls);
-  std::vector<SyscallResult> out;
-  out.reserve(calls.size());
-  const bool pipelined = options_.pipeline == PipelineMode::kPipelined;
-  std::size_t i = 0;
-  while (i < calls.size()) {
-    const auto& desc = vkernel::descriptor(calls[i].no);
-    if (pipelined && desc.batch == vkernel::BatchPolicy::kCompletion) {
-      out.push_back(async_syscall(variant, calls[i]));
-      ++i;
-      continue;
-    }
-    if (!pipelined || desc.batch != vkernel::BatchPolicy::kCoalesce) {
-      out.push_back(rendezvous_.exchange(variant, calls[i]));
-      ++i;
-      continue;
-    }
-    // Maximal run of same-class coalescible calls -> ONE barrier round, over
-    // a view of the guest's own batch. Splitting on the class boundary keeps
-    // the per-class trace timing and the leader's per-class policies exact.
-    std::size_t end = i + 1;
-    while (end < calls.size()) {
-      const auto& next = vkernel::descriptor(calls[end].no);
-      if (next.batch != vkernel::BatchPolicy::kCoalesce || next.cls != desc.cls) break;
-      ++end;
-    }
-    for (auto& result : rendezvous_.exchange_batch(variant, calls.subspan(i, end - i))) {
-      out.push_back(std::move(result));
-    }
-    i = end;
-  }
-  return out;
-}
-
-vkernel::SyscallResult NVariantSystem::async_syscall(unsigned variant, const SyscallArgs& args) {
-  // R⁻¹ on the issuing fiber, into this variant's scratch: no round can use
-  // it meanwhile, since a round needs this variant at its barrier. The
-  // rendezvous compares this canonical form against the published slot
-  // (later arrivers) or publishes it (claimer).
-  SyscallArgs& canonical = canonical_[variant];
-  canonical = args;
-  for (const auto& variation : variations_) variation->canonicalize_args(variant, canonical);
-  SyscallResult result = rendezvous_.complete_async(
-      variant, canonical, [this](const SyscallArgs& call) {
-        monitor_.note_syscall_checked();
-        return vkernel::execute_syscall(ctx_, *procs_[0], call);
-      });
-  for (const auto& variation : variations_) {
-    variation->reexpress_result(variant, canonical, result);
-  }
-  return result;
 }
 
 bool NVariantSystem::fd_is_shared(os::fd_t fd) const {
@@ -454,14 +378,14 @@ bool NVariantSystem::compare_canonical(const std::vector<SyscallArgs>& canonical
 }
 
 void NVariantSystem::execute_per_variant(const std::vector<SyscallArgs>& canonical,
-                                         std::vector<SyscallResult>& results) {
+                                         std::span<SyscallResult> results) {
   for (unsigned v = 0; v < options_.n_variants; ++v) {
     results[v] = vkernel::execute_syscall(ctx_, *procs_[v], canonical[v]);
   }
 }
 
 void NVariantSystem::execute_once(const SyscallArgs& call, bool mirror_fd,
-                                  std::vector<SyscallResult>& results) {
+                                  std::span<SyscallResult> results) {
   const SyscallResult once = vkernel::execute_syscall(ctx_, *procs_[0], call);
   if (mirror_fd && once.ok()) {
     // The new fd must appear in every variant's table at the same slot, all
@@ -472,59 +396,51 @@ void NVariantSystem::execute_once(const SyscallArgs& call, bool mirror_fd,
   std::fill(results.begin(), results.end(), once);
 }
 
-void NVariantSystem::lead_batch(std::span<const SyscallRendezvous::Calls> raw,
-                                std::vector<std::vector<SyscallResult>>& out) {
-  const std::size_t k = raw.empty() ? 0 : raw[0].size();
-
-  const auto run_positions = [&] {
-    for (std::size_t p = 0; p < k; ++p) {
-      if (rendezvous_.aborted()) break;  // mid-batch abort: stop executing
-      lead_impl(raw, p);
-      for (unsigned v = 0; v < options_.n_variants; ++v) out[v][p] = std::move(lead_results_[v]);
-    }
-  };
-
+void NVariantSystem::lead_impl(std::span<const SyscallArgs* const> raw,
+                               std::span<SyscallResult> results) {
   // Sampling gates ALL per-round trace work (bench_fleet_throughput's A/B
   // holds tracing to <= 5% on job p95): an unsampled round pays exactly one
-  // relaxed fetch_add. Timing is at BATCH granularity — one histogram
-  // observation and one event per round, however many calls it carried
-  // (kSyscallRound for a single call, kSyscallBatch with b = batch size for
-  // a coalesced run), measured on the recorder's injected clock (0-width
+  // relaxed fetch_add. A sampled round makes one histogram observation and
+  // one kSyscallRound event, timed on the recorder's injected clock (0-width
   // under ManualClock — deterministic, not wall-clock noise).
-  if (!trace_ || k == 0 || !trace_->sample_round(trace_track_)) {
-    run_positions();
-    return;
-  }
-  const auto cls = static_cast<std::size_t>(vkernel::sys_class(raw[0][0].no));
-  const auto start = trace_->now();
-  run_positions();
-  const auto elapsed_us =
-      std::chrono::duration<double, std::micro>(trace_->now() - start).count();
-  trace_->observe(class_histograms_[cls], elapsed_us);
-  trace_->record(trace_track_,
-                 k > 1 ? obs::TraceEventKind::kSyscallBatch : obs::TraceEventKind::kSyscallRound,
-                 0, trace_parent_, static_cast<std::uint64_t>(raw[0][0].no),
-                 k > 1 ? static_cast<std::uint64_t>(k) : static_cast<std::uint64_t>(cls));
-}
-
-void NVariantSystem::lead_impl(std::span<const SyscallRendezvous::Calls> raw,
-                               std::size_t position) {
-  const unsigned n = options_.n_variants;
-  std::vector<SyscallArgs>& canonical = canonical_;
-  std::vector<SyscallResult>& results = lead_results_;
+  const bool sampled = trace_ && trace_->sample_round(trace_track_);
+  const auto start = sampled ? trace_->now() : std::chrono::steady_clock::time_point{};
 
   // Step 1: canonicalize per variant — each variation applies R⁻¹_i to the
   // argument slots whose descriptor role it diversifies. The guest's own
   // call is copied into the reused scratch, never modified.
-  for (unsigned v = 0; v < n; ++v) {
-    canonical[v] = raw[v][position];
+  std::vector<SyscallArgs>& canonical = canonical_;
+  for (unsigned v = 0; v < options_.n_variants; ++v) {
+    canonical[v] = *raw[v];
     for (const auto& variation : variations_) variation->canonicalize_args(v, canonical[v]);
   }
 
-  // Step 2: compare canonicalized invocations (normal equivalence check).
-  if (!compare_canonical(canonical)) return;
+  // Step 2: compare canonicalized invocations (normal equivalence check). A
+  // mismatch has aborted the run, and nothing executes.
+  if (compare_canonical(canonical)) {
+    // Step 3: execute according to the descriptor's policy.
+    execute_canonical(canonical, results);
+    // Step 4: reexpress trusted role-carrying results per variant (R_i on
+    // getuid-family values, uid_value echoes, ...).
+    for (unsigned v = 0; v < options_.n_variants; ++v) {
+      for (const auto& variation : variations_) {
+        variation->reexpress_result(v, canonical[v], results[v]);
+      }
+    }
+  }
 
-  // Step 3: execute according to the descriptor's policy.
+  if (!sampled) return;
+  const auto cls = static_cast<std::size_t>(vkernel::sys_class(raw[0]->no));
+  const auto elapsed_us =
+      std::chrono::duration<double, std::micro>(trace_->now() - start).count();
+  trace_->observe(class_histograms_[cls], elapsed_us);
+  trace_->record(trace_track_, obs::TraceEventKind::kSyscallRound, 0, trace_parent_,
+                 static_cast<std::uint64_t>(raw[0]->no), static_cast<std::uint64_t>(cls));
+}
+
+void NVariantSystem::execute_canonical(const std::vector<SyscallArgs>& canonical,
+                                       std::span<SyscallResult> results) {
+  const unsigned n = options_.n_variants;
   const SyscallArgs& call = canonical[0];
   const auto& desc = vkernel::descriptor(call.no);
   switch (desc.exec) {
@@ -583,18 +499,10 @@ void NVariantSystem::lead_impl(std::span<const SyscallRendezvous::Calls> raw,
       break;
     }
   }
-
-  // Step 4: reexpress trusted role-carrying results per variant (R_i on
-  // getuid-family values, uid_value echoes, ...).
-  for (unsigned v = 0; v < n; ++v) {
-    for (const auto& variation : variations_) {
-      variation->reexpress_result(v, canonical[v], results[v]);
-    }
-  }
 }
 
 void NVariantSystem::lead_open(const std::vector<SyscallArgs>& canonical,
-                               std::vector<SyscallResult>& results) {
+                               std::span<SyscallResult> results) {
   const unsigned n = options_.n_variants;
   const std::string path = vfs::normalize_path(canonical[0].strs.at(0));
   const auto flags = static_cast<os::OpenFlags>(canonical[0].ints.at(0));
@@ -628,10 +536,9 @@ void NVariantSystem::lead_open(const std::vector<SyscallArgs>& canonical,
 }
 
 void NVariantSystem::lead_detection(const std::vector<SyscallArgs>& canonical,
-                                    std::vector<SyscallResult>& results) {
+                                    std::span<SyscallResult> results) {
   const unsigned n = options_.n_variants;
   monitor_.note_detection_check();
-  std::fill(results.begin(), results.end(), SyscallResult{});  // reused scratch: reset
   ctx_.count_syscall();
   switch (canonical[0].no) {
     case Sys::kUidValue:

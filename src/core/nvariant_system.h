@@ -43,19 +43,11 @@
 
 namespace nv::core {
 
-/// Whether the monitor may relax the per-call barrier per the descriptor
-/// table's BatchPolicy. kLockstep forces a full barrier for EVERY call (the
-/// paper's original §3.1 semantics, and the A/B baseline for
-/// bench_syscall_overhead); kPipelined is the default: completion-class
-/// calls go through the async ring and coalescible batches share one round.
-enum class PipelineMode : std::uint8_t { kLockstep, kPipelined };
-
 struct NVariantOptions {
   unsigned n_variants = 2;
   /// Default base for variant data segments when no variation overrides it.
   std::uint64_t default_memory_base = 0x10000000;
   std::uint64_t default_memory_size = 1 << 20;
-  PipelineMode pipeline = PipelineMode::kPipelined;
 };
 
 /// Outcome of a complete N-variant run.
@@ -64,12 +56,15 @@ struct RunReport {
   bool attack_detected = false;  // the monitor raised at least one alarm
   std::optional<Alarm> alarm;
   std::vector<int> exit_codes;
-  /// Barrier rounds (a coalesced batch counts once — this is the number of
-  /// times all variants synchronized, not the number of calls).
+  /// Barrier rounds: one per call, since every call meets its peers.
   std::uint64_t syscall_rounds = 0;
-  /// Barrier rounds that carried more than one call.
+  /// Always 0: no round carries more than one call. Kept only because the
+  /// fleet benchmark reads it; it goes together with that benchmark's
+  /// `core.batches_per_job` metric (ROADMAP.md, direction 3).
   std::uint64_t syscall_batches = 0;
-  /// Calls that completed through the async completion ring (no barrier).
+  /// Always 0: no call completes without a barrier. Kept only because the
+  /// fleet benchmark reads it; it goes together with that benchmark's
+  /// `core.async_per_job` metric (ROADMAP.md, direction 3).
   std::uint64_t async_completions = 0;
 };
 
@@ -103,9 +98,6 @@ class NVariantSystem {
     Builder& variation(VariationPtr variation);
     /// Mark a path unshared even without a variation requesting it.
     Builder& unshared(std::string path);
-    /// Barrier relaxation mode (default kPipelined; kLockstep restores the
-    /// per-call barrier everywhere — the bench baseline).
-    Builder& pipeline(PipelineMode mode);
     /// Attach structured tracing: every lead() records its per-syscall-class
     /// latency into `recorder`'s histograms and emits sampled kSyscallRound
     /// events on `track`, parented to `parent_span` (the session's draw span
@@ -196,36 +188,25 @@ class NVariantSystem {
   void run_variants(const VariantBody& body, const SyscallRendezvous::ClientFn& client = nullptr);
   /// One variant's fiber: its guest, then alarm bookkeeping on the way out.
   void run_variant(unsigned variant, const VariantBody& body);
-  [[nodiscard]] vkernel::SyscallResult variant_syscall(unsigned variant,
-                                                       const vkernel::SyscallArgs& args);
-  /// Guest-issued batch: completion-class calls peel off to the async ring,
-  /// maximal same-class kCoalesce runs share one barrier round, everything
-  /// else falls back to a per-call exchange.
-  [[nodiscard]] std::vector<vkernel::SyscallResult> variant_syscall_batch(
-      unsigned variant, const vkernel::SyscallBatch& batch);
-  /// Completion-ring path: canonicalize here (the caller's fiber) into the
-  /// variant's scratch, then publish/consume through the rendezvous without a
-  /// barrier.
-  [[nodiscard]] vkernel::SyscallResult async_syscall(unsigned variant,
-                                                     const vkernel::SyscallArgs& args);
-  /// Batch leader (rendezvous BatchLeaderFn): tracing at batch granularity
-  /// around one lead_impl() per position.
-  void lead_batch(std::span<const SyscallRendezvous::Calls> raw,
-                  std::vector<std::vector<vkernel::SyscallResult>>& out);
-  /// The actual canonicalize/compare/execute/reexpress pipeline for batch
-  /// position `position` (raw[v][position] per variant), into lead_results_.
-  void lead_impl(std::span<const SyscallRendezvous::Calls> raw, std::size_t position);
+  /// The rendezvous leader (SyscallRendezvous::LeaderFn): one
+  /// canonicalize/compare/execute/reexpress pass over the variants' calls,
+  /// with its trace sampling.
+  void lead_impl(std::span<const vkernel::SyscallArgs* const> raw,
+                 std::span<vkernel::SyscallResult> results);
   [[nodiscard]] RunReport collect_report();
 
   // Leader-side execution helpers (run on the leading variant's fiber).
+  /// Step 3 of the pass: execute by the descriptor's policy.
+  void execute_canonical(const std::vector<vkernel::SyscallArgs>& canonical,
+                         std::span<vkernel::SyscallResult> results);
   void execute_per_variant(const std::vector<vkernel::SyscallArgs>& canonical,
-                           std::vector<vkernel::SyscallResult>& results);
+                           std::span<vkernel::SyscallResult> results);
   void execute_once(const vkernel::SyscallArgs& call, bool mirror_fd,
-                    std::vector<vkernel::SyscallResult>& results);
+                    std::span<vkernel::SyscallResult> results);
   void lead_open(const std::vector<vkernel::SyscallArgs>& canonical,
-                 std::vector<vkernel::SyscallResult>& results);
+                 std::span<vkernel::SyscallResult> results);
   void lead_detection(const std::vector<vkernel::SyscallArgs>& canonical,
-                      std::vector<vkernel::SyscallResult>& results);
+                      std::span<vkernel::SyscallResult> results);
   [[nodiscard]] bool compare_canonical(const std::vector<vkernel::SyscallArgs>& canonical);
   [[nodiscard]] bool fd_is_shared(os::fd_t fd) const;
   [[nodiscard]] static std::optional<os::fd_t> routed_fd(const vkernel::SyscallArgs& call);
@@ -245,11 +226,8 @@ class NVariantSystem {
   std::vector<std::unique_ptr<vkernel::Process>> procs_;
   std::vector<bool> shared_fds_;  // slot -> shared? (kept slot-synchronized)
   SyscallRendezvous rendezvous_;
-  /// Per-variant scratch, reused by every round: each call's canonical form
-  /// (a round's, or a variant's own completion-slot call while it is not at
-  /// a barrier) and one batch position's results.
+  /// Per-variant scratch, reused by every round: the round's canonical calls.
   std::vector<vkernel::SyscallArgs> canonical_;
-  std::vector<vkernel::SyscallResult> lead_results_;
   bool sealed_ = false;
 
   /// Structured tracing (Builder::trace): per-syscall-class lead() latency

@@ -722,8 +722,6 @@ void VariantFleet::run_job(unsigned lane, PendingJob job) {
 
   telemetry_.record_latency(lane, static_cast<double>(latency.count()));
   telemetry_.add_syscall_rounds(outcome.report.syscall_rounds);
-  telemetry_.add_syscall_batches(outcome.report.syscall_batches);
-  telemetry_.add_async_completions(outcome.report.async_completions);
   if (!outcome.error.empty()) {
     telemetry_.note_job_error();
   } else if (outcome.report.attack_detected) {

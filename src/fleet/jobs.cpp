@@ -21,22 +21,9 @@ class UidChurnGuest final : public guest::GuestProgram {
     for (unsigned i = 0; i < rounds_; ++i) {
       const os::uid_t worker = ctx.uid_const(1000 + (i % 7));
       if (ctx.seteuid(worker) != os::Errno::kOk) ctx.exit(1);
-      // The detection pair rides ONE coalesced rendezvous round: both checks
-      // are detection-class calls, so the pipeline compares and executes
-      // them in a single cross-variant barrier instead of two.
       const os::uid_t euid = ctx.geteuid();
-      vkernel::SyscallBatch checks;
-      vkernel::SyscallArgs uid_value;
-      uid_value.no = vkernel::Sys::kUidValue;
-      uid_value.ints = {euid};
-      checks.calls.push_back(std::move(uid_value));
-      vkernel::SyscallArgs not_root;
-      not_root.no = vkernel::Sys::kCcCmp;
-      not_root.ints = {static_cast<std::uint64_t>(vkernel::CcOp::kNeq), euid,
-                       ctx.uid_const(0)};
-      checks.calls.push_back(std::move(not_root));
-      const auto verdicts = ctx.raw_syscall_batch(checks);
-      if (verdicts.size() != 2 || verdicts[1].value == 0) ctx.exit(2);
+      (void)ctx.uid_value(euid);
+      if (!ctx.cc(vkernel::CcOp::kNeq, euid, ctx.uid_const(0))) ctx.exit(2);
       if (ctx.seteuid(ctx.uid_const(0)) != os::Errno::kOk) ctx.exit(3);
     }
     ctx.exit(0);

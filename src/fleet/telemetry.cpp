@@ -39,8 +39,6 @@ FleetSnapshot FleetTelemetry::snapshot() const {
   snap.policy_tightened = policy_tightened_.load(std::memory_order_relaxed);
   snap.policy_decayed = policy_decayed_.load(std::memory_order_relaxed);
   snap.syscall_rounds = syscall_rounds_.load(std::memory_order_relaxed);
-  snap.syscall_batches = syscall_batches_.load(std::memory_order_relaxed);
-  snap.async_completions = async_completions_.load(std::memory_order_relaxed);
   snap.keys_total = keys_total_.load(std::memory_order_relaxed);
   snap.keys_remaining = keys_remaining_.load(std::memory_order_relaxed);
   {
@@ -74,7 +72,7 @@ std::string FleetSnapshot::describe() const {
       "sessions: %llu quarantined, %llu respawned, %llu rotated (%llu rotations failed) | "
       "keyspace: %s | "
       "%llu campaign alerts (%llu remote) | adaptive: %llu tightened, %llu decayed | "
-      "%llu syscall rounds (%llu batched, %llu async) | "
+      "%llu syscall rounds | "
       "latency us: p50 %.0f, p95 %.0f, p99 %.0f (n=%zu)",
       static_cast<unsigned long long>(jobs_submitted),
       static_cast<unsigned long long>(jobs_completed),
@@ -95,9 +93,7 @@ std::string FleetSnapshot::describe() const {
       static_cast<unsigned long long>(remote_campaigns),
       static_cast<unsigned long long>(policy_tightened),
       static_cast<unsigned long long>(policy_decayed),
-      static_cast<unsigned long long>(syscall_rounds),
-      static_cast<unsigned long long>(syscall_batches),
-      static_cast<unsigned long long>(async_completions), latency_p50_us, latency_p95_us,
+      static_cast<unsigned long long>(syscall_rounds), latency_p50_us, latency_p95_us,
       latency_p99_us, latency_count);
 }
 

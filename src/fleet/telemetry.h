@@ -45,8 +45,6 @@ struct FleetSnapshot {
   std::uint64_t policy_tightened = 0;  // adaptive steps away from the baseline policy
   std::uint64_t policy_decayed = 0;    // adaptive steps back toward the baseline
   std::uint64_t syscall_rounds = 0;  // rendezvous barrier rounds across all sessions
-  std::uint64_t syscall_batches = 0;  // barrier rounds that carried >1 coalesced call
-  std::uint64_t async_completions = 0;  // calls completed via the async ring (no barrier)
   std::uint64_t trace_drops = 0;  // trace events lost to ring overflow (obs/trace.h)
 
   // Backpressure gauge: the deepest total queue depth any submission ever
@@ -120,12 +118,6 @@ class FleetTelemetry {
   void add_syscall_rounds(std::uint64_t rounds) noexcept {
     syscall_rounds_.fetch_add(rounds, std::memory_order_relaxed);
   }
-  void add_syscall_batches(std::uint64_t batches) noexcept {
-    syscall_batches_.fetch_add(batches, std::memory_order_relaxed);
-  }
-  void add_async_completions(std::uint64_t completions) noexcept {
-    async_completions_.fetch_add(completions, std::memory_order_relaxed);
-  }
   /// Gauge update (thread-safe): the fleet refreshes this after every draw
   /// the SessionFactory makes, so operators watch the unique-key budget drain
   /// in the same snapshot as the counters that drain it.
@@ -177,8 +169,6 @@ class FleetTelemetry {
   std::atomic<std::uint64_t> policy_tightened_{0};
   std::atomic<std::uint64_t> policy_decayed_{0};
   std::atomic<std::uint64_t> syscall_rounds_{0};
-  std::atomic<std::uint64_t> syscall_batches_{0};
-  std::atomic<std::uint64_t> async_completions_{0};
   std::atomic<std::uint64_t> keys_total_{0};
   std::atomic<std::uint64_t> keys_remaining_{0};
   mutable util::Mutex trace_mutex_;

@@ -47,25 +47,6 @@ SysResult<std::size_t> GuestContext::write(os::fd_t fd, std::string_view data) {
   return static_cast<std::size_t>(r.value);
 }
 
-SysResult<std::size_t> GuestContext::write_batch(os::fd_t fd,
-                                                 const std::vector<std::string_view>& chunks) {
-  vkernel::SyscallBatch batch;
-  batch.calls.reserve(chunks.size());
-  for (const auto chunk : chunks) {
-    SyscallArgs args;
-    args.no = Sys::kWrite;
-    args.ints = {static_cast<std::uint64_t>(fd)};
-    args.strs = {std::string(chunk)};
-    batch.calls.push_back(std::move(args));
-  }
-  std::size_t total = 0;
-  for (const SyscallResult& r : raw_syscall_batch(batch)) {
-    if (!r.ok()) return sys_fail(r.err);
-    total += static_cast<std::size_t>(r.value);
-  }
-  return total;
-}
-
 SysResult<std::uint64_t> GuestContext::seek(os::fd_t fd, std::uint64_t offset) {
   SyscallArgs args;
   args.no = Sys::kSeek;

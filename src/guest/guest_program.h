@@ -54,16 +54,11 @@ class GuestContext {
   }
 
   // --- raw syscall --------------------------------------------------------
+  /// One syscall. Under the MVEE every call is one barrier round: it returns
+  /// once every variant has issued its call and the monitor has compared and
+  /// executed them.
   [[nodiscard]] vkernel::SyscallResult raw_syscall(vkernel::SyscallArgs args) {
     return port_.syscall(std::move(args));
-  }
-  /// Issue several calls as one batch. Under the MVEE, consecutive calls of
-  /// the same class share a single rendezvous barrier (the descriptor
-  /// table's BatchPolicy decides eligibility); results are positional and
-  /// identical to issuing the calls one by one.
-  [[nodiscard]] std::vector<vkernel::SyscallResult> raw_syscall_batch(
-      const vkernel::SyscallBatch& batch) {
-    return port_.syscall_batch(batch);
   }
 
   // --- files ---------------------------------------------------------------
@@ -72,11 +67,6 @@ class GuestContext {
   [[nodiscard]] os::Errno close(os::fd_t fd);
   [[nodiscard]] SysResult<std::string> read(os::fd_t fd, std::size_t count);
   [[nodiscard]] SysResult<std::size_t> write(os::fd_t fd, std::string_view data);
-  /// Write several chunks to `fd` in one batched exchange (one rendezvous
-  /// round under the MVEE instead of chunks.size()). Returns the total bytes
-  /// written, or the first chunk's error.
-  [[nodiscard]] SysResult<std::size_t> write_batch(os::fd_t fd,
-                                                   const std::vector<std::string_view>& chunks);
   [[nodiscard]] SysResult<std::uint64_t> seek(os::fd_t fd, std::uint64_t offset);
   [[nodiscard]] SysResult<vfs::Stat> stat(std::string_view path);
   [[nodiscard]] os::Errno unlink(std::string_view path);

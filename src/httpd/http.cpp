@@ -40,18 +40,12 @@ std::string_view status_text(int status) noexcept {
   }
 }
 
-std::string format_response_head(int status, std::size_t body_size,
-                                 std::string_view content_type) {
+std::string format_response(int status, std::string_view body, std::string_view content_type) {
   std::string out = util::format("HTTP/1.0 %d %s\r\n", status,
                                  std::string(status_text(status)).c_str());
   out += util::format("Content-Type: %s\r\n", std::string(content_type).c_str());
-  out += util::format("Content-Length: %zu\r\n", body_size);
+  out += util::format("Content-Length: %zu\r\n", body.size());
   out += "Connection: close\r\n\r\n";
-  return out;
-}
-
-std::string format_response(int status, std::string_view body, std::string_view content_type) {
-  std::string out = format_response_head(status, body.size(), content_type);
   out += body;
   return out;
 }

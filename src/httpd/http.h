@@ -26,12 +26,6 @@ struct HttpRequest {
 [[nodiscard]] std::string format_response(int status, std::string_view body,
                                           std::string_view content_type = "text/plain");
 
-/// Just the head (start line + headers + blank line) for a body of
-/// `body_size` bytes: servers write head and body as separate chunks of one
-/// batched write instead of concatenating them into a fresh string.
-[[nodiscard]] std::string format_response_head(int status, std::size_t body_size,
-                                               std::string_view content_type = "text/plain");
-
 [[nodiscard]] std::string_view status_text(int status) noexcept;
 
 /// Build a request head (used by clients / workload generators).

@@ -134,10 +134,7 @@ void MiniHttpd::serve_request(GuestContext& ctx, UidOps& ops, ServerState& state
     log_error(ctx, state, "file not found: " + request.path);
     return;
   }
-  // Head and body go out as one batched write: a single rendezvous round
-  // under the MVEE, and no head+body concatenation copy.
-  (void)ctx.write_batch(conn,
-                        {format_response_head(200, content->size(), "text/html"), *content});
+  (void)ctx.write(conn, format_response(200, *content, "text/html"));
 }
 
 void MiniHttpd::serve_protected(GuestContext& ctx, UidOps& ops, ServerState& state, os::fd_t conn,
@@ -170,8 +167,7 @@ void MiniHttpd::serve_protected(GuestContext& ctx, UidOps& ops, ServerState& sta
     log_error(ctx, state, "protected file missing: " + request.path);
     return;
   }
-  (void)ctx.write_batch(conn,
-                        {format_response_head(200, content->size(), "text/plain"), *content});
+  (void)ctx.write(conn, format_response(200, *content, "text/plain"));
 }
 
 void MiniHttpd::log_error(GuestContext& ctx, ServerState& state, std::string_view message) {

@@ -83,8 +83,6 @@ void expose_fleet(std::string& out, std::set<std::string>& typed,
   c("policy_tightened", snap.policy_tightened);
   c("policy_decayed", snap.policy_decayed);
   c("syscall_rounds", snap.syscall_rounds);
-  c("syscall_batches", snap.syscall_batches);
-  c("async_completions", snap.async_completions);
   c("trace_drops", snap.trace_drops);
   g("keys_total", static_cast<double>(snap.keys_total));
   g("keys_remaining", static_cast<double>(snap.keys_remaining));

@@ -40,7 +40,6 @@ std::string_view to_string(TraceEventKind kind) noexcept {
     case TraceEventKind::kGossipPublish: return "gossip_publish";
     case TraceEventKind::kGossipDeliver: return "gossip_deliver";
     case TraceEventKind::kClusterTick: return "cluster_tick";
-    case TraceEventKind::kSyscallBatch: return "syscall_batch";
     case TraceEventKind::kJobShed: return "job_shed";
     case TraceEventKind::kJobDeadlineDropped: return "job_deadline_dropped";
   }

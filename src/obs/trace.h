@@ -85,7 +85,6 @@ enum class TraceEventKind : std::uint8_t {
   kGossipPublish,      // locally-raised alert entered the bus
   kGossipDeliver,      // bus handed the alert to a subscriber shard
   kClusterTick,        // FleetCluster::tick() housekeeping pass
-  kSyscallBatch,       // sampled multi-call rendezvous round (b = batch size)
   kJobShed,            // submit refused at capacity (503-style, AdmissionPolicy)
   kJobDeadlineDropped, // admitted job expired in queue; dropped unserved at pop
 };
@@ -205,10 +204,10 @@ class TraceRecorder {
   [[nodiscard]] std::uint64_t kind_mask() const noexcept {
     return kind_mask_.load(std::memory_order_relaxed);
   }
-  /// Replace the kSyscallRound/kSyscallBatch sampling stride (1 = keep every
-  /// round, 0 = drop all). The fleet drops this to 1 on a campaign alert so
-  /// the attacked shard's traces go fine-grained exactly when the
-  /// investigation needs them.
+  /// Replace the kSyscallRound sampling stride (1 = keep every round, 0 =
+  /// drop all). The fleet drops this to 1 on a campaign alert so the
+  /// attacked shard's traces go fine-grained exactly when the investigation
+  /// needs them.
   void set_syscall_round_sample(std::uint32_t stride) noexcept {
     round_sample_.store(stride, std::memory_order_relaxed);
   }

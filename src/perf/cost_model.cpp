@@ -28,7 +28,7 @@ double CostModel::demand_ms(ServerSetup setup) const noexcept {
   const int n = variants(setup);
   double cpu = cpu_ms;
   int syscalls = syscalls_per_request;
-  double per_syscall_us = syscall_overhead_us;
+  double per_syscall_us = syscall_check_us;
   switch (setup) {
     case ServerSetup::kUnmodified:
       break;

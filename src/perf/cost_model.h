@@ -48,7 +48,7 @@ struct CostModel {
   // Calibrated against configuration 1 of Table 3.
   double cpu_ms = 1.035;            // user+kernel CPU per request, one variant
   double io_ms = 4.73;              // once-per-request I/O latency (overlapped)
-  double syscall_overhead_us = 2.0; // wrapper check per syscall (plain)
+  double syscall_check_us = 2.0;    // wrapper check per syscall (plain)
   int syscalls_per_request = 24;
   double rendezvous_us = 15.0;      // added per syscall in 2-variant mode
   double transform_factor = 1.005;  // config 2/4 CPU multiplier

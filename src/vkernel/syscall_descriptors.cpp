@@ -21,7 +21,6 @@ constexpr SyscallDescriptor row(Sys no, std::string_view name, SysClass cls, Exe
                                 Roles roles = {}, ArgRole str0 = R::kNone,
                                 ArgRole result = R::kNone,
                                 MismatchKind mismatch = MismatchKind::kArgument,
-                                BatchPolicy batch = BatchPolicy::kBarrier,
                                 ExecPolicy missing_fd_exec = ExecPolicy::kOnce) {
   SyscallDescriptor d;
   d.no = no;
@@ -33,95 +32,79 @@ constexpr SyscallDescriptor row(Sys no, std::string_view name, SysClass cls, Exe
   d.str0_role = str0;
   d.result_role = result;
   d.mismatch = mismatch;
-  d.batch = batch;
   d.missing_fd_exec = missing_fd_exec;
   return d;
 }
 
-constexpr BatchPolicy kBarrier = BatchPolicy::kBarrier;
-constexpr BatchPolicy kCoalesce = BatchPolicy::kCoalesce;
-constexpr BatchPolicy kCompletion = BatchPolicy::kCompletion;
-constexpr MismatchKind kArgMismatch = MismatchKind::kArgument;
-
 // clang-format off
-//
-// BatchPolicy assignments: open/socket/bind/listen/accept allocate or mirror
-// fd-table slots and poll_event consumes the shared event queue — their
-// ordering against everything else matters, so they keep the full per-call
-// barrier. stat stays kBarrier because a path-routed call may resolve per
-// variant (§3.4), which a shared completion slot cannot express. getpid and
-// gettime are the argument-free read-only input calls: pure completion-slot
-// candidates. Everything else is coalescible — batching merely merges K
-// consecutive barrier rounds into one, each position still fully checked.
 constexpr std::array<SyscallDescriptor, kSysCount> kTable = {{
     // Files
     row(Sys::kOpen,      "open",      SysClass::kOpen,       ExecPolicy::kOpen,
-        ints(R::kFlags, R::kMode), R::kPath, R::kFd, kArgMismatch, kBarrier),
+        ints(R::kFlags, R::kMode), R::kPath, R::kFd),
     row(Sys::kClose,     "close",     SysClass::kPerVariant, ExecPolicy::kPerVariant,
-        ints(R::kFd), R::kNone, R::kNone, kArgMismatch, kCoalesce),
+        ints(R::kFd), R::kNone, R::kNone),
     row(Sys::kRead,      "read",      SysClass::kInput,      ExecPolicy::kFdRouted,
-        ints(R::kFd, R::kOffset), R::kNone, R::kNone, kArgMismatch, kCoalesce),
+        ints(R::kFd, R::kOffset), R::kNone, R::kNone),
     row(Sys::kWrite,     "write",     SysClass::kOutput,     ExecPolicy::kFdRouted,
-        ints(R::kFd), R::kPayload, R::kNone, kArgMismatch, kCoalesce),
+        ints(R::kFd), R::kPayload, R::kNone),
     row(Sys::kSeek,      "seek",      SysClass::kPerVariant, ExecPolicy::kFdRouted,
-        ints(R::kFd, R::kOffset), R::kNone, R::kNone, kArgMismatch, kCoalesce,
+        ints(R::kFd, R::kOffset), R::kNone, R::kNone, MismatchKind::kArgument,
         ExecPolicy::kPerVariant),
     row(Sys::kStat,      "stat",      SysClass::kInput,      ExecPolicy::kPathRouted,
-        ints(), R::kPath, R::kNone, kArgMismatch, kBarrier),
+        ints(), R::kPath, R::kNone),
     row(Sys::kUnlink,    "unlink",    SysClass::kPerVariant, ExecPolicy::kOnce,
-        ints(), R::kPath, R::kNone, kArgMismatch, kCoalesce),
+        ints(), R::kPath, R::kNone),
     row(Sys::kMkdir,     "mkdir",     SysClass::kPerVariant, ExecPolicy::kOnce,
-        ints(R::kMode), R::kPath, R::kNone, kArgMismatch, kCoalesce),
+        ints(R::kMode), R::kPath, R::kNone),
     // Credentials (the UID variation's target interface, §3.5)
     row(Sys::kGetuid,    "getuid",    SysClass::kPerVariant, ExecPolicy::kPerVariant,
-        ints(), R::kNone, R::kUid, kArgMismatch, kCoalesce),
+        ints(), R::kNone, R::kUid),
     row(Sys::kGeteuid,   "geteuid",   SysClass::kPerVariant, ExecPolicy::kPerVariant,
-        ints(), R::kNone, R::kUid, kArgMismatch, kCoalesce),
+        ints(), R::kNone, R::kUid),
     row(Sys::kGetgid,    "getgid",    SysClass::kPerVariant, ExecPolicy::kPerVariant,
-        ints(), R::kNone, R::kUid, kArgMismatch, kCoalesce),
+        ints(), R::kNone, R::kUid),
     row(Sys::kGetegid,   "getegid",   SysClass::kPerVariant, ExecPolicy::kPerVariant,
-        ints(), R::kNone, R::kUid, kArgMismatch, kCoalesce),
+        ints(), R::kNone, R::kUid),
     row(Sys::kSetuid,    "setuid",    SysClass::kPerVariant, ExecPolicy::kPerVariant,
-        ints(R::kUid), R::kNone, R::kNone, kArgMismatch, kCoalesce),
+        ints(R::kUid), R::kNone, R::kNone),
     row(Sys::kSeteuid,   "seteuid",   SysClass::kPerVariant, ExecPolicy::kPerVariant,
-        ints(R::kUid), R::kNone, R::kNone, kArgMismatch, kCoalesce),
+        ints(R::kUid), R::kNone, R::kNone),
     row(Sys::kSetreuid,  "setreuid",  SysClass::kPerVariant, ExecPolicy::kPerVariant,
-        ints(R::kUid, R::kUid), R::kNone, R::kNone, kArgMismatch, kCoalesce),
+        ints(R::kUid, R::kUid), R::kNone, R::kNone),
     row(Sys::kSetresuid, "setresuid", SysClass::kPerVariant, ExecPolicy::kPerVariant,
-        ints(R::kUid, R::kUid, R::kUid), R::kNone, R::kNone, kArgMismatch, kCoalesce),
+        ints(R::kUid, R::kUid, R::kUid), R::kNone, R::kNone),
     row(Sys::kSetgid,    "setgid",    SysClass::kPerVariant, ExecPolicy::kPerVariant,
-        ints(R::kUid), R::kNone, R::kNone, kArgMismatch, kCoalesce),
+        ints(R::kUid), R::kNone, R::kNone),
     row(Sys::kSetegid,   "setegid",   SysClass::kPerVariant, ExecPolicy::kPerVariant,
-        ints(R::kUid), R::kNone, R::kNone, kArgMismatch, kCoalesce),
+        ints(R::kUid), R::kNone, R::kNone),
     row(Sys::kSetgroups, "setgroups", SysClass::kPerVariant, ExecPolicy::kPerVariant,
-        all_ints(R::kUid), R::kNone, R::kNone, kArgMismatch, kCoalesce),
+        all_ints(R::kUid), R::kNone, R::kNone),
     // Network: socket objects must stay identical across variants, so setup
     // executes once; accept's new connection fd is mirrored into every table.
     row(Sys::kSocket,    "socket",    SysClass::kPerVariant, ExecPolicy::kOnceMirrorFd,
-        ints(), R::kNone, R::kFd, kArgMismatch, kBarrier),
+        ints(), R::kNone, R::kFd),
     row(Sys::kBind,      "bind",      SysClass::kPerVariant, ExecPolicy::kOnce,
-        ints(R::kFd, R::kPort), R::kNone, R::kNone, kArgMismatch, kBarrier),
+        ints(R::kFd, R::kPort), R::kNone, R::kNone),
     row(Sys::kListen,    "listen",    SysClass::kPerVariant, ExecPolicy::kOnce,
-        ints(R::kFd), R::kNone, R::kNone, kArgMismatch, kBarrier),
+        ints(R::kFd), R::kNone, R::kNone),
     row(Sys::kAccept,    "accept",    SysClass::kInput,      ExecPolicy::kOnceMirrorFd,
-        ints(R::kFd), R::kNone, R::kFd, kArgMismatch, kBarrier),
+        ints(R::kFd), R::kNone, R::kFd),
     // Misc
     row(Sys::kGetpid,    "getpid",    SysClass::kInput,      ExecPolicy::kOnce,
-        ints(), R::kNone, R::kNone, kArgMismatch, kCompletion),
+        ints(), R::kNone, R::kNone),
     row(Sys::kGettime,   "gettime",   SysClass::kInput,      ExecPolicy::kOnce,
-        ints(), R::kNone, R::kNone, kArgMismatch, kCompletion),
+        ints(), R::kNone, R::kNone),
     row(Sys::kExit,      "exit",      SysClass::kExit,       ExecPolicy::kExit,
-        ints(R::kExitCode), R::kNone, R::kNone, kArgMismatch, kBarrier),
+        ints(R::kExitCode), R::kNone, R::kNone),
     row(Sys::kPollEvent, "poll_event", SysClass::kInput,     ExecPolicy::kOnce,
-        ints(), R::kNone, R::kNone, kArgMismatch, kBarrier),
+        ints(), R::kNone, R::kNone),
     // Detection syscalls introduced by the paper (Table 2)
     row(Sys::kUidValue,  "uid_value", SysClass::kDetection,  ExecPolicy::kDetection,
-        ints(R::kUid), R::kNone, R::kUid, MismatchKind::kUidCheck, kCoalesce),
+        ints(R::kUid), R::kNone, R::kUid, MismatchKind::kUidCheck),
     row(Sys::kCondChk,   "cond_chk",  SysClass::kDetection,  ExecPolicy::kDetection,
-        ints(R::kCond), R::kNone, R::kCond, MismatchKind::kCondition, kCoalesce),
+        ints(R::kCond), R::kNone, R::kCond, MismatchKind::kCondition),
     row(Sys::kCcCmp,     "cc_cmp",    SysClass::kDetection,  ExecPolicy::kDetection,
-        ints(R::kCcOp, R::kUid, R::kUid), R::kNone, R::kCond, MismatchKind::kUidCheck,
-        kCoalesce),
+        ints(R::kCcOp, R::kUid, R::kUid), R::kNone, R::kCond, MismatchKind::kUidCheck),
 }};
 // clang-format on
 
@@ -169,15 +152,6 @@ std::string_view arg_role_name(ArgRole role) noexcept {
     case ArgRole::kExitCode: return "exit-code";
   }
   return "role?";
-}
-
-std::string_view batch_policy_name(BatchPolicy policy) noexcept {
-  switch (policy) {
-    case BatchPolicy::kBarrier: return "barrier";
-    case BatchPolicy::kCoalesce: return "coalesce";
-    case BatchPolicy::kCompletion: return "completion";
-  }
-  return "policy?";
 }
 
 }  // namespace nv::vkernel

@@ -8,6 +8,10 @@
 // monitor's alarm classification are all driven from this table — a new
 // variation registers transformers for the roles it diversifies instead of
 // pattern-matching raw SyscallArgs, and a new syscall is one table row.
+//
+// The table says how the leader treats a call once every variant has issued
+// it, never whether a call waits for its peers: under the MVEE each call is
+// one barrier round (§3.1), compared before anything executes.
 #ifndef NV_VKERNEL_SYSCALL_DESCRIPTORS_H
 #define NV_VKERNEL_SYSCALL_DESCRIPTORS_H
 
@@ -61,30 +65,6 @@ enum class MismatchKind : std::uint8_t {
   kCondition,  // cond_chk disagreement
 };
 
-/// How the pipelined rendezvous may relax the per-call lockstep barrier for
-/// this syscall. Divergence detection is never skipped — the policies only
-/// change WHEN the cross-variant comparison happens.
-enum class BatchPolicy : std::uint8_t {
-  /// Full per-call barrier. Shared-state mutations whose ordering against
-  /// other variants' calls matters (open's fd-slot allocation, socket setup,
-  /// exit, poll_event's queue consumption) and path-routed calls that may
-  /// resolve per variant.
-  kBarrier,
-  /// May ride in a multi-call batch: consecutive same-class kCoalesce calls
-  /// from one variant are compared and executed as ONE leader round. Each
-  /// batch position still gets the full canonicalize/compare/execute/
-  /// reexpress treatment.
-  kCoalesce,
-  /// Non-divergence-relevant: a read-only input-class kOnce call whose
-  /// canonical form carries no arguments to diverge on. Completes through a
-  /// lock-free completion slot — the first variant to arrive executes and
-  /// publishes; later variants compare their canonical args against the
-  /// published prefix and consume the result without blocking anyone.
-  /// Divergence (a variant issuing a DIFFERENT call at the same stream
-  /// position) is still detected, at consume time or at the next barrier.
-  kCompletion,
-};
-
 inline constexpr std::size_t kFixedIntRoles = 4;
 
 struct SyscallDescriptor {
@@ -102,8 +82,6 @@ struct SyscallDescriptor {
   /// reexpresses it per variant in the R_i step).
   ArgRole result_role = ArgRole::kNone;
   MismatchKind mismatch = MismatchKind::kArgument;
-  /// Barrier relaxation class for the pipelined rendezvous (see BatchPolicy).
-  BatchPolicy batch = BatchPolicy::kBarrier;
   /// kFdRouted only: how to execute when the call carries no fd slot at all
   /// (malformed guest call). kOnce replicates a single EBADF; kPerVariant
   /// lets every variant's kernel report its own.
@@ -121,8 +99,6 @@ struct SyscallDescriptor {
 [[nodiscard]] const std::array<SyscallDescriptor, kSysCount>& descriptor_table() noexcept;
 
 [[nodiscard]] std::string_view arg_role_name(ArgRole role) noexcept;
-
-[[nodiscard]] std::string_view batch_policy_name(BatchPolicy policy) noexcept;
 
 }  // namespace nv::vkernel
 

@@ -111,33 +111,14 @@ enum class SysClass : std::uint8_t {
 /// (the arguments the UID variation inverse-transforms at the boundary).
 [[nodiscard]] std::vector<std::size_t> uid_arg_indices(const SyscallArgs& args);
 
-/// A run of syscalls issued together by one variant. The MVEE's pipelined
-/// rendezvous compares and executes an entire batch as ONE cross-variant
-/// exchange (one barrier instead of calls.size() barriers); the descriptor
-/// table's BatchPolicy says which calls may ride in a batch. Results come
-/// back positionally, one per call.
-struct SyscallBatch {
-  std::vector<SyscallArgs> calls;
-
-  [[nodiscard]] bool operator==(const SyscallBatch&) const = default;
-};
-
 /// Guest-facing syscall port. Each variant's GuestContext holds one; the
-/// plain kernel and the N-variant MVEE both implement it.
+/// plain kernel and the N-variant MVEE both implement it. One call is one
+/// syscall: under the MVEE it returns only after every variant has issued
+/// the same call and the monitor has compared and executed it.
 class SyscallPort {
  public:
   virtual ~SyscallPort() = default;
   virtual SyscallResult syscall(const SyscallArgs& args) = 0;
-  /// Issue several calls at once. The default runs them one by one (plain
-  /// kernel semantics); the MVEE overrides it to coalesce eligible runs into
-  /// single rendezvous rounds. Batching is a throughput hint, never a
-  /// semantic change: results are identical to issuing the calls serially.
-  virtual std::vector<SyscallResult> syscall_batch(const SyscallBatch& batch) {
-    std::vector<SyscallResult> results;
-    results.reserve(batch.calls.size());
-    for (const auto& call : batch.calls) results.push_back(syscall(call));
-    return results;
-  }
 };
 
 }  // namespace nv::vkernel

@@ -67,14 +67,6 @@ expect("clean",
        run("--allowlist", "none", fixture("clean.cpp")),
        0, must_not_contain=["NV-"])
 
-# NV-SYS-BATCH over the fixture mini-tree: the defaulted row and the missing
-# row are both flagged; the explicit row is not.
-sys_tree = (FIXTURE_DIR / "sys_tree").as_posix()
-expect("sys_tree",
-       run("--root", sys_tree, "--allowlist", "none"),
-       1, must_contain=["NV-SYS-BATCH", "Sys::kBeta", "Sys::kGamma"],
-       must_not_contain=["Sys::kAlpha"])
-
 # Allowlisting by substring suppresses the finding (and only then).
 allow = FIXTURE_DIR / "allow_raw_clock.tmp"
 allow.write_text("NV-RAW-CLOCK tests/lint_fixtures/raw_clock.cpp "

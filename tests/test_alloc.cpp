@@ -11,6 +11,7 @@
 #include <memory>
 #include <new>
 #include <stdexcept>
+#include <string>
 
 #include "core/nvariant_system.h"
 #include "fleet/session_factory.h"
@@ -59,12 +60,12 @@ using core::VariantConfig;
 using vkernel::Process;
 using vkernel::Sys;
 using vkernel::SyscallArgs;
-using vkernel::SyscallBatch;
 using vkernel::SyscallPort;
+using vkernel::SyscallResult;
 
 constexpr unsigned kCalls = 100;
 
-/// A fleet session: N=2, uid-xor drawn by the factory, pipelined.
+/// A fleet session: N=2, uid-xor drawn by the factory.
 std::unique_ptr<NVariantSystem> factory_session() {
   fleet::SessionFactory factory(fleet::SessionSpec{}, 1, variants::builtin_registry());
   auto session = factory.make_session();
@@ -86,8 +87,8 @@ Counted counted_run(NVariantSystem& system, const VariantBody& body) {
 }
 
 /// Runs `body` once with `calls` = 2K to warm the session up (fiber stacks,
-/// result slots, scratch and the completion ring all reach their size for
-/// the larger run), then with K and with 2K. Each of the K extra calls may
+/// result slots and scratch all reach their size for the larger run), then
+/// with K and with 2K. Each of the K extra calls may
 /// allocate at most `allowed_per_call` per variant. Returns the 2K report.
 RunReport expect_flat(const VariantBody& body, unsigned& calls, std::uint64_t allowed_per_call) {
   auto system = factory_session();
@@ -108,63 +109,50 @@ RunReport expect_flat(const VariantBody& body, unsigned& calls, std::uint64_t al
 }
 
 TEST(RoundAllocations, BarrierCallAllocatesNothing) {
-  // One seteuid, built once and sent K times: a full lockstep round each.
-  unsigned calls = 0;
-  unsigned failed = 0;
-  const VariantBody body = [&](unsigned, SyscallPort& port, Process&,
-                               const VariantConfig& config) {
-    SyscallArgs seteuid;
-    seteuid.no = Sys::kSeteuid;
-    seteuid.ints = {config.uid_coder->reexpress(1000)};
-    for (unsigned i = 0; i < calls; ++i) failed += port.syscall(seteuid).ok() ? 0 : 1;
-  };
-  const RunReport report = expect_flat(body, calls, 0);
-  EXPECT_EQ(failed, 0u);
-  EXPECT_EQ(report.syscall_rounds, 2 * kCalls + 1);  // and the exit
+  // One call, built once and sent K times: a full lockstep round each. The
+  // seteuid executes in every variant; the getpid executes once and its
+  // result is replicated.
+  for (const Sys no : {Sys::kSeteuid, Sys::kGetpid}) {
+    SCOPED_TRACE(std::string(vkernel::sys_name(no)));
+    unsigned calls = 0;
+    unsigned failed = 0;
+    const VariantBody body = [&](unsigned, SyscallPort& port, Process&,
+                                 const VariantConfig& config) {
+      SyscallArgs args;
+      args.no = no;
+      if (no == Sys::kSeteuid) args.ints = {config.uid_coder->reexpress(1000)};
+      for (unsigned i = 0; i < calls; ++i) failed += port.syscall(args).ok() ? 0 : 1;
+    };
+    const RunReport report = expect_flat(body, calls, 0);
+    EXPECT_EQ(failed, 0u);
+    EXPECT_EQ(report.syscall_rounds, 2 * kCalls + 1);  // and the exit
+  }
 }
 
-TEST(RoundAllocations, CoalescedDetectionBatchAllocatesOnlyTheGuestsResultVector) {
-  // uid_value + cc_cmp, built once and sent K times: one coalesced round
-  // each. syscall_batch() hands the guest a new result vector every call;
-  // that is the one allocation allowed.
+TEST(RoundAllocations, DetectionPairAllocatesNothing) {
+  // uid_value then cc_cmp, each built once and sent K times: two rounds per
+  // pair, and neither allocates.
   unsigned calls = 0;
   unsigned wrong = 0;
   const VariantBody body = [&](unsigned, SyscallPort& port, Process&,
                                const VariantConfig& config) {
     const std::uint64_t worker = config.uid_coder->reexpress(1000);
-    SyscallBatch checks;
-    checks.calls.resize(2);
-    checks.calls[0].no = Sys::kUidValue;
-    checks.calls[0].ints = {worker};
-    checks.calls[1].no = Sys::kCcCmp;
-    checks.calls[1].ints = {static_cast<std::uint64_t>(vkernel::CcOp::kNeq), worker,
-                            config.uid_coder->reexpress(0)};
+    SyscallArgs uid_value;
+    uid_value.no = Sys::kUidValue;
+    uid_value.ints = {worker};
+    SyscallArgs not_root;
+    not_root.no = Sys::kCcCmp;
+    not_root.ints = {static_cast<std::uint64_t>(vkernel::CcOp::kNeq), worker,
+                     config.uid_coder->reexpress(0)};
     for (unsigned i = 0; i < calls; ++i) {
-      const auto verdicts = port.syscall_batch(checks);
-      wrong += verdicts.size() == 2 && verdicts[0].value == worker && verdicts[1].value == 1
-                   ? 0
-                   : 1;
+      const SyscallResult value = port.syscall(uid_value);
+      const SyscallResult verdict = port.syscall(not_root);
+      wrong += value.value == worker && verdict.value == 1 ? 0 : 1;
     }
   };
-  const RunReport report = expect_flat(body, calls, 1);
-  EXPECT_EQ(wrong, 0u);
-  EXPECT_EQ(report.syscall_batches, 2 * kCalls);
-}
-
-TEST(RoundAllocations, PipelinedCompletionCallAllocatesNothing) {
-  // getpid, built once and sent K times: factory sessions run
-  // PipelineMode::kPipelined, so each call takes a completion slot.
-  unsigned calls = 0;
-  unsigned failed = 0;
-  const VariantBody body = [&](unsigned, SyscallPort& port, Process&, const VariantConfig&) {
-    SyscallArgs getpid;
-    getpid.no = Sys::kGetpid;
-    for (unsigned i = 0; i < calls; ++i) failed += port.syscall(getpid).ok() ? 0 : 1;
-  };
   const RunReport report = expect_flat(body, calls, 0);
-  EXPECT_EQ(failed, 0u);
-  EXPECT_EQ(report.async_completions, 2 * kCalls);
-  EXPECT_EQ(report.syscall_rounds, 1u);  // only the exit
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_EQ(report.syscall_rounds, 2 * 2 * kCalls + 1);  // and the exit
 }
 
 }  // namespace

@@ -49,25 +49,7 @@ TEST(NVariantSystem, SyscallRoundsAreCounted) {
   });
   const auto report = guest::run_nvariant(system, guest);
   EXPECT_TRUE(report.completed);
-  // Under the default pipelined mode getpid is a completion-class call: the
-  // 5 getpids drain through the async ring and only exit is a barrier round.
-  EXPECT_EQ(report.syscall_rounds, 1u);
-  EXPECT_EQ(report.async_completions, 5u);
-  EXPECT_EQ(report.syscall_batches, 0u);
-}
-
-TEST(NVariantSystem, LockstepModeCountsEveryCallAsARound) {
-  const auto system_owner =
-      core::NVariantSystem::Builder().pipeline(core::PipelineMode::kLockstep).build();
-  auto& system = *system_owner;
-  LambdaGuest guest([](guest::GuestContext& ctx) {
-    for (int i = 0; i < 5; ++i) (void)ctx.getpid();
-    ctx.exit(0);
-  });
-  const auto report = guest::run_nvariant(system, guest);
-  EXPECT_TRUE(report.completed);
   EXPECT_EQ(report.syscall_rounds, 6u);  // 5 getpid + exit, one barrier each
-  EXPECT_EQ(report.async_completions, 0u);
 }
 
 TEST(NVariantSystem, SharedFileReadIsReplicatedIdentically) {
@@ -103,7 +85,10 @@ TEST(NVariantSystem, SharedWritePerformedOnce) {
   EXPECT_EQ(*content, "once");
 }
 
-TEST(NVariantSystem, DivergentSyscallNumbersRaiseAlarm) {
+TEST(NVariantSystem, NoCallExecutesBeforeEveryVariantHasIssuedIt) {
+  // Variant 0 calls getpid while variant 1 calls gettime. Whichever arrives
+  // first waits for the other, and the leader compares the two calls before
+  // either executes: the mismatch alarms and the kernel runs nothing.
   const auto system_owner = fast_system();
   auto& system = *system_owner;
   LambdaGuest guest([](guest::GuestContext& ctx) {
@@ -114,10 +99,12 @@ TEST(NVariantSystem, DivergentSyscallNumbersRaiseAlarm) {
     }
     ctx.exit(0);
   });
+  const std::uint64_t executed = system.kernel().syscalls_executed();
   const auto report = guest::run_nvariant(system, guest);
   EXPECT_TRUE(report.attack_detected);
   ASSERT_TRUE(report.alarm.has_value());
   EXPECT_EQ(report.alarm->kind, core::AlarmKind::kSyscallMismatch);
+  EXPECT_EQ(system.kernel().syscalls_executed(), executed);
 }
 
 TEST(NVariantSystem, DivergentWritePayloadsRaiseAlarm) {
@@ -163,21 +150,19 @@ TEST(NVariantSystem, ExitCodeDivergenceDetected) {
   EXPECT_EQ(report.alarm->kind, core::AlarmKind::kArgumentMismatch);
 }
 
-TEST(NVariantSystem, RingFullAgainstBarrierStalls) {
-  // Variant 0 runs a whole completion ring ahead on getpid while variant 1
-  // waits at a seteuid barrier variant 0 will never reach: neither can
-  // proceed, and the scheduler says so in the pass that finds it.
+TEST(NVariantSystem, VariantThatCallsOnAfterItsPeersFinishStalls) {
+  // Both variants exit, but variant 0 catches its own GuestExit and calls
+  // seteuid. Variant 1's body has returned, so no peer will ever meet that
+  // call, and the scheduler says so in the pass that finds it.
   const auto system_owner = fast_system();
   auto& system = *system_owner;
   LambdaGuest guest([](guest::GuestContext& ctx) {
-    if (ctx.variant() == 0) {
-      for (std::size_t i = 0; i <= core::SyscallRendezvous::kAsyncRingCapacity; ++i) {
-        (void)ctx.getpid();
-      }
-    } else {
-      (void)ctx.seteuid(ctx.uid_const(1000));
+    try {
+      ctx.exit(0);
+    } catch (const guest::GuestExit&) {
+      if (ctx.variant() == 1) throw;
     }
-    ctx.exit(0);
+    (void)ctx.seteuid(ctx.uid_const(1000));
   });
   const auto start = std::chrono::steady_clock::now();
   const auto report = guest::run_nvariant(system, guest);
@@ -185,7 +170,6 @@ TEST(NVariantSystem, RingFullAgainstBarrierStalls) {
   EXPECT_TRUE(report.attack_detected);
   ASSERT_TRUE(report.alarm.has_value());
   EXPECT_EQ(report.alarm->kind, core::AlarmKind::kRendezvousStall);
-  EXPECT_EQ(report.async_completions, core::SyscallRendezvous::kAsyncRingCapacity);
   // At once: no deadline is involved, so even a sanitizer build is far
   // inside this bound.
   EXPECT_LT(elapsed, std::chrono::milliseconds(500));
@@ -449,21 +433,20 @@ TEST(NVariantSystem, ServedProtocolDeadlockFailsBothWaitsWithoutAlarm) {
   EXPECT_EQ(report.exit_codes, (std::vector<int>{4, 4}));
 }
 
-TEST(NVariantSystem, ServedVariantThatSkipsCallsStallsWhileTheClientWaits) {
-  // Variant 0 runs a whole completion ring ahead on getpid while variant 1
-  // waits at a seteuid barrier variant 0 never reaches, and the client waits
-  // in recv for a reply that never comes. The client's wait is released
-  // first; then the stall alarms.
+TEST(NVariantSystem, ServedVariantThatCallsOnAfterItsPeersFinishStallsWhileTheClientWaits) {
+  // Both server variants exit, but variant 0 catches its own GuestExit and
+  // calls seteuid, which no peer will ever meet, while the client waits in
+  // recv for a reply that never comes. The client's wait is released first;
+  // then the stall alarms.
   const auto system_owner = fast_system();
   auto& system = *system_owner;
   auto guest = one_connection_server(9093, [](guest::GuestContext& ctx, os::fd_t) {
-    if (ctx.variant() == 0) {
-      for (std::size_t i = 0; i <= core::SyscallRendezvous::kAsyncRingCapacity; ++i) {
-        (void)ctx.getpid();
-      }
-    } else {
-      (void)ctx.seteuid(ctx.uid_const(1000));
+    if (ctx.variant() == 1) return 0;  // one_connection_server exits with it
+    try {
+      ctx.exit(0);
+    } catch (const guest::GuestExit&) {
     }
+    (void)ctx.seteuid(ctx.uid_const(1000));
     return 0;
   });
   std::optional<os::Errno> client_error;

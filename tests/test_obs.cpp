@@ -20,8 +20,10 @@
 #include "fleet/fleet.h"
 #include "fleet/telemetry.h"
 #include "fleet_test_harness.h"
+#include "guest/runners.h"
 #include "obs/exporters.h"
 #include "obs/trace.h"
+#include "test_helpers.h"
 
 namespace nv::obs {
 namespace {
@@ -208,13 +210,8 @@ TEST(ObsExportersTest, PrometheusLabelValuesAreEscaped) {
 TEST(ObsExportersTest, PipelineCountersAppearInFleetExposition) {
   fleet::FleetSnapshot snap;
   snap.syscall_rounds = 9;
-  snap.syscall_batches = 4;
-  snap.async_completions = 120;
   const std::string text = expose_metrics(snap);
   EXPECT_NE(text.find("nv_fleet_syscall_rounds 9"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE nv_fleet_syscall_batches counter"), std::string::npos);
-  EXPECT_NE(text.find("nv_fleet_syscall_batches 4"), std::string::npos);
-  EXPECT_NE(text.find("nv_fleet_async_completions 120"), std::string::npos);
 }
 
 TEST(TraceRecorderTest, OutOfRangeTrackAliasesTheOverflowTrack) {
@@ -362,6 +359,37 @@ TEST(TraceFleetTest, GoldenManualClockRunsExportByteIdenticalTraces) {
   EXPECT_EQ(first, run_once());
   EXPECT_NE(first.find("campaign_alert"), std::string::npos);
   EXPECT_NE(first.find("quarantine"), std::string::npos);
+}
+
+TEST(TraceSessionTest, GoldenManualClockRunsTraceEverySyscallRound) {
+  // The determinism contract for a session's own rounds: same guest, same
+  // ManualClock => byte-identical Chrome traces, with every round visible as
+  // a syscall_round event (a = syscall number, b = behaviour class).
+  const auto run_once = [] {
+    ManualClock clock;
+    TraceConfig config;
+    config.syscall_round_sample = 1;  // keep every round: the full chain
+    auto recorder = std::make_shared<TraceRecorder>(config, clock.fn());
+    const auto system = core::NVariantSystem::Builder().n_variants(2).trace(recorder).build();
+    nv::testing::LambdaGuest guest([](guest::GuestContext& ctx) {
+      auto fd = ctx.open("/out.txt", os::OpenFlags::kWrite | os::OpenFlags::kCreate);
+      ASSERT_TRUE(fd.has_value());
+      for (const char* chunk : {"a", "b", "c", "d"}) {
+        ASSERT_TRUE(ctx.write(*fd, chunk).has_value());
+      }
+      (void)ctx.close(*fd);
+      for (int i = 0; i < 3; ++i) (void)ctx.getpid();
+      ctx.exit(0);
+    });
+    const auto report = guest::run_nvariant(*system, guest);
+    EXPECT_TRUE(report.completed);
+    EXPECT_EQ(report.syscall_rounds, 10u);  // open, 4 writes, close, 3 getpids, exit
+    EXPECT_EQ(events_of(*recorder, TraceEventKind::kSyscallRound).size(), 10u);
+    return to_chrome_trace(*recorder);
+  };
+  const std::string first = run_once();
+  EXPECT_EQ(first, run_once());
+  EXPECT_NE(first.find("\"syscall_round\""), std::string::npos);
 }
 
 TEST(TraceFleetTest, RingDropsSurfaceThroughFleetTelemetry) {

@@ -14,11 +14,6 @@ docs/STATIC_ANALYSIS.md):
   NV-RAW-RANDOM    No rand()/srand()/std::random_device in src/ outside the
                    SessionFactory seed plumbing. All randomness must flow
                    from the seeded util::Rng so runs are reproducible.
-  NV-SYS-BATCH     Every vkernel::Sys enumerator must have a descriptor-table
-                   row with an EXPLICIT BatchPolicy token. A row that relies
-                   on the row() default silently pins a syscall to the full
-                   barrier — the pipelining decision must be visible and
-                   reviewable at the table.
   NV-MEMORY-ORDER  Every atomic load/store/RMW spells std::memory_order
                    explicitly (including ++/--/+= on atomics, which are
                    hidden seq_cst RMWs). Defaulted seq_cst hides the cost and
@@ -36,7 +31,7 @@ the clock/random rules, driven by the compilation database), with a
 token-level fallback that works on a bare python3 — comments and string
 literals are stripped before matching, call argument spans are extracted with
 balanced-paren scanning, so the fallback is far stricter than a grep. The
-remaining rules are inherently lexical/tabular and always run token-level.
+remaining rules are inherently lexical and always run token-level.
 
 Allowlist: tools/nvlint_allowlist.txt. Each non-comment line is
     RULE-ID <path> [line-substring]
@@ -63,7 +58,6 @@ from dataclasses import dataclass
 RULE_IDS = (
     "NV-RAW-CLOCK",
     "NV-RAW-RANDOM",
-    "NV-SYS-BATCH",
     "NV-MEMORY-ORDER",
     "NV-MUTEX-GUARD",
 )
@@ -73,9 +67,6 @@ DEFAULT_ROOTS = ("src", "tests", "bench", "examples")
 # NV-RAW-CLOCK / NV-RAW-RANDOM only police production code: tests, benches
 # and demos measure wall time and shuffle inputs by design.
 DETERMINISM_DIRS = ("src",)
-
-SYS_ENUM_HEADER = pathlib.Path("src") / "vkernel" / "syscalls.h"
-DESCRIPTOR_TABLE = pathlib.Path("src") / "vkernel" / "syscall_descriptors.cpp"
 
 
 @dataclass
@@ -272,56 +263,6 @@ def check_mutex_guard(path: pathlib.Path, stripped: str,
 
 
 # --------------------------------------------------------------------------
-# NV-SYS-BATCH
-# --------------------------------------------------------------------------
-
-BATCH_TOKEN_RE = re.compile(r"\bkBarrier\b|\bkCoalesce\b|\bkCompletion\b|\bBatchPolicy\s*::")
-
-
-def check_sys_batch(root: pathlib.Path) -> list[Finding]:
-    findings = []
-    enum_path = root / SYS_ENUM_HEADER
-    table_path = root / DESCRIPTOR_TABLE
-    if not enum_path.exists() or not table_path.exists():
-        return findings  # scanning a partial tree (e.g. lint fixtures)
-
-    enum_text = strip_comments_and_strings(enum_path.read_text(encoding="utf-8"))
-    enum_match = re.search(r"enum\s+class\s+Sys\b[^{]*\{", enum_text)
-    if not enum_match:
-        findings.append(Finding("NV-SYS-BATCH", SYS_ENUM_HEADER, 1,
-                                "could not locate 'enum class Sys'", ""))
-        return findings
-    body = enum_text[enum_match.end():enum_text.index("}", enum_match.end())]
-    enumerators = re.findall(r"\b(k\w+)\b", body)
-
-    table_raw = table_path.read_text(encoding="utf-8")
-    table = strip_comments_and_strings(table_raw)
-    table_lines = table_raw.splitlines()
-    # Map enumerator -> list of (line, has_batch_token) over row(Sys::kX, ...)
-    rows: dict = {}
-    for m in re.finditer(r"\brow\s*\(\s*Sys\s*::\s*(k\w+)", table):
-        open_paren = table.index("(", m.start())
-        span = table[open_paren:call_span(table, open_paren)]
-        rows.setdefault(m.group(1), []).append(
-            (line_of(table, m.start()), bool(BATCH_TOKEN_RE.search(span))))
-    for enumerator in enumerators:
-        entries = rows.get(enumerator, [])
-        if not entries:
-            findings.append(Finding(
-                "NV-SYS-BATCH", DESCRIPTOR_TABLE, 1,
-                f"Sys::{enumerator} has no descriptor-table row",
-                ""))
-        elif not any(has_token for _, has_token in entries):
-            line = entries[0][0]
-            findings.append(Finding(
-                "NV-SYS-BATCH", DESCRIPTOR_TABLE, line,
-                f"Sys::{enumerator} row relies on the default BatchPolicy "
-                "— spell the batch token explicitly",
-                line_text(table_lines, line)))
-    return findings
-
-
-# --------------------------------------------------------------------------
 # Optional libclang refinement (clock/random rules only)
 # --------------------------------------------------------------------------
 
@@ -493,8 +434,6 @@ def main() -> int:
                 rel, stripped, raw_lines))
         findings.extend(check_memory_order(rel, stripped, raw_lines, paired))
         findings.extend(check_mutex_guard(rel, stripped, raw_lines, paired))
-
-    findings.extend(check_sys_batch(root))
 
     kept = [f for f in findings if not allowlisted(f, entries)]
     for f in sorted(kept, key=lambda f: (f.path.as_posix(), f.line, f.rule)):
