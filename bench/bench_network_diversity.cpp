@@ -1,9 +1,9 @@
 // Fleet-of-fleets attacker-cost curves: what does SHARDING the deployment —
 // independent per-shard draw spaces + drawn network identities + cross-shard
 // campaign gossip — cost an attacker, at FIXED total lanes and FIXED total
-// payload keyspace? Fully deterministic (one ManualClock, fixed seed, strict
-// lane affinity), so the emitted BENCH_network_diversity.json is diffable
-// across PRs — CI archives it and tools/check_network_diversity.py validates
+// payload keyspace? Fully deterministic (one ManualClock, fixed seed, an
+// attacker that names each request's lane with submit_to), so the emitted
+// BENCH_network_diversity.json is diffable across PRs — CI archives it and tools/check_network_diversity.py validates
 // the schema, the ledger arithmetic, and the monotonicity.
 //
 //   $ ./bench_network_diversity [--quick] [--out BENCH_network_diversity.json]

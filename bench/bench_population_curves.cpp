@@ -1,10 +1,11 @@
 // Chen-et-al-style population effectiveness curves on the real fleet:
 // attacker cost vs. the defender's re-diversification rate, and expected
 // compromised fraction vs. time, plus an adaptive-defense vs. static-policy
-// comparison. Fully deterministic (ManualClock + fixed seed + strict lane
-// affinity), so the emitted BENCH_population_curves.json is diffable across
-// PRs — CI archives it as the perf trajectory and
-// tools/check_population_curves.py validates the schema + monotonicity.
+// comparison. Fully deterministic (ManualClock + fixed seed + an attacker
+// that names each request's lane with submit_to), so the emitted
+// BENCH_population_curves.json is diffable across PRs — CI archives it as
+// the perf trajectory and tools/check_population_curves.py validates the
+// schema + monotonicity.
 //
 //   $ ./bench_population_curves [--quick] [--out BENCH_population_curves.json]
 //

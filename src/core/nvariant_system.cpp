@@ -398,9 +398,8 @@ void NVariantSystem::execute_once(const SyscallArgs& call, bool mirror_fd,
 
 void NVariantSystem::lead_impl(std::span<const SyscallArgs* const> raw,
                                std::span<SyscallResult> results) {
-  // Sampling gates ALL per-round trace work (bench_fleet_throughput's A/B
-  // holds tracing to <= 5% on job p95): an unsampled round pays exactly one
-  // relaxed fetch_add. A sampled round makes one histogram observation and
+  // Sampling gates ALL per-round trace work: an unsampled round pays exactly
+  // one relaxed fetch_add. A sampled round makes one histogram observation and
   // one kSyscallRound event, timed on the recorder's injected clock (0-width
   // under ManualClock — deterministic, not wall-clock noise).
   const bool sampled = trace_ && trace_->sample_round(trace_track_);

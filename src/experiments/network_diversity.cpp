@@ -77,9 +77,6 @@ ClusterCurve run_cluster_experiment(const ClusterExperimentConfig& config) {
   cc.shard.pool_size = lanes_per_shard;
   cc.shard.queue_capacity = std::max<std::size_t>(8, lanes_per_shard * 4);
   cc.shard.seed = config.seed;
-  // Strict per-shard lane affinity: stealing off + synchronous probes means
-  // round-robin admission fully determines which lane every probe burns.
-  cc.shard.work_stealing = false;
   cc.shard.campaign = config.campaign;
   cc.shard.adaptive = config.adaptive;
   cc.shard.clock = clock.fn();
@@ -121,9 +118,10 @@ ClusterCurve run_cluster_experiment(const ClusterExperimentConfig& config) {
   };
 
   // Attacker state, all per shard: held lanes, last-seen fingerprints, the
-  // round-robin admission mirror, the payload probe serial (draw spaces are
-  // independent, so the S-schedule restarts per shard), and the network
-  // identity it last paid to discover.
+  // target cursor (the attacker chooses its target: every request goes to
+  // the lane `rr` names, via submit_to), the payload probe serial (draw
+  // spaces are independent, so the S-schedule restarts per shard), and the
+  // network identity it last paid to discover.
   std::vector<std::vector<bool>> compromised(config.shards,
                                              std::vector<bool>(lanes_per_shard, false));
   std::vector<std::vector<std::string>> fingerprints;
@@ -211,9 +209,9 @@ ClusterCurve run_cluster_experiment(const ClusterExperimentConfig& config) {
         }
       }
 
-      // Benign filler walks the admission cursor past owned sessions.
+      // Benign filler walks the target cursor past owned sessions.
       while (compromised[s][rr[s]]) {
-        (void)cluster.submit_to(s, benign_job).get();
+        (void)cluster.shard(s).submit_to(rr[s], benign_job).get();
         rr[s] = (rr[s] + 1) % lanes_per_shard;
       }
       const unsigned target = rr[s];
@@ -225,7 +223,7 @@ ClusterCurve run_cluster_experiment(const ClusterExperimentConfig& config) {
         // Lucky guess: clean traffic, silent foothold — and the attacker
         // moves on to the NEXT shard, where it must start over against an
         // independent draw space (and possibly an undiscovered endpoint).
-        (void)cluster.submit_to(s, benign_job).get();
+        (void)cluster.shard(s).submit_to(target, benign_job).get();
         compromised[s][target] = true;
         ++curve.silent_compromises;
         attacker_shard = (attacker_shard + 1) % config.shards;
@@ -234,8 +232,8 @@ ClusterCurve run_cluster_experiment(const ClusterExperimentConfig& config) {
         // The alert (if this crossed the threshold) publishes on the gossip
         // bus and — at delay 0 — tightens every other shard before .get()
         // returns.
-        (void)cluster
-            .submit_to(s,
+        (void)cluster.shard(s)
+            .submit_to(target,
                        [](core::NVariantSystem&) -> core::RunReport {
                          throw std::runtime_error(kProbeSignature);
                        })

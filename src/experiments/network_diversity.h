@@ -29,8 +29,9 @@
 // Sweeping the shard count at fixed total lanes yields the
 // attacker-cost-vs-shards curve archived as BENCH_network_diversity.json
 // (schema network_diversity/v1): cost must rise STRICTLY with shard count.
-// Everything runs on manual time with a fixed seed, stealing off, and
-// synchronous probes, so a given config replays byte-identically.
+// Everything runs on manual time with a fixed seed, and every probe is a
+// synchronous request to the lane the attacker chose, so a given config
+// replays byte-identically.
 #ifndef NV_EXPERIMENTS_NETWORK_DIVERSITY_H
 #define NV_EXPERIMENTS_NETWORK_DIVERSITY_H
 

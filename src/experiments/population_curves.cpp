@@ -79,10 +79,6 @@ PopulationCurve run_population_experiment(const PopulationExperimentConfig& conf
   fc.pool_size = config.pool_size;
   fc.queue_capacity = std::max<std::size_t>(8, config.pool_size * 4);
   fc.seed = config.seed;
-  // Strict lane affinity: with stealing off, round-robin admission fully
-  // determines which lane every probe burns, so a fixed config replays
-  // byte-identically (the CI curve-diffing contract).
-  fc.work_stealing = false;
   fc.campaign = config.campaign;
   fc.adaptive = config.adaptive_config;
   fc.adaptive.enabled = config.adaptive;
@@ -102,11 +98,12 @@ PopulationCurve run_population_experiment(const PopulationExperimentConfig& conf
 
   // Attacker state: which lanes it silently controls, and its deterministic
   // expected-cost probe schedule (every S-th probe is the lucky guess).
-  // `rr` mirrors the fleet's round-robin admission cursor (stealing is off
-  // and probes are synchronous, so the mirror is exact): the attacker knows
-  // which session its next request lands on, skips the ones it already
-  // controls by weaving in benign filler traffic, and aims probes only at
-  // uncontrolled sessions — it never burns its own footholds.
+  // The attacker chooses its target: `rr` walks the sessions in turn, and
+  // every request goes to the session it names (submit_to), so a fixed
+  // config replays byte-identically (the CI curve-diffing contract). It
+  // skips the sessions it already controls by weaving in benign filler
+  // traffic and aims probes only at uncontrolled sessions — it never burns
+  // its own footholds.
   std::vector<bool> compromised(pool, false);
   std::vector<std::string> fingerprints = fleet.live_fingerprints();
   std::uint64_t probe_serial = 0;
@@ -161,11 +158,11 @@ PopulationCurve run_population_experiment(const PopulationExperimentConfig& conf
       if (std::find(compromised.begin(), compromised.end(), false) == compromised.end()) {
         break;  // full control: holding it costs nothing
       }
-      // Benign filler requests walk the admission cursor past the sessions
-      // the attacker already controls (it can recognize its own foothold
+      // Benign filler requests walk the target cursor past the sessions the
+      // attacker already controls (it can recognize its own foothold
       // answering) — at most pool-1 fillers before an uncontrolled target.
       while (compromised[rr]) {
-        (void)fleet.submit(benign_job).get();
+        (void)fleet.submit_to(rr, benign_job).get();
         rr = (rr + 1) % pool;
       }
       const unsigned target = rr;
@@ -177,7 +174,7 @@ PopulationCurve run_population_experiment(const PopulationExperimentConfig& conf
         // The lucky guess: the payload matched this session's reexpression,
         // so the request runs CLEAN — the monitor sees normal traffic and
         // the attacker holds the session until re-diversification.
-        (void)fleet.submit(benign_job).get();
+        (void)fleet.submit_to(target, benign_job).get();
         compromised[target] = true;
         ++curve.silent_compromises;
       } else {
@@ -185,9 +182,10 @@ PopulationCurve run_population_experiment(const PopulationExperimentConfig& conf
         // (the probe's one-quarantine cost), synchronous via the future.
         const auto before = fleet.telemetry().snapshot();
         (void)fleet
-            .submit([](core::NVariantSystem&) -> core::RunReport {
-              throw std::runtime_error(kProbeSignature);
-            })
+            .submit_to(target,
+                       [](core::NVariantSystem&) -> core::RunReport {
+                         throw std::runtime_error(kProbeSignature);
+                       })
             .get();
         // If this quarantine crossed the campaign threshold under an armed
         // rotation policy, every surviving live peer (all lanes except the

@@ -18,17 +18,18 @@
 //   - a silent compromise HOLDS (the monitor saw nothing) until that lane's
 //     session is re-diversified out from under it — by the defender's
 //     periodic rotate_fleet() or by campaign-driven rotation escalation.
-//     The attacker mirrors the fleet's round-robin admission (stealing off,
-//     probes synchronous), weaving benign filler requests past the sessions
-//     it already controls so it never burns its own footholds.
+//     The attacker chooses its target: it walks the sessions in turn and
+//     sends each request to the one it names (VariantFleet::submit_to),
+//     weaving benign filler requests past the sessions it already controls
+//     so it never burns its own footholds.
 //   - the defender's lever is the re-diversification interval; sweeping it
 //     yields the attacker-cost-vs-rate curve, and sampling compromised
 //     lanes per tick yields the compromised-fraction-vs-time curve.
 //
-// Everything runs on manual time with a fixed seed and work stealing off
-// (strict round-robin admission), so a given config produces byte-identical
-// curves on every run — the property the CI perf-trajectory diffing relies
-// on.
+// Everything runs on manual time with a fixed seed, and every request goes
+// synchronously (submit_to) to the lane the attacker chose, so a given
+// config produces byte-identical curves on every run — the property the CI
+// perf-trajectory diffing relies on.
 #ifndef NV_EXPERIMENTS_POPULATION_CURVES_H
 #define NV_EXPERIMENTS_POPULATION_CURVES_H
 

@@ -13,8 +13,6 @@ namespace nv::fleet {
 
 namespace {
 
-constexpr const char* kDeadLaneError = "worker lane lost its session (respawn failed earlier)";
-
 std::uint64_t resolve_seed(std::optional<std::uint64_t> requested) {
   if (requested.has_value()) return *requested;
   std::random_device entropy;
@@ -76,7 +74,6 @@ VariantFleet::VariantFleet(FleetConfig config)
   // spacing between subsequent ones is enforced.
   last_backoff_rotation_ = clock_() - config_.rotation_backoff;
   (void)refresh_keyspace_gauge();
-  lane_queues_.resize(pool_size_);
   lane_flags_.assign(pool_size_, LaneFlags{});
   workers_.reserve(pool_size_);
   try {
@@ -98,36 +95,20 @@ VariantFleet::VariantFleet(FleetConfig config)
 
 VariantFleet::~VariantFleet() { shutdown(); }
 
-unsigned VariantFleet::pick_lane_locked() {
-  // Round-robin over lanes that can run work NOW; lanes mid-respawn are
-  // second choice (their backlog only moves if peers steal it). A lane whose
-  // worker already exited (shutdown path) can never drain its queue — jobs
-  // parked there would strand as broken promises.
-  for (unsigned i = 0; i < pool_size_; ++i) {
-    const unsigned lane = (next_lane_ + i) % pool_size_;
-    const LaneFlags& flags = lane_flags_[lane];
-    if (!flags.dead && !flags.exited && !flags.respawning) {
-      next_lane_ = (lane + 1) % pool_size_;
-      return lane;
-    }
+bool VariantFleet::runnable_locked(std::optional<unsigned> lane) const {
+  for (unsigned l = 0; l < pool_size_; ++l) {
+    if ((!lane || *lane == l) && !lane_flags_[l].dead && !lane_flags_[l].exited) return true;
   }
-  for (unsigned i = 0; i < pool_size_; ++i) {
-    const unsigned lane = (next_lane_ + i) % pool_size_;
-    if (!lane_flags_[lane].dead && !lane_flags_[lane].exited) {
-      next_lane_ = (lane + 1) % pool_size_;
-      return lane;
-    }
-  }
-  return pool_size_;  // no lane can take work
+  return false;
 }
 
-std::future<JobOutcome> VariantFleet::enqueue_locked(FleetJob job) {
+std::future<JobOutcome> VariantFleet::enqueue_locked(std::optional<unsigned> lane, FleetJob job) {
   PendingJob pending;
   pending.id = next_job_id_++;
   pending.fn = std::move(job);
+  pending.lane = lane;
   auto future = pending.promise.get_future();
-  const unsigned lane = pick_lane_locked();
-  if (lane == pool_size_) {
+  if (!runnable_locked(lane)) {
     // No live lane will ever pop this; fail fast instead of queueing forever.
     JobOutcome outcome;
     outcome.job_id = pending.id;
@@ -141,23 +122,20 @@ std::future<JobOutcome> VariantFleet::enqueue_locked(FleetJob job) {
     pending.promise.set_value(std::move(outcome));
     return future;
   }
+  const std::size_t depth = total_queued_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (trace_) {
     // Admission DEFINES the job's span; start/finish/quarantine parent to it.
     pending.trace_span = trace_->new_span();
     trace_->record(ops_track_, obs::TraceEventKind::kJobAdmitted, pending.trace_span, 0,
-                   pending.id, lane);
+                   pending.id, depth);
   }
   if (config_.admission == AdmissionPolicy::kDeadlineDrop &&
       config_.queue_deadline > std::chrono::milliseconds::zero()) {
     pending.admitted_at = clock_();
   }
-  lane_queues_[lane].push_back(std::move(pending));
-  const std::size_t depth = total_queued_.fetch_add(1, std::memory_order_relaxed) + 1;
+  queue_.push_back(std::move(pending));
   telemetry_.note_queue_depth(depth);
   telemetry_.note_submitted();
-  // notify_all, not notify_one: with per-lane queues a notify_one could wake
-  // a worker whose own queue is empty and (stealing off) cannot take the job.
-  queue_not_empty_.notify_all();
   return future;
 }
 
@@ -177,51 +155,77 @@ std::future<JobOutcome> VariantFleet::shed_locked() {
 }
 
 std::future<JobOutcome> VariantFleet::submit(FleetJob job) {
+  return admit(std::nullopt, std::move(job));
+}
+
+std::future<JobOutcome> VariantFleet::submit_to(unsigned lane, FleetJob job) {
+  if (lane >= pool_size_) {
+    throw std::out_of_range(util::format("fleet has no lane %u (pool size %u)", lane, pool_size_));
+  }
+  return admit(lane, std::move(job));
+}
+
+std::future<JobOutcome> VariantFleet::admit(std::optional<unsigned> lane, FleetJob job) {
   // A submitter's thread is a guaranteed tick an otherwise idle fleet gets:
   // enforce the rotation deadline here so it never depends on a worker poll.
   if (config_.rotation_deadline > std::chrono::milliseconds::zero()) {
     (void)enforce_rotation_deadlines();
   }
-  util::MutexLock lock(queue_mutex_);
-  if (config_.admission == AdmissionPolicy::kBlock) {
-    if (accepting_ &&
-        total_queued_.load(std::memory_order_relaxed) >= config_.queue_capacity) {
-      // Clock reads under queue_mutex_ are the established order (drain()
-      // does the same); ManualClock::advance never calls back under its lock.
-      const auto blocked_from = clock_();
-      while (accepting_ &&
-             total_queued_.load(std::memory_order_relaxed) >= config_.queue_capacity) {
-        queue_not_full_.wait(lock.native());
+  std::future<JobOutcome> future;
+  {
+    util::MutexLock lock(queue_mutex_);
+    const auto full = [this] {
+      return total_queued_.load(std::memory_order_relaxed) >= config_.queue_capacity;
+    };
+    if (config_.admission == AdmissionPolicy::kBlock) {
+      if (accepting_ && full()) {
+        // Clock reads under queue_mutex_ are the established order (drain()
+        // does the same); ManualClock::advance never calls back under its lock.
+        const auto blocked_from = clock_();
+        while (accepting_ && full()) queue_not_full_.wait(lock.native());
+        const auto blocked =
+            std::chrono::duration_cast<std::chrono::microseconds>(clock_() - blocked_from);
+        if (blocked.count() > 0) {
+          telemetry_.add_admission_blocked(static_cast<std::uint64_t>(blocked.count()));
+        }
       }
-      const auto blocked =
-          std::chrono::duration_cast<std::chrono::microseconds>(clock_() - blocked_from);
-      if (blocked.count() > 0) {
-        telemetry_.add_admission_blocked(static_cast<std::uint64_t>(blocked.count()));
-      }
+    } else if (accepting_ && full()) {
+      return shed_locked();
     }
-  } else if (accepting_ &&
-             total_queued_.load(std::memory_order_relaxed) >= config_.queue_capacity) {
-    return shed_locked();
+    if (!accepting_) throw std::runtime_error("fleet is shut down");
+    future = enqueue_locked(lane, std::move(job));
   }
-  if (!accepting_) throw std::runtime_error("fleet is shut down");
-  return enqueue_locked(std::move(job));
+  // Any idle worker may run an untargeted job; a targeted one needs its own
+  // lane's worker, which notify_one might not wake.
+  if (lane) {
+    queue_not_empty_.notify_all();
+  } else {
+    queue_not_empty_.notify_one();
+  }
+  return future;
 }
 
 std::optional<std::future<JobOutcome>> VariantFleet::try_submit(FleetJob job) {
   if (config_.rotation_deadline > std::chrono::milliseconds::zero()) {
     (void)enforce_rotation_deadlines();
   }
-  util::MutexLock lock(queue_mutex_);
-  if (!accepting_ || total_queued_.load(std::memory_order_relaxed) >= config_.queue_capacity) {
-    telemetry_.note_rejected();
-    if (trace_) {
-      trace_->record(ops_track_, obs::TraceEventKind::kJobRejected, 0, 0, 0,
-                     total_queued_.load(std::memory_order_relaxed),
-                     accepting_ ? "at capacity" : "not accepting");
+  std::future<JobOutcome> future;
+  {
+    const util::MutexLock lock(queue_mutex_);
+    if (!accepting_ ||
+        total_queued_.load(std::memory_order_relaxed) >= config_.queue_capacity) {
+      telemetry_.note_rejected();
+      if (trace_) {
+        trace_->record(ops_track_, obs::TraceEventKind::kJobRejected, 0, 0, 0,
+                       total_queued_.load(std::memory_order_relaxed),
+                       accepting_ ? "at capacity" : "not accepting");
+      }
+      return std::nullopt;
     }
-    return std::nullopt;
+    future = enqueue_locked(std::nullopt, std::move(job));
   }
-  return enqueue_locked(std::move(job));
+  queue_not_empty_.notify_one();
+  return future;
 }
 
 void VariantFleet::shutdown() { (void)drain(std::nullopt); }
@@ -240,7 +244,7 @@ DrainReport VariantFleet::drain(std::optional<std::chrono::milliseconds> deadlin
     queue_not_full_.notify_all();
     if (deadline.has_value()) {
       // Give the lanes until the deadline (on the injected clock) to work
-      // the queues down. Workers notify drain_progress_ on every pop and
+      // the queue down. Workers notify drain_progress_ on every pop and
       // lane retirement, so this wait is event-driven, not a busy-spin.
       const auto deadline_at = clock_() + *deadline;
       if (!config_.clock) {
@@ -260,29 +264,26 @@ DrainReport VariantFleet::drain(std::optional<std::chrono::milliseconds> deadlin
       }
       // Past the deadline: abandon everything still queued. In-flight jobs
       // are NOT abandoned — the join below waits for them.
-      for (auto& queue : lane_queues_) {
-        while (!queue.empty()) {
-          PendingJob job = std::move(queue.front());
-          queue.pop_front();
-          total_queued_.fetch_sub(1, std::memory_order_relaxed);
-          JobOutcome outcome;
-          outcome.job_id = job.id;
-          outcome.error = kAbandonedError;
-          outcome.trace_span = job.trace_span;
-          telemetry_.note_abandoned();
-          report.abandoned_job_ids.push_back(outcome.job_id);
-          if (trace_) {
-            trace_->record(ops_track_, obs::TraceEventKind::kJobAbandoned, job.trace_span, 0,
-                           job.id);
-          }
-          job.promise.set_value(std::move(outcome));
+      for (PendingJob& job : queue_) {
+        JobOutcome outcome;
+        outcome.job_id = job.id;
+        outcome.error = kAbandonedError;
+        outcome.trace_span = job.trace_span;
+        telemetry_.note_abandoned();
+        report.abandoned_job_ids.push_back(outcome.job_id);
+        if (trace_) {
+          trace_->record(ops_track_, obs::TraceEventKind::kJobAbandoned, job.trace_span, 0,
+                         job.id);
         }
+        job.promise.set_value(std::move(outcome));
       }
+      queue_.clear();
+      total_queued_.store(0, std::memory_order_relaxed);
       queue_not_empty_.notify_all();
     }
   }
   workers_.clear();  // jthread joins; workers finish in-flight work and (in
-                     // the no-deadline path) drain the remaining queues first
+                     // the no-deadline path) drain the remaining queue first
   report.jobs_abandoned = report.abandoned_job_ids.size();
   report.clean = report.jobs_abandoned == 0;
   return report;
@@ -296,19 +297,17 @@ std::size_t VariantFleet::queue_depth() const {
 VariantFleet::IdleSnapshot VariantFleet::idle_snapshot() const {
   const util::MutexLock lock(queue_mutex_);
   IdleSnapshot snapshot;
-  for (unsigned lane = 0; lane < pool_size_; ++lane) {
-    const LaneFlags& flags = lane_flags_[lane];
-    if (flags.waiting) {
-      ++snapshot.idle_workers;
-      if (!lane_queues_[lane].empty()) snapshot.idle_backlog = true;
-    }
+  for (const LaneFlags& flags : lane_flags_) {
+    if (flags.waiting) ++snapshot.idle_workers;
     if (flags.respawning || flags.force_rotating) ++snapshot.lanes_in_flux;
   }
-  // Under global-FIFO pops (or stealing) ANY backlog is poppable by an idle
-  // worker, not just its own lane's.
-  if ((config_.fifo_pop || config_.work_stealing) && snapshot.idle_workers > 0 &&
-      total_queued_.load(std::memory_order_relaxed) > 0) {
-    snapshot.idle_backlog = true;
+  // An idle worker may pop a queued job: any idle worker an untargeted one,
+  // only the named lane's worker a submit_to() job.
+  for (const PendingJob& job : queue_) {
+    if (job.lane ? lane_flags_[*job.lane].waiting : snapshot.idle_workers > 0) {
+      snapshot.idle_backlog = true;
+      break;
+    }
   }
   return snapshot;
 }
@@ -479,17 +478,21 @@ std::size_t VariantFleet::enforce_rotation_deadlines() {
           // swap: the stale reexpression leaves service NOW either way).
           displaced_sessions_[lane].push_back(std::move(sessions_[lane]));
           sessions_[lane] = std::move(*replacement);
-          telemetry_.note_rotated();
           installed = true;
           ++swapped;
         }
         // else: raced a respawn; the surplus replacement is discarded (one
         // draw lost to the race, the fresh session in the lane is kept).
       }
-      if (installed && trace_) {
-        // b=1 marks a FORCED (deadline) rotation vs the lazy b=0 kind.
-        trace_->record(lane_tracks_[lane], obs::TraceEventKind::kRotation, replacement_span,
-                       parent_span, replacement_id, 1);
+      if (installed) {
+        // Event first, then counter: a reader who sees sessions_rotated
+        // move must find the kRotation event already recorded.
+        if (trace_) {
+          // b=1 marks a FORCED (deadline) rotation vs the lazy b=0 kind.
+          trace_->record(lane_tracks_[lane], obs::TraceEventKind::kRotation, replacement_span,
+                         parent_span, replacement_id, 1);
+        }
+        telemetry_.note_rotated();
       }
     }
     const util::MutexLock lock(queue_mutex_);
@@ -547,24 +550,24 @@ void VariantFleet::worker_loop(unsigned lane) {
     if (rotate) rotate_lane(lane, rotate_parent);  // factory work outside the locks
 
     PendingJob job;
-    bool stolen = false;
-    unsigned steal_victim = pool_size_;
     {
       util::MutexLock lock(queue_mutex_);
+      // The oldest job this lane may run: the front itself unless the queue
+      // holds jobs submit_to() sent to other lanes.
+      const auto runnable = [lane](const PendingJob& pending) {
+        return !pending.lane || *pending.lane == lane;
+      };
+      auto next = queue_.end();
       // Explicit wait loop (not a wait-with-predicate lambda): the analysis
       // must see the guarded reads happen with queue_mutex_ held.
       for (;;) {
         if (lane_flags_[lane].rotate && !lane_flags_[lane].force_rotating) break;
-        if (!lane_queues_[lane].empty()) break;
-        if ((config_.work_stealing || config_.fifo_pop) &&
-            total_queued_.load(std::memory_order_relaxed) > 0) {
-          break;
-        }
-        if (!accepting_) break;
+        next = std::find_if(queue_.begin(), queue_.end(), runnable);
+        if (next != queue_.end() || !accepting_) break;
         // The waiting flag is what idle_snapshot() reports: set strictly
         // inside the lock around the wait, so an observer holding
         // queue_mutex_ sees either "blocked in the condvar" or "will
-        // re-examine the queues before sleeping" — never a stale idle.
+        // re-examine the queue before sleeping" — never a stale idle.
         lane_flags_[lane].waiting = true;
         queue_not_empty_.wait(lock.native());
         lane_flags_[lane].waiting = false;
@@ -572,63 +575,16 @@ void VariantFleet::worker_loop(unsigned lane) {
       if (lane_flags_[lane].rotate && !lane_flags_[lane].force_rotating) {
         continue;  // rotate at the loop top
       }
-      if (config_.fifo_pop && total_queued_.load(std::memory_order_relaxed) > 0) {
-        // Global-FIFO discipline: take the oldest queued job anywhere, own
-        // lane included. Lowest id wins — ids are minted in admission order.
-        unsigned victim = pool_size_;
-        std::uint64_t oldest = 0;
-        for (unsigned peer = 0; peer < pool_size_; ++peer) {
-          if (!lane_queues_[peer].empty() &&
-              (victim == pool_size_ || lane_queues_[peer].front().id < oldest)) {
-            oldest = lane_queues_[peer].front().id;
-            victim = peer;
-          }
-        }
-        if (victim == pool_size_) continue;  // raced: the backlog was drained
-        job = std::move(lane_queues_[victim].front());
-        lane_queues_[victim].pop_front();
-        if (victim != lane) {
-          stolen = true;
-          steal_victim = victim;
-        }
-      } else if (!lane_queues_[lane].empty()) {
-        job = std::move(lane_queues_[lane].front());
-        lane_queues_[lane].pop_front();
-      } else if (config_.work_stealing && total_queued_.load(std::memory_order_relaxed) > 0) {
-        // Steal the oldest job from the most-backlogged peer — in particular
-        // from a lane stuck mid-respawn, whose own worker cannot pop.
-        unsigned victim = pool_size_;
-        std::size_t deepest = 0;
-        for (unsigned peer = 0; peer < pool_size_; ++peer) {
-          if (peer != lane && lane_queues_[peer].size() > deepest) {
-            deepest = lane_queues_[peer].size();
-            victim = peer;
-          }
-        }
-        if (victim == pool_size_) continue;  // raced: the backlog was ours/gone
-        job = std::move(lane_queues_[victim].front());
-        lane_queues_[victim].pop_front();
-        stolen = true;
-        steal_victim = victim;
-      } else {
-        // Nothing for this lane. With stealing, every queue is empty here;
-        // without, peers drain their own backlogs.
-        if (!accepting_) {
-          lane_flags_[lane].exited = true;  // no reassignments here anymore
-          return;
-        }
-        continue;  // spurious wakeup
+      if (next == queue_.end()) {
+        // Draining, and nothing left that this lane may run.
+        lane_flags_[lane].exited = true;
+        return;
       }
+      job = std::move(*next);
+      queue_.erase(next);
       total_queued_.fetch_sub(1, std::memory_order_relaxed);
       queue_not_full_.notify_one();
       if (!accepting_) drain_progress_.notify_all();
-    }
-    if (stolen) {
-      telemetry_.note_stolen();
-      if (trace_) {
-        trace_->record(lane_tracks_[lane], obs::TraceEventKind::kJobStolen, job.trace_span, 0,
-                       job.id, steal_victim);
-      }
     }
     // In-queue freshness contract: a job that waited past queue_deadline is
     // dropped HERE, at pop time — lazily, so an idle queue costs nothing —
@@ -649,8 +605,7 @@ void VariantFleet::worker_loop(unsigned lane) {
       const util::MutexLock lock(sessions_mutex_);
       displaced_sessions_[lane].clear();
     }
-    // A lane whose respawn failed must retire instead of racing healthy
-    // lanes for queued jobs and insta-failing them.
+    // A lane whose respawn failed has no session to run jobs on: retire.
     {
       const util::MutexLock lock(queue_mutex_);
       if (lane_flags_[lane].dead) {
@@ -743,12 +698,10 @@ void VariantFleet::run_job(unsigned lane, PendingJob job) {
     // may have swapped a fresh session into the lane mid-job.
     if (sessions_[lane].id == outcome.session_id) ++sessions_[lane].jobs_served;
   } else {
-    // Flag the lane respawning FIRST so admission routes around it and
-    // peers know its backlog is up for stealing while the factory works.
+    // Rotation skips a respawning lane, and the load harness waits it out.
     {
       const util::MutexLock lock(queue_mutex_);
       lane_flags_[lane].respawning = true;
-      queue_not_empty_.notify_all();
     }
     if (config_.respawn_hook) config_.respawn_hook(lane);
     respawn(lane, outcome);
@@ -831,8 +784,8 @@ void VariantFleet::respawn(unsigned lane, JobOutcome& outcome) {
       }
     } else {
       // Keep the poisoned session out of service rather than serving through
-      // a known-compromised reexpression; the lane retires and donates its
-      // backlog to the surviving lanes.
+      // a known-compromised reexpression; the lane retires and the surviving
+      // lanes serve the queue.
       record.replacement_fingerprint = "(respawn failed: " + replacement.error() + ")";
       if (trace_) {
         trace_->record(lane_tracks_[lane], obs::TraceEventKind::kLaneRetired, 0,
@@ -939,38 +892,38 @@ void VariantFleet::rotate_lane(unsigned lane, std::uint64_t parent_span) {
     const util::MutexLock lock(sessions_mutex_);
     sessions_[lane] = std::move(*replacement);
   }
-  telemetry_.note_rotated();
   if (trace_) {
     // b=0: lazy (worker-initiated) rotation; parent is the causing alert's
     // span when campaign escalation flagged it, 0 for operator sweeps.
     trace_->record(lane_tracks_[lane], obs::TraceEventKind::kRotation, replacement_span,
                    parent_span, replacement_id, 0);
   }
+  telemetry_.note_rotated();  // after the event, as in enforce_rotation_deadlines()
 }
 
 void VariantFleet::retire_lane_locked(unsigned lane) {
-  // Reassign the dying lane's backlog; only fail jobs when no lane survives.
-  while (!lane_queues_[lane].empty()) {
-    PendingJob job = std::move(lane_queues_[lane].front());
-    lane_queues_[lane].pop_front();
-    const unsigned target = pick_lane_locked();
-    if (target != pool_size_) {
-      lane_queues_[target].push_back(std::move(job));
-    } else {
-      total_queued_.fetch_sub(1, std::memory_order_relaxed);
-      JobOutcome outcome;
-      outcome.job_id = job.id;
-      outcome.error = kDeadLaneError;
-      telemetry_.note_job_error();
-      job.promise.set_value(std::move(outcome));
+  // Jobs sent to this lane can never run; jobs any lane may run stay queued
+  // for the survivors — unless none survives.
+  const bool survivors = runnable_locked(std::nullopt);
+  for (auto it = queue_.begin(); it != queue_.end();) {
+    if (survivors && it->lane != lane) {
+      ++it;
+      continue;
     }
+    total_queued_.fetch_sub(1, std::memory_order_relaxed);
+    JobOutcome outcome;
+    outcome.job_id = it->id;
+    outcome.trace_span = it->trace_span;
+    outcome.error = kDeadLaneError;
+    telemetry_.note_job_error();
+    it->promise.set_value(std::move(outcome));
+    it = queue_.erase(it);
   }
-  queue_not_empty_.notify_all();
   // Failed jobs freed capacity: submitters blocked on backpressure must
   // re-check (and hit enqueue's no-live-lane fast-fail instead of hanging).
   queue_not_full_.notify_all();
-  // And they shrank total_queued_: a deadline drain waiting for the queues
-  // to empty must re-check now, not on its fallback poll.
+  // And they shrank total_queued_: a deadline drain waiting for the queue to
+  // empty must re-check now, not on its fallback poll.
   drain_progress_.notify_all();
 }
 

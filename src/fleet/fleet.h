@@ -3,14 +3,13 @@
 // service.
 //
 // Production posture the single-system runtime lacked:
-//   - admission: a bounded job budget across per-lane queues; submit()
-//     blocks for backpressure, try_submit() refuses instead (and the refusal
-//     is counted);
+//   - admission: one bounded FIFO queue; submit() blocks for backpressure,
+//     try_submit() refuses instead (and the refusal is counted);
 //   - dispatch: each worker lane owns one session stamped out by the
-//     SessionFactory and runs its queued jobs on it to completion;
-//   - work stealing: an idle lane takes queued jobs from its peers, so a
-//     lane stuck respawning a quarantined session donates its backlog
-//     instead of stalling it behind the respawn;
+//     SessionFactory, and any idle lane pops the oldest queued job and runs
+//     it to completion — so a lane stuck respawning a quarantined session
+//     stalls nothing but its own next pop. A caller whose model names a
+//     session sends the job to that lane with submit_to();
 //   - recovery: a job that ends in a divergence alarm (or throws) poisons
 //     its session — the worker QUARANTINES it (retaining the Alarm, run
 //     report, and diversity fingerprint for forensics) and respawns a
@@ -119,8 +118,9 @@ struct FleetConfig {
   /// Concurrent sessions == worker lanes. 0 = hardware_concurrency, clamped
   /// to [2, 8] so a 1-core CI box still exercises concurrency.
   unsigned pool_size = 0;
-  /// Bounded admission budget across all lane queues; what happens when it
-  /// is reached is the admission policy's call (block / shed / deadline-drop).
+  /// Bounded admission budget: the most jobs the queue holds; what happens
+  /// when it is reached is the admission policy's call (block / shed /
+  /// deadline-drop).
   std::size_t queue_capacity = 64;
   /// Full-queue behavior for submit(); see AdmissionPolicy. The default keeps
   /// the original blocking-backpressure semantics.
@@ -134,19 +134,6 @@ struct FleetConfig {
   /// deployment's "random" reexpressions predictable to anyone running the
   /// same binary. Set it explicitly only for reproducible tests/benches.
   std::optional<std::uint64_t> seed;
-  /// Idle lanes take queued jobs from their peers (see file header). Off
-  /// reverts to strict lane affinity — useful for measuring what stealing
-  /// buys (bench_fleet_throughput does exactly that).
-  bool work_stealing = true;
-  /// Pop in global-FIFO order: a freed worker takes the OLDEST queued job
-  /// across every lane (lowest job id), not its own queue's front. The pool
-  /// then behaves as one shared M/G/k queue, and because every interleaving
-  /// of concurrent pops removes the same jobs at the same instants, the pop
-  /// schedule is a function of job ids and deadlines alone — independent of
-  /// real-time worker wake order. src/load's deterministic harness needs
-  /// exactly this; stealing's deepest-victim scan races concurrent pops.
-  /// Takes precedence over work_stealing.
-  bool fifo_pop = false;
   /// Campaign correlation policy: K, the sliding window, and whether an
   /// alert rotates the surviving sessions to fresh reexpressions. With
   /// adaptation enabled this is the BASELINE the live policy tightens away
@@ -187,7 +174,7 @@ struct FleetConfig {
   /// Injectable time source for correlator windows and drain deadlines;
   /// empty = real steady clock. Tests install ManualClock::fn().
   ClockFn clock;
-  /// Structured tracing (obs/trace.h): the fleet records admission, steal,
+  /// Structured tracing (obs/trace.h): the fleet records admission,
   /// quarantine, respawn, rotation, keyspace, and adaptive events into this
   /// recorder (tracks "<trace_scope>.ops" and "<trace_scope>.lane<i>"), and
   /// propagates it into the SessionFactory and every built NVariantSystem.
@@ -204,7 +191,7 @@ struct FleetConfig {
   std::uint32_t trace_campaign_round_sample = 0;
   /// TEST SEAM: runs on the worker thread immediately after its lane enters
   /// the respawning state (before the replacement session is built), so a
-  /// test can hold a lane mid-respawn and prove its queue drains via peers.
+  /// test can hold a lane mid-respawn and prove the queue drains via peers.
   std::function<void(unsigned lane)> respawn_hook;
 };
 
@@ -218,11 +205,14 @@ class VariantFleet {
   /// JobOutcome::error of an admitted job that outlived queue_deadline in the
   /// queue and was dropped unserved (AdmissionPolicy::kDeadlineDrop).
   static constexpr const char* kDeadlineDropError = "dropped: queue deadline exceeded";
+  /// JobOutcome::error of a job no live lane can run (see submit_to()).
+  static constexpr const char* kDeadLaneError =
+      "worker lane lost its session (respawn failed earlier)";
 
   /// Spawns the worker pool and stamps out the initial sessions; throws
   /// std::invalid_argument when the spec cannot produce a valid session.
   explicit VariantFleet(FleetConfig config);
-  /// Drains the queues fully and joins the pool (shutdown()).
+  /// Drains the queue fully and joins the pool (shutdown()).
   ~VariantFleet();
 
   VariantFleet(const VariantFleet&) = delete;
@@ -233,6 +223,13 @@ class VariantFleet {
   /// kDeadlineDrop return an immediately-resolved kShedError outcome
   /// (counted jobs_shed). Throws std::runtime_error after shutdown.
   [[nodiscard]] std::future<JobOutcome> submit(FleetJob job);
+
+  /// submit() for a job only `lane`'s session may run: for callers whose
+  /// model names the session (an attacker choosing its target, a test
+  /// pinning a job). Same admission policy as submit(); a job for a retired
+  /// lane resolves at once with kDeadLaneError. Throws std::out_of_range
+  /// when lane >= pool_size().
+  [[nodiscard]] std::future<JobOutcome> submit_to(unsigned lane, FleetJob job);
 
   /// Non-blocking admission: nullopt when the fleet is at capacity or
   /// shutting down (including mid-drain). Every refusal is counted exactly
@@ -245,7 +242,7 @@ class VariantFleet {
   void shutdown();
 
   /// Deadline-bounded graceful drain: stop admitting, let the lanes work the
-  /// queues down until `deadline` elapses (measured on the injected clock),
+  /// queue down until `deadline` elapses (measured on the injected clock),
   /// then abandon whatever is still queued — each abandoned submitter's
   /// future resolves with kAbandonedError — and join the pool once in-flight
   /// jobs finish (in-flight work is never abandoned). The abandoned count is
@@ -322,17 +319,17 @@ class VariantFleet {
   /// Campaigns whose sliding window is still live right now.
   [[nodiscard]] std::vector<CampaignAlert> open_campaigns() const;
   [[nodiscard]] unsigned pool_size() const noexcept { return pool_size_; }
-  /// Total jobs queued across every lane (excludes in-flight jobs).
+  /// Jobs queued and not yet popped (excludes in-flight jobs).
   [[nodiscard]] std::size_t queue_depth() const;
   /// One consistent observation of worker-side progress, for drivers that
   /// single-step the fleet on an injected clock (src/load). The fleet is
   /// externally at rest when every worker is accounted for (idle_workers
   /// plus the driver's own count of in-flight job bodies equals pool_size),
-  /// no idle worker has poppable backlog, and no lane is mid-swap — all
+  /// no idle worker may pop a queued job, and no lane is mid-swap — all
   /// remaining progress then needs the clock to move.
   struct IdleSnapshot {
     std::size_t idle_workers = 0;   ///< workers blocked on the queue condvar
-    bool idle_backlog = false;      ///< an idle worker's own queue is nonempty
+    bool idle_backlog = false;      ///< an idle worker may pop a queued job
     std::size_t lanes_in_flux = 0;  ///< respawn / forced rotation in progress
   };
   [[nodiscard]] IdleSnapshot idle_snapshot() const;
@@ -366,6 +363,8 @@ class VariantFleet {
     FleetJob fn;
     std::promise<JobOutcome> promise;
     std::uint64_t trace_span = 0;  // allocated at admission (kJobAdmitted)
+    /// The lane submit_to() named; empty = any lane may run the job.
+    std::optional<unsigned> lane;
     /// Admission time on the injected clock; only stamped when a queue
     /// deadline is armed (kDeadlineDrop with queue_deadline > 0).
     std::chrono::steady_clock::time_point admitted_at{};
@@ -374,8 +373,8 @@ class VariantFleet {
   /// itself is NV_GUARDED_BY below).
   struct LaneFlags {
     bool dead = false;        // respawn failed; lane retired
-    bool exited = false;      // worker thread returned; queue will never drain
-    bool respawning = false;  // lane is mid-respawn; don't route new jobs here
+    bool exited = false;      // worker thread returned; pops nothing more
+    bool respawning = false;  // lane is mid-respawn; rotation skips it
     bool waiting = false;     // worker is blocked on the queue condvar
     bool rotate = false;      // campaign escalation: re-diversify before next job
     /// Deadline enforcement is force-rotating this lane right now; its own
@@ -408,13 +407,16 @@ class VariantFleet {
   /// install the replacement NOW and park the displaced session until the
   /// lane's in-flight job finishes with it. Returns lanes swapped.
   std::size_t enforce_rotation_deadlines();
-  /// Move a retiring lane's queued jobs to lanes that can still run them
-  /// (or fail them when none can).
+  /// Fail the queued jobs sent to a retiring lane (every queued job when no
+  /// live lane remains); jobs any lane may run stay for the survivors.
   void retire_lane_locked(unsigned lane) NV_REQUIRES(queue_mutex_);
-  /// Round-robin over serviceable lanes (worker alive, not dead, preferring
-  /// non-respawning). pool_size_ when no lane can take work.
-  [[nodiscard]] unsigned pick_lane_locked() NV_REQUIRES(queue_mutex_);
-  [[nodiscard]] std::future<JobOutcome> enqueue_locked(FleetJob job) NV_REQUIRES(queue_mutex_);
+  /// Some live lane (not retired, worker not exited) may run a job sent to
+  /// `lane` (empty = any lane).
+  [[nodiscard]] bool runnable_locked(std::optional<unsigned> lane) const NV_REQUIRES(queue_mutex_);
+  /// The admission body submit() and submit_to() share.
+  [[nodiscard]] std::future<JobOutcome> admit(std::optional<unsigned> lane, FleetJob job);
+  [[nodiscard]] std::future<JobOutcome> enqueue_locked(std::optional<unsigned> lane, FleetJob job)
+      NV_REQUIRES(queue_mutex_);
   /// 503 path: mint an already-resolved kShedError future (counted + traced).
   [[nodiscard]] std::future<JobOutcome> shed_locked() NV_REQUIRES(queue_mutex_);
   /// kDeadlineDrop: resolve an expired queued job as kDeadlineDropError.
@@ -442,12 +444,11 @@ class VariantFleet {
   std::condition_variable queue_not_empty_;
   std::condition_variable queue_not_full_;
   std::condition_variable drain_progress_;
-  std::vector<std::deque<PendingJob>> lane_queues_ NV_GUARDED_BY(queue_mutex_);  // one per lane
+  std::deque<PendingJob> queue_ NV_GUARDED_BY(queue_mutex_);  // oldest first
   std::vector<LaneFlags> lane_flags_ NV_GUARDED_BY(queue_mutex_);
   /// Written only under queue_mutex_; atomic so queue_depth_hint() can read
   /// it lock-free from the router hot path.
   std::atomic<std::size_t> total_queued_{0};
-  unsigned next_lane_ NV_GUARDED_BY(queue_mutex_) = 0;
   bool accepting_ NV_GUARDED_BY(queue_mutex_) = true;
   std::uint64_t next_job_id_ NV_GUARDED_BY(queue_mutex_) = 0;
   /// See health_epoch(): bumped on accepting flips, keyspace refreshes, and
@@ -456,7 +457,7 @@ class VariantFleet {
 
   /// Tracing (null = untraced). ops_track_ carries fleet-scope events
   /// (admission, alerts, keyspace); lane_tracks_[i] carries lane i's
-  /// lifecycle (start/finish, steal, quarantine, respawn, rotation).
+  /// lifecycle (start/finish, quarantine, respawn, rotation).
   std::shared_ptr<obs::TraceRecorder> trace_;
   std::uint32_t ops_track_ = 0;
   std::vector<std::uint32_t> lane_tracks_;

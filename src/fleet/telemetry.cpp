@@ -24,7 +24,6 @@ FleetSnapshot FleetTelemetry::snapshot() const {
   snap.jobs_completed = jobs_completed_.load(std::memory_order_relaxed);
   snap.jobs_alarmed = jobs_alarmed_.load(std::memory_order_relaxed);
   snap.job_errors = job_errors_.load(std::memory_order_relaxed);
-  snap.jobs_stolen = jobs_stolen_.load(std::memory_order_relaxed);
   snap.jobs_abandoned = jobs_abandoned_.load(std::memory_order_relaxed);
   snap.jobs_shed = jobs_shed_.load(std::memory_order_relaxed);
   snap.jobs_deadline_dropped = jobs_deadline_dropped_.load(std::memory_order_relaxed);
@@ -67,7 +66,7 @@ std::string FleetSnapshot::describe() const {
                                      static_cast<unsigned long long>(keys_total));
   return util::format(
       "jobs: %llu submitted, %llu completed, %llu alarmed, %llu errored, %llu rejected, "
-      "%llu stolen, %llu abandoned | "
+      "%llu abandoned | "
       "admission: %llu shed, %llu deadline-dropped, %llu us blocked, watermark %llu | "
       "sessions: %llu quarantined, %llu respawned, %llu rotated (%llu rotations failed) | "
       "keyspace: %s | "
@@ -79,7 +78,6 @@ std::string FleetSnapshot::describe() const {
       static_cast<unsigned long long>(jobs_alarmed),
       static_cast<unsigned long long>(job_errors),
       static_cast<unsigned long long>(jobs_rejected),
-      static_cast<unsigned long long>(jobs_stolen),
       static_cast<unsigned long long>(jobs_abandoned),
       static_cast<unsigned long long>(jobs_shed),
       static_cast<unsigned long long>(jobs_deadline_dropped),

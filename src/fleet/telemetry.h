@@ -31,7 +31,10 @@ struct FleetSnapshot {
   std::uint64_t jobs_completed = 0;  // finished cleanly, no alarm
   std::uint64_t jobs_alarmed = 0;    // finished with a divergence alarm
   std::uint64_t job_errors = 0;      // the job callable itself threw
-  std::uint64_t jobs_stolen = 0;     // jobs an idle lane took from a peer's queue
+  /// Always 0: the fleet has one admission queue, so no lane takes a job
+  /// from a peer. Kept only because fleetbench reads it; ROADMAP direction
+  /// 3's benchmark change removes it together with fleet.jobs_stolen.
+  std::uint64_t jobs_stolen = 0;
   std::uint64_t jobs_abandoned = 0;  // queued jobs dropped by a drain deadline
   std::uint64_t jobs_shed = 0;       // 503-style admission refusals (kShed/kDeadlineDrop)
   std::uint64_t jobs_deadline_dropped = 0;  // admitted but expired in queue (kDeadlineDrop)
@@ -81,7 +84,6 @@ class FleetTelemetry {
     sessions_quarantined_.fetch_add(1, std::memory_order_relaxed);
   }
   void note_respawned() noexcept { sessions_respawned_.fetch_add(1, std::memory_order_relaxed); }
-  void note_stolen() noexcept { jobs_stolen_.fetch_add(1, std::memory_order_relaxed); }
   void note_abandoned() noexcept { jobs_abandoned_.fetch_add(1, std::memory_order_relaxed); }
   void note_shed() noexcept { jobs_shed_.fetch_add(1, std::memory_order_relaxed); }
   void note_deadline_dropped() noexcept {
@@ -154,7 +156,6 @@ class FleetTelemetry {
   std::atomic<std::uint64_t> jobs_completed_{0};
   std::atomic<std::uint64_t> jobs_alarmed_{0};
   std::atomic<std::uint64_t> job_errors_{0};
-  std::atomic<std::uint64_t> jobs_stolen_{0};
   std::atomic<std::uint64_t> jobs_abandoned_{0};
   std::atomic<std::uint64_t> jobs_shed_{0};
   std::atomic<std::uint64_t> jobs_deadline_dropped_{0};

@@ -153,13 +153,6 @@ LoadReport run_load(const LoadHarnessConfig& config) {
   fleet_config.spec.variations = {"uid-xor"};
   fleet_config.pool_size = config.pool_size;
   fleet_config.queue_capacity = config.queue_capacity;
-  // Stealing picks its victim by racing real-time queue scans, so which JOB
-  // a freed worker takes — and hence when each lane next frees — would vary
-  // run to run. Global-FIFO pops are commutative (every interleaving of
-  // concurrent pops removes the same oldest jobs), so the whole pop schedule
-  // is a function of virtual time alone — and the pool serves as the single
-  // shared M/G/k queue the src/sim analytic model assumes.
-  fleet_config.fifo_pop = true;
   fleet_config.admission = config.admission;
   fleet_config.queue_deadline = config.queue_deadline;
   fleet_config.seed = config.fleet_seed;
@@ -292,10 +285,10 @@ LoadReport run_load(const LoadHarnessConfig& config) {
   //      the queue condvar. A worker mid-pop, between pop and the body's
   //      clock read, in its post-body epilogue, or mid-respawn is neither —
   //      and would otherwise make progress across the advance;
-  //   4. no idle worker has backlog in its own queue (it will pop any
-  //      moment), and no lane is mid-swap (the round-robin lane pick routes
-  //      around lanes in flux, so submitting during a swap would make queue
-  //      assignment depend on how fast the session factory ran).
+  //   4. no idle worker may pop a queued job (it will pop any moment), and
+  //      no lane is mid-swap (a deadline force-rotation swaps a lane's
+  //      session while its worker sits idle, so advancing mid-swap would let
+  //      the factory's real-time speed decide which session a job meets).
   // Work the check holds the clock for progresses in real time to a counted
   // state without virtual time moving, so settle() terminates.
   const auto quiescent = [&]() {

@@ -68,7 +68,6 @@ void expose_fleet(std::string& out, std::set<std::string>& typed,
   c("jobs_completed", snap.jobs_completed);
   c("jobs_alarmed", snap.jobs_alarmed);
   c("job_errors", snap.job_errors);
-  c("jobs_stolen", snap.jobs_stolen);
   c("jobs_abandoned", snap.jobs_abandoned);
   c("jobs_shed", snap.jobs_shed);
   c("jobs_deadline_dropped", snap.jobs_deadline_dropped);

@@ -22,7 +22,6 @@ std::string_view to_string(TraceEventKind kind) noexcept {
     case TraceEventKind::kJobRejected: return "job_rejected";
     case TraceEventKind::kJobStarted: return "job_started";
     case TraceEventKind::kJobFinished: return "job_finished";
-    case TraceEventKind::kJobStolen: return "job_stolen";
     case TraceEventKind::kJobAbandoned: return "job_abandoned";
     case TraceEventKind::kSyscallRound: return "syscall_round";
     case TraceEventKind::kQuarantine: return "quarantine";

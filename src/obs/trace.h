@@ -63,11 +63,10 @@ enum class TraceEventKind : std::uint8_t {
   kSessionDraw,        // factory issued a freshly diversified session
   kDrawRefused,        // factory could not produce one (redraws exhausted)
   kBudgetRefusal,      // factory refused at the cluster budget allocation cap
-  kJobAdmitted,        // job accepted into a lane queue
+  kJobAdmitted,        // job accepted into the admission queue
   kJobRejected,        // try_submit refused (backpressure / draining)
   kJobStarted,         // worker picked the job up against a session
   kJobFinished,        // job resolved (payload: rounds, verdict)
-  kJobStolen,          // idle lane took the job from a peer's queue
   kJobAbandoned,       // drain deadline dropped the queued job
   kSyscallRound,       // sampled rendezvous round (core; see sampling stride)
   kQuarantine,         // alarmed/errored job poisoned its session
@@ -102,7 +101,7 @@ inline constexpr std::size_t kTraceEventKindCount =
 /// e.g. dropping the round stride to 1 when a campaign alert fires).
 struct TraceConfig {
   /// Master switch. False turns every record() into an immediate return —
-  /// the cheapest compiled-in path (bench_fleet_throughput A/Bs this).
+  /// the cheapest compiled-in path.
   bool enabled = true;
   /// Events retained per track. A full ring keeps the NEWEST events,
   /// overwrites the oldest, and counts the overwrite in dropped().

@@ -157,7 +157,6 @@ ClusterConfig small_cluster(ManualClock& clock, unsigned shards = 2) {
   config.shard.pool_size = 2;
   config.shard.queue_capacity = 8;
   config.shard.seed = 0xC1057E4;
-  config.shard.work_stealing = false;
   config.shard.campaign.threshold = 3;
   config.shard.campaign.window = milliseconds(10'000);
   config.shard.campaign.rotate_fleet_on_alert = false;
@@ -325,8 +324,10 @@ TEST(FleetClusterTest, GossipTighteningIsDeterministicAcrossRuns) {
   const auto run_once = [] {
     ManualClock clock;
     FleetCluster cluster(small_cluster(clock, 3));
-    for (int i = 0; i < 3; ++i) {
-      (void)cluster.submit_to(0, poison_job("coordinated probe burst")).get();
+    // Each probe names its lane, so which session every respawn replaces
+    // does not depend on which idle worker wins the pop.
+    for (unsigned i = 0; i < 3; ++i) {
+      (void)cluster.shard(0).submit_to(i % 2, poison_job("coordinated probe burst")).get();
     }
     std::vector<std::string> identity;
     for (unsigned s = 0; s < 3; ++s) {

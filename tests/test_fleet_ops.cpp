@@ -1,15 +1,19 @@
 // Fleet operations: attack-signature derivation, campaign correlation over
-// synthetic and real alarm streams, work stealing around a held respawn,
-// deadline-bounded graceful drain, and diversity-draw uniqueness — all
-// deterministic: seeded factories, promise-gated jobs, and ManualClock time
-// (no sleeps, no wall-clock dependence for correctness).
+// synthetic and real alarm streams, the admission queue around a held
+// respawn and a retired lane, deadline-bounded graceful drain, and
+// diversity-draw uniqueness — all deterministic: seeded factories,
+// promise-gated jobs, and ManualClock time (no sleeps, no wall-clock
+// dependence for correctness).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
 #include <map>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "core/alarm.h"
 #include "fleet/fleet.h"
@@ -482,9 +486,52 @@ TEST(FleetRotation, ExhaustedKeySpaceStopsRotationAndFiresTheHookOnce) {
   EXPECT_TRUE(fleet.submit(jobs::uid_churn(3)).get().ok());
 }
 
-// --- VariantFleet: work stealing --------------------------------------------
+// --- VariantFleet: one admission queue ---------------------------------------
 
-TEST(FleetWorkStealing, RespawningLaneDonatesItsBacklogToPeers) {
+TEST(FleetWorkStealing, AFreedLaneServesTheQueueInAdmissionOrder) {
+  // One FIFO queue: whichever lane frees first pops the oldest job. With
+  // per-lane queues the freed lane ran its own queue first and only then
+  // stole the peer's, serving {1, 3, 2, 4}.
+  FleetConfig config;
+  config.spec = uid_spec();
+  config.pool_size = 2;
+  config.queue_capacity = 16;
+  config.seed = 0xF1F0;
+  VariantFleet fleet(config);
+
+  GatedJob blocker_a;
+  GatedJob blocker_b;
+  auto fa = fleet.submit(blocker_a.job());
+  auto fb = fleet.submit(blocker_b.job());
+  blocker_a.wait_started();
+  blocker_b.wait_started();
+
+  auto order_mutex = std::make_shared<std::mutex>();
+  auto order = std::make_shared<std::vector<int>>();
+  std::vector<std::future<JobOutcome>> queued;
+  for (int n = 1; n <= 4; ++n) {
+    queued.push_back(fleet.submit([order_mutex, order, n](core::NVariantSystem&) {
+      const std::lock_guard<std::mutex> lock(*order_mutex);
+      order->push_back(n);
+      core::RunReport report;
+      report.completed = true;
+      return report;
+    }));
+  }
+  EXPECT_EQ(fleet.queue_depth(), 4u);
+
+  blocker_a.release();  // one lane frees; the other stays pinned
+  for (auto& future : queued) EXPECT_TRUE(future.get().ok());
+  {
+    const std::lock_guard<std::mutex> lock(*order_mutex);
+    EXPECT_EQ(*order, (std::vector<int>{1, 2, 3, 4}));
+  }
+  blocker_b.release();
+  EXPECT_TRUE(fa.get().ok());
+  EXPECT_TRUE(fb.get().ok());
+}
+
+TEST(FleetWorkStealing, RespawningLaneDoesNotStallTheQueue) {
   auto gate = std::make_shared<std::promise<void>>();
   auto gate_future = gate->get_future().share();
   auto in_respawn = std::make_shared<std::promise<void>>();
@@ -500,8 +547,8 @@ TEST(FleetWorkStealing, RespawningLaneDonatesItsBacklogToPeers) {
   };
   VariantFleet fleet(config);
 
-  // Pin BOTH workers so the poison job and the churn backlog queue up with a
-  // known round-robin layout before anything runs.
+  // Pin BOTH workers so the poison job and the churn backlog queue up before
+  // anything runs.
   GatedJob blocker_a;
   GatedJob blocker_b;
   auto fa = fleet.submit(blocker_a.job());
@@ -517,13 +564,12 @@ TEST(FleetWorkStealing, RespawningLaneDonatesItsBacklogToPeers) {
   blocker_b.release();
   in_respawn->get_future().wait();  // one lane is now HELD inside its respawn
 
-  // The held lane cannot pop anything — yet every queued churn job completes,
-  // because the surviving lane steals the held lane's backlog.
+  // The held lane cannot pop anything — yet every queued churn job
+  // completes, because the surviving lane serves the queue.
   for (auto& future : churn) {
     const JobOutcome outcome = future.get();
     EXPECT_TRUE(outcome.ok()) << outcome.error;
   }
-  EXPECT_GE(fleet.telemetry().snapshot().jobs_stolen, 1u);
 
   gate->set_value();  // let the respawn finish
   EXPECT_TRUE(poisoned.get().session_quarantined);
@@ -535,11 +581,10 @@ TEST(FleetWorkStealing, RespawningLaneDonatesItsBacklogToPeers) {
   EXPECT_EQ(snap.sessions_respawned, 1u);
 }
 
-TEST(FleetWorkStealing, WithoutStealingTheBacklogStallsBehindTheRespawn) {
-  // The control experiment: stealing OFF pins jobs to their lane, so the
-  // held lane's backlog cannot move until the respawn completes. With strict
-  // affinity the round-robin layout is fully deterministic: blockers on
-  // lanes {0,1}, then poison->0, churn c1->1, c2->0, c3->1, c4->0.
+TEST(FleetWorkStealing, JobsSubmittedToAHeldLaneWaitForItsRespawn) {
+  // submit_to() pins jobs to their lane, so the held lane's jobs cannot
+  // move until the respawn completes: blockers on both lanes, then
+  // poison->0, churn c1->1, c2->0, c3->1, c4->0.
   auto gate = std::make_shared<std::promise<void>>();
   auto gate_future = gate->get_future().share();
   auto in_respawn = std::make_shared<std::promise<void>>();
@@ -549,7 +594,6 @@ TEST(FleetWorkStealing, WithoutStealingTheBacklogStallsBehindTheRespawn) {
   config.pool_size = 2;
   config.queue_capacity = 16;
   config.seed = 0x57EB;
-  config.work_stealing = false;
   config.respawn_hook = [in_respawn, gate_future](unsigned) {
     in_respawn->set_value();
     gate_future.wait();
@@ -563,21 +607,21 @@ TEST(FleetWorkStealing, WithoutStealingTheBacklogStallsBehindTheRespawn) {
   blocker_a.wait_started();
   blocker_b.wait_started();
 
-  auto poisoned = fleet.submit(poison_job("stall probe"));  // lane 0
-  auto c1 = fleet.submit(jobs::uid_churn(5));               // lane 1
-  auto c2 = fleet.submit(jobs::uid_churn(5));               // lane 0
-  auto c3 = fleet.submit(jobs::uid_churn(5));               // lane 1
-  auto c4 = fleet.submit(jobs::uid_churn(5));               // lane 0
+  auto poisoned = fleet.submit_to(0, poison_job("stall probe"));
+  auto c1 = fleet.submit_to(1, jobs::uid_churn(5));
+  auto c2 = fleet.submit_to(0, jobs::uid_churn(5));
+  auto c3 = fleet.submit_to(1, jobs::uid_churn(5));
+  auto c4 = fleet.submit_to(0, jobs::uid_churn(5));
 
   blocker_a.release();
   blocker_b.release();
   in_respawn->get_future().wait();  // lane 0 held mid-respawn
 
-  // Lane 1 drains its own queue...
+  // Lane 1 serves its own jobs...
   EXPECT_TRUE(c1.get().ok());
   EXPECT_TRUE(c3.get().ok());
-  // ...but lane 0's backlog is provably stuck: with the lane held and no
-  // stealing, these futures cannot resolve no matter how long we wait.
+  // ...but lane 0's jobs are provably stuck: with the lane held, these
+  // futures cannot resolve no matter how long we wait.
   EXPECT_EQ(c2.wait_for(std::chrono::milliseconds(0)), std::future_status::timeout);
   EXPECT_EQ(c4.wait_for(std::chrono::milliseconds(0)), std::future_status::timeout);
 
@@ -587,8 +631,64 @@ TEST(FleetWorkStealing, WithoutStealingTheBacklogStallsBehindTheRespawn) {
   EXPECT_TRUE(c4.get().ok());
   EXPECT_TRUE(fa.get().ok());
   EXPECT_TRUE(fb.get().ok());
-  fleet.shutdown();
-  EXPECT_EQ(fleet.telemetry().snapshot().jobs_stolen, 0u);
+}
+
+TEST(FleetWorkStealing, RetiredLaneFailsItsOwnJobsAndPeersServeTheRest) {
+  // Two keys for two lanes: the initial sessions spend the budget, so the
+  // first respawn fails and its lane retires.
+  auto gate = std::make_shared<std::promise<void>>();
+  auto gate_future = gate->get_future().share();
+  auto in_respawn = std::make_shared<std::promise<void>>();
+
+  FleetConfig config;
+  config.spec = uid_spec();
+  config.spec.max_unique_keys = 2;
+  config.pool_size = 2;
+  config.queue_capacity = 16;
+  config.seed = 0xDEAD;
+  config.respawn_hook = [in_respawn, gate_future](unsigned) {
+    in_respawn->set_value();
+    gate_future.wait();
+  };
+  VariantFleet fleet(config);
+
+  GatedJob pin;  // keeps lane 1 busy while lane 0 retires
+  auto pinned = fleet.submit_to(1, pin.job());
+  pin.wait_started();
+  auto poisoned = fleet.submit_to(0, poison_job("retire probe"));
+  in_respawn->get_future().wait();  // lane 0 held mid-respawn
+
+  auto for_lane0 = fleet.submit_to(0, jobs::uid_churn(3));
+  auto for_anyone = fleet.submit(jobs::uid_churn(3));
+  EXPECT_EQ(fleet.queue_depth(), 2u);
+
+  gate->set_value();  // the respawn fails: lane 0 retires
+  EXPECT_TRUE(poisoned.get().session_quarantined);
+  EXPECT_EQ(for_lane0.get().error, VariantFleet::kDeadLaneError);
+  auto late = fleet.submit_to(0, jobs::uid_churn(3));
+  EXPECT_EQ(late.wait_for(std::chrono::milliseconds(0)), std::future_status::ready);
+  EXPECT_EQ(fleet.queue_depth(), 1u);  // the untargeted job waits for lane 1
+
+  pin.release();
+  const JobOutcome pin_outcome = pinned.get();
+  const JobOutcome served = for_anyone.get();
+  EXPECT_TRUE(served.ok()) << served.error;
+  EXPECT_EQ(served.session_id, pin_outcome.session_id);  // lane 1's session
+  EXPECT_EQ(late.get().error, VariantFleet::kDeadLaneError);
+  const auto log = fleet.quarantine_log();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].replacement_fingerprint.rfind("(respawn failed", 0), 0u);
+}
+
+TEST(FleetWorkStealing, SubmitToAnUnknownLaneThrows) {
+  FleetConfig config;
+  config.spec = uid_spec();
+  config.pool_size = 2;
+  config.seed = 0x0B0B;
+  VariantFleet fleet(config);
+  EXPECT_THROW((void)fleet.submit_to(fleet.pool_size(), jobs::uid_churn(3)), std::out_of_range);
+  EXPECT_EQ(fleet.telemetry().snapshot().jobs_submitted, 0u);
+  EXPECT_TRUE(fleet.submit_to(fleet.pool_size() - 1, jobs::uid_churn(3)).get().ok());
 }
 
 // --- VariantFleet: graceful drain -------------------------------------------

@@ -260,9 +260,6 @@ TEST(FleetKeyspace, RotationDeadlineSwapsTheSessionUnderATooSlowJob) {
   config.queue_capacity = 8;
   config.seed = 0xDEAD11;
   config.rotation_deadline = milliseconds(5000);
-  // Strict lane affinity: round-robin admission then fully determines which
-  // lane runs which job (no steal can move a gated job to the other lane).
-  config.work_stealing = false;
   config.clock = clock.fn();
   VariantFleet fleet(config);
   const auto before = fleet.live_fingerprints();
@@ -311,7 +308,6 @@ TEST(FleetKeyspace, IdleFleetEnforcesRotationDeadlineOnClockAdvance) {
   config.queue_capacity = 8;
   config.seed = 0xDEAD33;
   config.rotation_deadline = milliseconds(2000);
-  config.work_stealing = false;
   config.clock = clock.fn();
   VariantFleet fleet(config);
   clock.subscribe([&fleet] { fleet.notify_time_advanced(); });
@@ -352,7 +348,6 @@ TEST(FleetKeyspace, SubmissionEnforcesRotationDeadlineWithoutAnyPoll) {
   config.queue_capacity = 8;
   config.seed = 0xDEAD44;
   config.rotation_deadline = milliseconds(2000);
-  config.work_stealing = false;
   config.clock = clock.fn();
   VariantFleet fleet(config);
   const auto before = fleet.live_fingerprints();
@@ -394,9 +389,6 @@ TEST(FleetKeyspace, DisplacedSessionQuarantineKeepsTheFreshReplacement) {
   config.queue_capacity = 8;
   config.seed = 0xDEAD22;
   config.rotation_deadline = milliseconds(1000);
-  // Strict lane affinity: the gated poison job must land on lane 0 (an idle
-  // peer could otherwise STEAL it and run it against lane 1's session).
-  config.work_stealing = false;
   config.clock = clock.fn();
   VariantFleet fleet(config);
   const auto before = fleet.live_fingerprints();
@@ -410,7 +402,7 @@ TEST(FleetKeyspace, DisplacedSessionQuarantineKeepsTheFreshReplacement) {
     release_future.wait();
     throw std::runtime_error("slow probe");
   };
-  auto outcome = fleet.submit(slow_poison);  // round-robin: lane 0
+  auto outcome = fleet.submit_to(0, slow_poison);
   started->get_future().wait();
 
   ASSERT_EQ(fleet.rotate_fleet(), 2u);

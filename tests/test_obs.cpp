@@ -258,7 +258,6 @@ FleetConfig traced_fleet(ManualClock& clock, std::shared_ptr<TraceRecorder> reco
   config.pool_size = pool_size;
   config.queue_capacity = 16;
   config.seed = 0xD15EA5E;
-  config.work_stealing = false;
   config.campaign.threshold = 3;
   config.campaign.window = milliseconds(10'000);
   config.campaign.rotate_fleet_on_alert = true;
@@ -328,8 +327,9 @@ TEST(TraceFleetTest, CampaignReadsAsOneCausalChainFromDrawToRotation) {
 
   // The rotation the alert requested resolves lazily before the flagged
   // lane's next job; its kRotation event must close the chain to the alert.
-  for (int i = 0; i < 8 && fleet.telemetry().snapshot().sessions_rotated == 0; ++i) {
-    (void)fleet.submit(clean_job()).get();
+  // One clean job per lane makes sure the flagged lane runs one.
+  for (unsigned lane = 0; lane < fleet.pool_size(); ++lane) {
+    (void)fleet.submit_to(lane, clean_job()).get();
   }
   ASSERT_GE(fleet.telemetry().snapshot().sessions_rotated, 1u);
   const auto rotations = events_of(*recorder, TraceEventKind::kRotation);
@@ -415,7 +415,6 @@ cluster::ClusterConfig traced_cluster(ManualClock& clock,
   config.shard.pool_size = 2;
   config.shard.queue_capacity = 8;
   config.shard.seed = 0xC1057E4;
-  config.shard.work_stealing = false;
   config.shard.campaign.threshold = 3;
   config.shard.campaign.window = milliseconds(10'000);
   config.shard.campaign.rotate_fleet_on_alert = false;
