@@ -165,9 +165,7 @@ NVariantSystem::~NVariantSystem() {
 
 void NVariantSystem::install_variation(VariationPtr variation) {
   if (sealed_) throw std::logic_error("sealed system: variations are fixed at build time");
-  for (const auto& path : variation->unshared_paths()) {
-    unshared_.insert(vfs::normalize_path(path));
-  }
+  for (const auto& path : variation->unshared_paths()) install_unshared(path);
   variations_.push_back(std::move(variation));
 }
 
@@ -179,9 +177,16 @@ double NVariantSystem::keyspace_bits() const {
   return bits;
 }
 
-void NVariantSystem::install_unshared(std::string path) {
+void NVariantSystem::install_unshared(std::string_view path) {
   if (sealed_) throw std::logic_error("sealed system: unshared paths are fixed at build time");
-  unshared_.insert(vfs::normalize_path(std::move(path)));
+  std::string normalized = vfs::normalize_path(path);
+  if (unshared_.contains(normalized)) return;
+  std::vector<std::string> copies;
+  copies.reserve(options_.n_variants);
+  for (unsigned v = 0; v < options_.n_variants; ++v) {
+    copies.push_back(vfs::variant_path(normalized, v));
+  }
+  unshared_.emplace(std::move(normalized), std::move(copies));
 }
 
 void NVariantSystem::install_trace(std::shared_ptr<obs::TraceRecorder> recorder,
@@ -210,8 +215,14 @@ void NVariantSystem::prepare() {
     for (const auto& variation : variations_) variation->configure_variant(config);
     configs_.push_back(std::move(config));
   }
-  for (const auto& variation : variations_) {
-    variation->prepare_filesystem(fs_, options_.n_variants);
+  // The copies need deriving before the first run and again only once an
+  // unshared file or one of its copies has changed (variation.h).
+  if (!derived_ || restamp()) {
+    for (const auto& variation : variations_) {
+      variation->prepare_filesystem(fs_, options_.n_variants);
+    }
+    (void)restamp();
+    derived_ = true;
   }
   monitor_.reset();
   hub_.reset();  // re-arm the network after a previous run's shutdown
@@ -224,6 +235,35 @@ void NVariantSystem::prepare() {
     proc->memory().set_alloc_base(configs_[v].memory_base);
     procs_.push_back(std::move(proc));
   }
+}
+
+bool NVariantSystem::restamp() {
+  bool changed = false;
+  std::size_t next = 0;
+  const auto note = [&](std::string_view path) {
+    const auto st = fs_.stat(path);
+    const FileStamp stamp = st ? FileStamp{st->ino, st->version} : FileStamp{};
+    if (next == stamps_.size()) {
+      stamps_.push_back(stamp);
+      changed = true;
+    } else if (stamps_[next] != stamp) {
+      stamps_[next] = stamp;
+      changed = true;
+    }
+    ++next;
+    return st.has_value();
+  };
+  for (const auto& [path, copies] : unshared_) {
+    // An absent file's copies are left alone by the derivation, so only the
+    // file itself is stamped.
+    if (!note(path)) continue;
+    for (const auto& copy : copies) (void)note(copy);
+  }
+  if (next != stamps_.size()) {
+    stamps_.resize(next);
+    changed = true;
+  }
+  return changed;
 }
 
 RunReport NVariantSystem::run(const VariantBody& body) {
@@ -466,10 +506,12 @@ void NVariantSystem::execute_canonical(const std::vector<SyscallArgs>& canonical
 
     case ExecPolicy::kPathRouted: {
       // stat on an unshared path must resolve per variant (§3.4).
-      if (!call.strs.empty() && unshared_.contains(vfs::normalize_path(call.strs[0]))) {
+      const auto unshared =
+          call.strs.empty() ? unshared_.end() : unshared_.find(vfs::normalize_path(call.strs[0]));
+      if (unshared != unshared_.end()) {
         for (unsigned v = 0; v < n; ++v) {
           SyscallArgs redirected = canonical[v];
-          redirected.strs[0] = vfs::variant_path(redirected.strs[0], v);
+          redirected.strs[0] = unshared->second[v];
           results[v] = vkernel::execute_syscall(ctx_, *procs_[v], redirected);
         }
       } else {
@@ -510,14 +552,14 @@ void NVariantSystem::lead_open(const std::vector<SyscallArgs>& canonical,
 
   // Keep fd tables slot-synchronized: all variants receive the same fd.
   const os::fd_t slot = procs_[0]->lowest_free_fd();
-  const bool unshared = unshared_.contains(path);
+  const auto copies = unshared_.find(path);
+  const bool unshared = copies != unshared_.end();
 
   if (unshared) {
     // Each variant opens its own diversified copy (§3.4: "P0 will actually
     // open /etc/passwd-0 and P1 will open /etc/passwd-1").
     for (unsigned v = 0; v < n; ++v) {
-      results[v] =
-          vkernel::do_open(ctx_, *procs_[v], vfs::variant_path(path, v), flags, mode, slot);
+      results[v] = vkernel::do_open(ctx_, *procs_[v], copies->second[v], flags, mode, slot);
     }
   } else {
     // Shared file: one open-file object, mirrored into every table slot.

@@ -21,13 +21,16 @@
 #define NV_CORE_NVARIANT_SYSTEM_H
 
 #include <array>
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/diversity_suite.h"
@@ -176,13 +179,17 @@ class NVariantSystem {
   explicit NVariantSystem(NVariantOptions options);
 
   void install_variation(VariationPtr variation);
-  void install_unshared(std::string path);
+  void install_unshared(std::string_view path);
   void install_trace(std::shared_ptr<obs::TraceRecorder> recorder, std::uint32_t track,
                      std::uint64_t parent_span);
   void seal() noexcept { sealed_ = true; }
 
-  /// Fresh per-run state: variant configs, monitor, network, processes.
+  /// Fresh per-run state: variant configs, monitor, network, processes; and
+  /// the unshared files' copies, re-derived when restamp() finds a change.
   void prepare();
+  /// Reads the stamp of every unshared file, and of each copy of one that
+  /// exists, into stamps_. Returns whether any differs from what stamps_ held.
+  bool restamp();
   /// One run of every variant through the rendezvous (the session body),
   /// beside `client` if it is set.
   void run_variants(const VariantBody& body, const SyscallRendezvous::ClientFn& client = nullptr);
@@ -220,7 +227,17 @@ class NVariantSystem {
   vkernel::SocketHub hub_;
   vkernel::KernelContext ctx_;
   Monitor monitor_;
-  std::set<std::string> unshared_;
+  /// Normalized unshared path (§3.4) -> its per-variant copies
+  /// (vfs::variant_path), computed once at build time.
+  std::map<std::string, std::vector<std::string>, std::less<>> unshared_;
+  /// (ino, version) of a file, {0, 0} while it is absent: equal stamps mean
+  /// an unchanged file, since an inode number is never reused.
+  using FileStamp = std::pair<std::uint64_t, std::uint64_t>;
+  /// The unshared files' and their copies' stamps after the last derivation,
+  /// in restamp()'s order.
+  std::vector<FileStamp> stamps_;
+  /// Whether the variations have derived the copies at least once.
+  bool derived_ = false;
   std::vector<VariationPtr> variations_;
   std::vector<VariantConfig> configs_;
   std::vector<std::unique_ptr<vkernel::Process>> procs_;

@@ -75,7 +75,11 @@ class Variation {
   /// Adjust the variant's construction parameters (index is pre-filled).
   virtual void configure_variant(VariantConfig& config) const { (void)config; }
 
-  /// Create per-variant copies of trusted files. Called once before launch.
+  /// Derive the per-variant copies of unshared_paths() (vfs::variant_path)
+  /// from those files' current content, leaving the copies of an absent file
+  /// alone. The system calls it before its first run, and before a later run
+  /// only when one of those files or copies changed (a new inode or version)
+  /// since the last call, so it must derive everything from the files alone.
   virtual void prepare_filesystem(vfs::FileSystem& fs, unsigned n_variants) const {
     (void)fs;
     (void)n_variants;

@@ -182,7 +182,9 @@ std::future<JobOutcome> VariantFleet::admit(std::optional<unsigned> lane, FleetJ
         // Clock reads under queue_mutex_ are the established order (drain()
         // does the same); ManualClock::advance never calls back under its lock.
         const auto blocked_from = clock_();
+        ++blocked_submitters_;
         while (accepting_ && full()) queue_not_full_.wait(lock.native());
+        --blocked_submitters_;
         const auto blocked =
             std::chrono::duration_cast<std::chrono::microseconds>(clock_() - blocked_from);
         if (blocked.count() > 0) {
@@ -297,6 +299,7 @@ std::size_t VariantFleet::queue_depth() const {
 VariantFleet::IdleSnapshot VariantFleet::idle_snapshot() const {
   const util::MutexLock lock(queue_mutex_);
   IdleSnapshot snapshot;
+  snapshot.blocked_submitters = blocked_submitters_;
   for (const LaneFlags& flags : lane_flags_) {
     if (flags.waiting) ++snapshot.idle_workers;
     if (flags.respawning || flags.force_rotating) ++snapshot.lanes_in_flux;

@@ -331,6 +331,9 @@ class VariantFleet {
     std::size_t idle_workers = 0;   ///< workers blocked on the queue condvar
     bool idle_backlog = false;      ///< an idle worker may pop a queued job
     std::size_t lanes_in_flux = 0;  ///< respawn / forced rotation in progress
+    /// kBlock submitters waiting for queue space; each has read the clock
+    /// its blocked time is measured from.
+    std::size_t blocked_submitters = 0;
   };
   [[nodiscard]] IdleSnapshot idle_snapshot() const;
   /// Diversity fingerprints of the sessions currently installed in each lane.
@@ -451,6 +454,8 @@ class VariantFleet {
   std::atomic<std::size_t> total_queued_{0};
   bool accepting_ NV_GUARDED_BY(queue_mutex_) = true;
   std::uint64_t next_job_id_ NV_GUARDED_BY(queue_mutex_) = 0;
+  /// IdleSnapshot::blocked_submitters.
+  std::size_t blocked_submitters_ NV_GUARDED_BY(queue_mutex_) = 0;
   /// See health_epoch(): bumped on accepting flips, keyspace refreshes, and
   /// lane retirement.
   std::atomic<std::uint64_t> health_epoch_{0};

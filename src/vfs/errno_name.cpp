@@ -24,6 +24,7 @@ std::string_view errno_name(Errno e) noexcept {
     case Errno::kEADDRINUSE: return "EADDRINUSE";
     case Errno::kENOTSOCK: return "ENOTSOCK";
     case Errno::kERANGE: return "ERANGE";
+    case Errno::kEFBIG: return "EFBIG";
   }
   return "E?";
 }

@@ -7,6 +7,7 @@
 #define NV_VFS_FILESYSTEM_H
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,10 +31,18 @@ using Status = util::Expected<Ok, os::Errno>;
 class Inode;
 using InodePtr = std::shared_ptr<Inode>;
 
+/// Largest file the filesystem holds. A write whose end would pass it fails
+/// with EFBIG, so a guest cannot make the host allocate without bound.
+inline constexpr std::uint64_t kMaxFileSize = std::uint64_t{16} << 20;
+
 /// A file or directory node. Files hold a byte buffer; directories hold a
 /// name -> inode map.
 class Inode {
  public:
+  /// Directory entries; `find` takes a string_view, so a path walk looks
+  /// components up without copying them.
+  using Entries = std::map<std::string, InodePtr, std::less<>>;
+
   static InodePtr make_file(os::mode_t mode, os::uid_t uid, os::gid_t gid,
                             std::string content = {});
   static InodePtr make_dir(os::mode_t mode, os::uid_t uid, os::gid_t gid);
@@ -43,23 +52,26 @@ class Inode {
   [[nodiscard]] os::uid_t uid() const noexcept { return uid_; }
   [[nodiscard]] os::gid_t gid() const noexcept { return gid_; }
   [[nodiscard]] std::uint64_t ino() const noexcept { return ino_; }
+  /// Bumped by every change to content, mode or owner. An inode number is
+  /// never reused, so (ino, version) names one state of one file.
+  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
-  void set_mode(os::mode_t mode) noexcept { mode_ = mode; }
-  void set_owner(os::uid_t uid, os::gid_t gid) noexcept {
-    uid_ = uid;
-    gid_ = gid;
-  }
+  void set_mode(os::mode_t mode) noexcept;
+  void set_owner(os::uid_t uid, os::gid_t gid) noexcept;
 
-  // File payload (valid only when !is_dir()).
+  // File payload (valid only when !is_dir()). Only the members below change
+  // it, and each bumps the version.
   [[nodiscard]] const std::string& data() const noexcept { return data_; }
-  [[nodiscard]] std::string& data() noexcept { return data_; }
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
+  /// Write `bytes` at `offset`, zero-filling any gap before it. Fails with
+  /// EFBIG, changing nothing, when the file would grow past kMaxFileSize.
+  [[nodiscard]] Status write(std::uint64_t offset, std::string_view bytes);
+  /// Cut the payload to its first `size` bytes (no-op when already shorter).
+  void truncate(std::size_t size) noexcept;
 
   // Directory entries (valid only when is_dir()).
-  [[nodiscard]] const std::map<std::string, InodePtr>& entries() const noexcept {
-    return entries_;
-  }
-  [[nodiscard]] std::map<std::string, InodePtr>& entries() noexcept { return entries_; }
+  [[nodiscard]] const Entries& entries() const noexcept { return entries_; }
+  [[nodiscard]] Entries& entries() noexcept { return entries_; }
 
  private:
   Inode(bool is_dir, os::mode_t mode, os::uid_t uid, os::gid_t gid);
@@ -69,8 +81,9 @@ class Inode {
   os::uid_t uid_;
   os::gid_t gid_;
   std::uint64_t ino_;
+  std::uint64_t version_ = 0;
   std::string data_;
-  std::map<std::string, InodePtr> entries_;
+  Entries entries_;
 };
 
 /// Metadata snapshot returned by stat().
@@ -81,6 +94,8 @@ struct Stat {
   os::uid_t uid = 0;
   os::gid_t gid = 0;
   std::uint64_t size = 0;
+  /// Inode::version(): with `ino`, changes whenever content, mode or owner do.
+  std::uint64_t version = 0;
 };
 
 enum class Access : std::uint8_t { kRead, kWrite, kExec };
@@ -142,7 +157,9 @@ class FileSystem {
                               const os::Credentials& creds);
 
   /// Convenience: create-or-replace a whole file (root-like maintenance used
-  /// by test fixtures and variant-file generation).
+  /// by test fixtures and variant-file generation). `mode` applies only to a
+  /// file it creates. When the file already holds `content`, nothing changes,
+  /// not even its version.
   [[nodiscard]] Status write_file(std::string_view path, std::string_view content,
                                   const os::Credentials& creds, os::mode_t mode = 0644);
   [[nodiscard]] Result<std::string> read_file(std::string_view path,
@@ -153,8 +170,14 @@ class FileSystem {
   [[nodiscard]] Result<InodePtr> lookup(std::string_view path) const;
 
  private:
-  [[nodiscard]] Result<InodePtr> resolve_parent(std::string_view path,
+  /// The directory `dir`, which holds some path's final component, when
+  /// `creds` may search it.
+  [[nodiscard]] Result<InodePtr> resolve_parent(std::string_view dir,
                                                 const os::Credentials& creds) const;
+  /// The node open() opens: looked up, or created when `flags` has kCreate,
+  /// after open()'s permission checks. Truncates nothing.
+  [[nodiscard]] Result<InodePtr> open_node(std::string_view path, os::OpenFlags flags,
+                                           const os::Credentials& creds, os::mode_t create_mode);
 
   InodePtr root_;
 };

@@ -1,49 +1,50 @@
 #include "vfs/path.h"
 
-#include "util/strings.h"
+#include <algorithm>
 
 namespace nv::vfs {
 
-std::vector<std::string> split_path(std::string_view path) {
-  std::vector<std::string> components;
-  for (const auto& part : util::split(path, '/')) {
-    if (part.empty() || part == ".") continue;
-    if (part == "..") {
-      if (!components.empty()) components.pop_back();
-      continue;
-    }
-    components.push_back(part);
+std::string_view pop_component(std::string_view& rest) noexcept {
+  while (!rest.empty()) {
+    const std::size_t end = std::min(rest.find('/'), rest.size());
+    const std::string_view part = rest.substr(0, end);
+    rest.remove_prefix(std::min(end + 1, rest.size()));
+    if (!part.empty() && part != ".") return part;
   }
-  return components;
+  return {};
+}
+
+bool has_dotdot(std::string_view path) noexcept {
+  for (std::string_view part = pop_component(path); !part.empty(); part = pop_component(path)) {
+    if (part == "..") return true;
+  }
+  return false;
 }
 
 std::string normalize_path(std::string_view path) {
-  const auto components = split_path(path);
-  if (components.empty()) return "/";
   std::string out;
-  for (const auto& part : components) {
+  out.reserve(path.size() + 1);  // never longer than the input and a leading "/"
+  for (std::string_view part = pop_component(path); !part.empty(); part = pop_component(path)) {
+    if (part == "..") {
+      out.resize(std::min(out.rfind('/'), out.size()));  // "/a/b" -> "/a"; "/a" -> ""
+      continue;
+    }
     out += '/';
     out += part;
   }
+  if (out.empty()) out = "/";
   return out;
 }
 
 std::string parent_path(std::string_view path) {
-  auto components = split_path(path);
-  if (components.empty()) return "/";
-  components.pop_back();
-  if (components.empty()) return "/";
-  std::string out;
-  for (const auto& part : components) {
-    out += '/';
-    out += part;
-  }
+  std::string out = normalize_path(path);
+  out.resize(std::max<std::size_t>(out.rfind('/'), 1));  // keep the root's "/"
   return out;
 }
 
 std::string basename(std::string_view path) {
-  const auto components = split_path(path);
-  return components.empty() ? std::string{} : components.back();
+  const std::string normalized = normalize_path(path);
+  return normalized.substr(normalized.rfind('/') + 1);
 }
 
 std::string variant_path(std::string_view path, unsigned variant_index) {

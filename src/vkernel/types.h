@@ -45,6 +45,7 @@ enum class Errno : std::uint8_t {
   kEADDRINUSE,
   kENOTSOCK,
   kERANGE,
+  kEFBIG,
 };
 
 [[nodiscard]] std::string_view errno_name(Errno e) noexcept;

@@ -1,8 +1,10 @@
-// Allocation regression for the syscall round: a rendezvous round allocates
-// nothing on the monitor side. A counting global operator new (which is why
-// this file is a binary of its own) counts one run of K calls and one of 2K
-// on the same warmed-up session; the difference is what the K extra calls
-// allocated.
+// Allocation regressions, counted by a global operator new that this file
+// replaces (which is why it is a binary of its own):
+//   - a rendezvous round allocates nothing on the monitor side: one run of K
+//     calls and one of 2K on the same warmed-up session differ only by what
+//     the K extra calls allocated;
+//   - a run pays nothing for file work that did not change: a path lookup
+//     allocates nothing, and unchanged trusted files are not derived again.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +17,7 @@
 
 #include "core/nvariant_system.h"
 #include "fleet/session_factory.h"
+#include "httpd/mini_httpd.h"
 #include "variants/registry.h"
 
 namespace {
@@ -153,6 +156,41 @@ TEST(RoundAllocations, DetectionPairAllocatesNothing) {
   const RunReport report = expect_flat(body, calls, 0);
   EXPECT_EQ(wrong, 0u);
   EXPECT_EQ(report.syscall_rounds, 2 * 2 * kCalls + 1);  // and the exit
+}
+
+TEST(FileAllocations, LookupAndStatOfAnExistingPathAllocateNothing) {
+  vfs::FileSystem fs;
+  httpd::install_default_site(fs);
+  for (const std::string_view path : {"/etc/passwd", "/var/www//secret/./key.txt"}) {
+    SCOPED_TRACE(std::string(path));
+    std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const bool found = fs.lookup(path).has_value();
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u) << "lookup";
+    before = g_allocations.load(std::memory_order_relaxed);
+    const bool stated = fs.stat(path).has_value();
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u) << "stat";
+    EXPECT_TRUE(found);
+    EXPECT_TRUE(stated);
+  }
+}
+
+TEST(FileAllocations, ExitOnlyRunPaysNothingForAnUnchangedSite) {
+  // An httpd job installs its site before every run. Once the first run has
+  // derived the passwd and group copies, an identical reinstall changes no
+  // file, so the run allocates what a run on a session with no /etc does.
+  const VariantBody exit_only = [](unsigned, SyscallPort&, Process&, const VariantConfig&) {};
+  auto site = factory_session();
+  auto bare = factory_session();
+  httpd::install_default_site(site->fs());
+  ASSERT_TRUE(site->run(exit_only).completed);
+  ASSERT_TRUE(bare->run(exit_only).completed);
+
+  httpd::install_default_site(site->fs());
+  const Counted with_site = counted_run(*site, exit_only);
+  const Counted without_etc = counted_run(*bare, exit_only);
+  EXPECT_TRUE(with_site.report.completed);
+  EXPECT_TRUE(without_etc.report.completed);
+  EXPECT_EQ(with_site.allocations, without_etc.allocations);
 }
 
 }  // namespace

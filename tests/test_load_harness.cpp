@@ -5,7 +5,6 @@
 // seeded random bursts; harness tests run whole virtual-time load points.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <future>
 #include <stdexcept>
@@ -465,25 +464,18 @@ TEST(Backpressure, BlockedSubmitAccumulatesBlockedTime) {
     }));
   }
 
-  std::atomic<bool> entering{false};
   std::future<fleet::JobOutcome> blocked_future;
   std::thread submitter([&] {
-    entering.store(true, std::memory_order_release);
     blocked_future = fleet.submit([](core::NVariantSystem&) {
       core::RunReport report;
       report.completed = true;
       return report;
     });
   });
-  ASSERT_TRUE(wait_until([&] { return entering.load(std::memory_order_acquire); }));
-  // The submitter is (about to be) parked on the full queue. Move virtual
-  // time in small steps, yielding between them: every advance after it
-  // actually blocks lands in its measured window, so the counter must see at
-  // least one 10 ms step even under the harshest interleaving.
-  for (int i = 0; i < 25; ++i) {
-    clock.advance(std::chrono::milliseconds(10));
-    std::this_thread::yield();
-  }
+  // Once the snapshot counts the submitter, it has read the clock its
+  // blocked window starts from, so this one advance lands inside it.
+  ASSERT_TRUE(wait_until([&] { return fleet.idle_snapshot().blocked_submitters == 1; }));
+  clock.advance(std::chrono::milliseconds(10));
   pin_a.release();
   pin_b.release();
   submitter.join();

@@ -281,6 +281,91 @@ TEST(NVariantSystem, UnsharedWritesLandInVariantCopies) {
   EXPECT_EQ(*system.fs().read_file("/etc/state-1", root), "written");
 }
 
+/// Seeks to 1 GiB and writes one byte: the file would need a 1 GiB buffer.
+void write_one_byte_at_one_gib(guest::GuestContext& ctx) {
+  auto fd = ctx.open("/big", os::OpenFlags::kWrite | os::OpenFlags::kCreate);
+  ASSERT_TRUE(fd.has_value());
+  ASSERT_TRUE(ctx.seek(*fd, std::uint64_t{1} << 30).has_value());
+  const auto written = ctx.write(*fd, "x");
+  ASSERT_FALSE(written.has_value());
+  EXPECT_EQ(written.error(), os::Errno::kEFBIG);
+  ctx.exit(0);
+}
+
+TEST(NVariantSystem, WritePastTheFileSizeCapFailsWithEfbig) {
+  const auto root = os::Credentials::root();
+  {
+    vfs::FileSystem fs;
+    vkernel::SocketHub hub;
+    vkernel::KernelContext ctx{fs, hub};
+    LambdaGuest guest(write_one_byte_at_one_gib);
+    EXPECT_TRUE(guest::run_plain(ctx, guest).completed);
+    EXPECT_EQ(fs.stat("/big").value().size, 0u);
+  }
+  const auto system = fast_system({"uid-xor"});
+  LambdaGuest guest(write_one_byte_at_one_gib);
+  const auto report = guest::run_nvariant(*system, guest);
+  EXPECT_TRUE(report.completed);
+  EXPECT_FALSE(report.attack_detected);
+  EXPECT_EQ(system->fs().stat("/big").value().size, 0u);
+  EXPECT_TRUE(system->fs().read_file("/big", root).value().empty());
+}
+
+/// Counts prepare_filesystem calls; derives nothing.
+class CountingVariation final : public core::Variation {
+ public:
+  explicit CountingVariation(unsigned& calls) : calls_(calls) {}
+  [[nodiscard]] std::string_view name() const override { return "counting"; }
+  void prepare_filesystem(vfs::FileSystem&, unsigned) const override { ++calls_; }
+  [[nodiscard]] std::vector<std::string> unshared_paths() const override {
+    return {"/etc/state"};
+  }
+
+ private:
+  unsigned& calls_;
+};
+
+TEST(NVariantSystem, PrepareFilesystemRunsFirstThenOnlyAfterAnUnsharedFileChanged) {
+  unsigned calls = 0;
+  auto system = NVariantSystem::Builder()
+                    .n_variants(2)
+                    .variation(std::make_shared<CountingVariation>(calls))
+                    .build();
+  auto& fs = system->fs();
+  const auto root = os::Credentials::root();
+  ASSERT_TRUE(fs.mkdir_p("/etc", root));
+  ASSERT_TRUE(fs.write_file("/etc/unrelated", "u", root));
+  LambdaGuest guest([](guest::GuestContext& ctx) { ctx.exit(0); });
+  const auto run_and_count = [&] {
+    const unsigned before = calls;
+    EXPECT_TRUE(guest::run_nvariant(*system, guest).completed);
+    return calls - before;
+  };
+
+  EXPECT_EQ(run_and_count(), 1u) << "the first run always derives";
+  EXPECT_EQ(run_and_count(), 0u) << "an absent file, still absent";
+  ASSERT_TRUE(fs.write_file("/etc/unrelated", "v", root));
+  EXPECT_EQ(run_and_count(), 0u) << "a file that is not unshared";
+  ASSERT_TRUE(fs.write_file("/etc/state-1", "copy", root));
+  EXPECT_EQ(run_and_count(), 0u) << "a copy of an absent file is not watched";
+  ASSERT_TRUE(fs.write_file("/etc/state", "s", root));
+  EXPECT_EQ(run_and_count(), 1u) << "the file appeared";
+  EXPECT_EQ(run_and_count(), 0u);
+  ASSERT_TRUE(fs.write_file("/etc/state", "s", root));
+  EXPECT_EQ(run_and_count(), 0u) << "an identical rewrite";
+  ASSERT_TRUE(fs.chmod("/etc/state", 0600, root));
+  EXPECT_EQ(run_and_count(), 1u) << "a mode change";
+  ASSERT_TRUE(fs.write_file("/etc/state-0", "copy", root));
+  EXPECT_EQ(run_and_count(), 1u) << "a copy was created";
+  ASSERT_TRUE(fs.write_file("/etc/state-0", "changed", root));
+  EXPECT_EQ(run_and_count(), 1u) << "a copy changed";
+  ASSERT_TRUE(fs.unlink("/etc/state-1", root));
+  EXPECT_EQ(run_and_count(), 1u) << "a copy was removed";
+  ASSERT_TRUE(fs.unlink("/etc/state", root));
+  EXPECT_EQ(run_and_count(), 1u) << "the file was removed";
+  EXPECT_EQ(run_and_count(), 0u);
+}
+
 TEST(NVariantSystem, CondChkDivergenceRaisesConditionAlarm) {
   const auto system_owner = fast_system();
   auto& system = *system_owner;

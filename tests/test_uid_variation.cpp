@@ -3,10 +3,17 @@
 // documented high-bit weakness.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+
 #include "core/nvariant_system.h"
+#include "fleet/session_factory.h"
 #include "guest/runners.h"
 #include "guest/uid_ops.h"
+#include "httpd/mini_httpd.h"
 #include "test_helpers.h"
+#include "util/strings.h"
+#include "variants/registry.h"
 #include "variants/uid_variation.h"
 
 namespace nv {
@@ -225,6 +232,103 @@ TEST(UidVariation, InvalidUidSentinelRoundTrips) {
   const auto report = guest::run_nvariant(*system, guest);
   EXPECT_TRUE(report.completed);
   EXPECT_FALSE(report.attack_detected);
+}
+
+// The passwd and group copies are derived before the first run and again
+// only when /etc/passwd, /etc/group or one of their copies changed. These
+// tests run a fleet session (N=2, uid-xor drawn by the factory) that serves
+// the default httpd site.
+
+const os::Credentials kRoot = os::Credentials::root();
+
+std::unique_ptr<NVariantSystem> site_session() {
+  fleet::SessionFactory factory(fleet::SessionSpec{}, 7, variants::builtin_registry());
+  auto session = factory.make_session();
+  if (!session) throw std::runtime_error(session.error());
+  httpd::install_default_site(session->system->fs());
+  return std::move(session->system);
+}
+
+/// One run in which every variant looks `name` up in its passwd copy and
+/// expects `uid` re-expressed by its own mask.
+void expect_uid_of(NVariantSystem& system, std::string name, os::uid_t uid) {
+  LambdaGuest guest([&](guest::GuestContext& ctx) {
+    const auto pw = ctx.getpwnam(name);
+    ASSERT_TRUE(pw.has_value());
+    EXPECT_EQ(pw->uid, ctx.uid_const(uid)) << "variant " << ctx.variant();
+    ctx.exit(0);
+  });
+  const auto report = guest::run_nvariant(system, guest);
+  EXPECT_TRUE(report.completed);
+  EXPECT_FALSE(report.attack_detected);
+}
+
+std::pair<std::uint64_t, std::uint64_t> stamp_of(const vfs::FileSystem& fs,
+                                                 std::string_view path) {
+  const vfs::Stat st = fs.stat(path).value();
+  return {st.ino, st.version};
+}
+
+TEST(UnsharedFileCopies, AnEditToPasswdReachesEveryVariantBeforeTheNextRun) {
+  auto system = site_session();
+  expect_uid_of(*system, "www", 33);
+  ASSERT_TRUE(system->fs().write_file("/etc/passwd",
+                                      "root:x:0:0:root:/root:/bin/sh\n"
+                                      "www:x:44:44:www-data:/var/www:/usr/sbin/nologin\n",
+                                      kRoot));
+  expect_uid_of(*system, "www", 44);
+  expect_uid_of(*system, "root", 0);
+}
+
+TEST(UnsharedFileCopies, AGuestWriteToItsOwnCopyIsUndoneBeforeTheNextRun) {
+  auto system = site_session();
+  expect_uid_of(*system, "www", 33);
+  const std::string derived = system->fs().read_file("/etc/passwd-1", kRoot).value();
+  LambdaGuest forger([](guest::GuestContext& ctx) {
+    // Both variants write the same bytes, each into its own copy.
+    auto fd = ctx.open("/etc/passwd", os::OpenFlags::kWrite | os::OpenFlags::kTruncate);
+    ASSERT_TRUE(fd.has_value());
+    ASSERT_TRUE(ctx.write(*fd, "www:x:0:0::/:/bin/sh\n").has_value());
+    (void)ctx.close(*fd);
+    ctx.exit(0);
+  });
+  ASSERT_TRUE(guest::run_nvariant(*system, forger).completed);
+  ASSERT_EQ(system->fs().read_file("/etc/passwd-1", kRoot).value(), "www:x:0:0::/:/bin/sh\n");
+
+  expect_uid_of(*system, "www", 33);
+  EXPECT_EQ(system->fs().read_file("/etc/passwd-1", kRoot).value(), derived);
+}
+
+TEST(UnsharedFileCopies, AnUnlinkedCopyOrAFileRenamedOntoPasswdDerivesAgain) {
+  auto system = site_session();
+  auto& fs = system->fs();
+  expect_uid_of(*system, "www", 33);
+  const std::string derived = fs.read_file("/etc/passwd-1", kRoot).value();
+  ASSERT_TRUE(fs.unlink("/etc/passwd-1", kRoot));
+  expect_uid_of(*system, "www", 33);
+  EXPECT_EQ(fs.read_file("/etc/passwd-1", kRoot).value(), derived);
+
+  const std::string renamed =
+      util::replace_all(fs.read_file("/etc/passwd", kRoot).value(), "www:x:33:", "www:x:55:");
+  ASSERT_TRUE(fs.write_file("/etc/passwd.new", renamed, kRoot));
+  // Only the inode number tells the two files apart: each was written once.
+  ASSERT_EQ(fs.stat("/etc/passwd.new")->version, fs.stat("/etc/passwd")->version);
+  ASSERT_TRUE(fs.rename("/etc/passwd.new", "/etc/passwd", kRoot));
+  expect_uid_of(*system, "www", 55);
+}
+
+TEST(UnsharedFileCopies, AnIdenticalSiteInstallLeavesTheCopiesUntouched) {
+  auto system = site_session();
+  const auto& fs = system->fs();
+  expect_uid_of(*system, "www", 33);
+  const auto stamps = [&] {
+    return std::vector{stamp_of(fs, "/etc/passwd-0"), stamp_of(fs, "/etc/passwd-1"),
+                       stamp_of(fs, "/etc/group-0"), stamp_of(fs, "/etc/group-1")};
+  };
+  const auto before = stamps();
+  httpd::install_default_site(system->fs());
+  expect_uid_of(*system, "www", 33);
+  EXPECT_EQ(stamps(), before);
 }
 
 }  // namespace

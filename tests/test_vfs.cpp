@@ -25,6 +25,68 @@ TEST(Path, ParentAndBasename) {
   EXPECT_EQ(basename("/"), "");
 }
 
+// Odd paths and what each function makes of them. normalize_path,
+// parent_path, basename and lookup resolve "." and ".." alike, and lookup
+// reaches the node at the normalized path or fails as it would.
+struct OddPath {
+  const char* path;
+  const char* normalized;
+  const char* parent;
+  const char* base;
+  os::Errno lookup_error;  // kOk: lookup finds the node at `normalized`
+};
+
+constexpr OddPath kOddPaths[] = {
+    {"", "/", "/", "", os::Errno::kOk},
+    {"//", "/", "/", "", os::Errno::kOk},
+    {"a/b", "/a/b", "/a", "b", os::Errno::kOk},
+    {"/a/./b", "/a/b", "/a", "b", os::Errno::kOk},
+    {"/a/../b", "/b", "/", "b", os::Errno::kOk},
+    {"/a/b/..", "/a", "/", "a", os::Errno::kOk},
+    {"/../..", "/", "/", "", os::Errno::kOk},
+    {"/a//b/", "/a/b", "/a", "b", os::Errno::kOk},
+    {"/a..b", "/a..b", "/", "a..b", os::Errno::kOk},
+    {"/.a", "/.a", "/", ".a", os::Errno::kOk},
+    {"/b/..", "/", "/", "", os::Errno::kOk},
+    {"/nope/..", "/", "/", "", os::Errno::kOk},
+    {"/a/b/../../b", "/b", "/", "b", os::Errno::kOk},
+    {"/b/x", "/b/x", "/b", "x", os::Errno::kENOTDIR},
+    {"/a/x", "/a/x", "/a", "x", os::Errno::kENOENT},
+};
+
+TEST(Path, OddPathsNormalizeSplitAndResolveAlike) {
+  FileSystem fs;
+  ASSERT_TRUE(fs.mkdir_p("/a/b", kRoot));
+  ASSERT_TRUE(fs.write_file("/b", "file b", kRoot));
+  ASSERT_TRUE(fs.write_file("/a..b", "x", kRoot));
+  ASSERT_TRUE(fs.write_file("/.a", "y", kRoot));
+  for (const OddPath& odd : kOddPaths) {
+    SCOPED_TRACE(std::string("path \"") + odd.path + "\"");
+    EXPECT_EQ(normalize_path(odd.path), odd.normalized);
+    EXPECT_EQ(parent_path(odd.path), odd.parent);
+    EXPECT_EQ(basename(odd.path), odd.base);
+    const auto found = fs.lookup(odd.path);
+    if (odd.lookup_error == os::Errno::kOk) {
+      ASSERT_TRUE(found.has_value());
+      EXPECT_EQ((*found)->ino(), fs.lookup(odd.normalized).value()->ino());
+    } else {
+      ASSERT_FALSE(found.has_value());
+      EXPECT_EQ(found.error(), odd.lookup_error);
+    }
+  }
+}
+
+TEST(Path, PopComponentSkipsEmptyAndDotComponents) {
+  std::string_view rest = "//etc/./passwd/";
+  EXPECT_EQ(pop_component(rest), "etc");
+  EXPECT_EQ(pop_component(rest), "passwd");
+  EXPECT_EQ(pop_component(rest), "");
+  EXPECT_TRUE(rest.empty());
+  EXPECT_TRUE(has_dotdot("/a/../b"));
+  EXPECT_TRUE(has_dotdot(".."));
+  EXPECT_FALSE(has_dotdot("/a..b/..c/.../."));
+}
+
 TEST(Path, VariantPath) {
   EXPECT_EQ(variant_path("/etc/passwd", 0), "/etc/passwd-0");
   EXPECT_EQ(variant_path("/etc//passwd", 1), "/etc/passwd-1");
@@ -37,6 +99,34 @@ TEST(FileSystem, MkdirAndWriteRead) {
   EXPECT_EQ(fs.read_file("/a/b/c/f.txt", kRoot).value(), "data");
   EXPECT_TRUE(fs.exists("/a/b"));
   EXPECT_FALSE(fs.exists("/a/z"));
+}
+
+TEST(FileSystem, MkdirPMakesEachMissingDirectoryAsMkdirWould) {
+  FileSystem fs;
+  ASSERT_TRUE(fs.mkdir_p("/srv/a", kRoot));
+  EXPECT_TRUE(fs.mkdir_p("/srv/a", kAlice)) << "existing directories need no access";
+  auto denied = fs.mkdir_p("/srv/a/b", kAlice);
+  ASSERT_FALSE(denied.has_value());
+  EXPECT_EQ(denied.error(), os::Errno::kEACCES);
+
+  ASSERT_TRUE(fs.chown("/srv/a", 1000, 1000, kRoot));
+  ASSERT_TRUE(fs.mkdir_p("/srv/a/../a/d/e", kAlice));
+  const Stat made = fs.stat("/srv/a/d/e").value();
+  EXPECT_TRUE(made.is_dir);
+  EXPECT_EQ(made.uid, 1000u);
+  // A directory made without write access stops the walk below it.
+  auto read_only = fs.mkdir_p("/srv/a/ro/z", kAlice, 0555);
+  ASSERT_FALSE(read_only.has_value());
+  EXPECT_EQ(read_only.error(), os::Errno::kEACCES);
+  EXPECT_TRUE(fs.exists("/srv/a/ro"));
+
+  ASSERT_TRUE(fs.write_file("/srv/f", "x", kRoot));
+  for (const std::string_view path : {"/srv/f", "/srv/f/g"}) {
+    auto not_dir = fs.mkdir_p(path, kRoot);
+    ASSERT_FALSE(not_dir.has_value()) << path;
+    EXPECT_EQ(not_dir.error(), os::Errno::kENOTDIR) << path;
+  }
+  EXPECT_TRUE(fs.mkdir_p("/", kRoot));
 }
 
 TEST(FileSystem, OpenMissingFileFails) {
@@ -160,6 +250,101 @@ TEST(FileSystem, ChmodRequiresOwnershipOrRoot) {
   EXPECT_EQ(denied.error(), os::Errno::kEPERM);
   ASSERT_TRUE(fs.chown("/f", 1000, 1000, kRoot));
   EXPECT_TRUE(fs.chmod("/f", 0600, kAlice));
+}
+
+std::uint64_t version_of(const FileSystem& fs, std::string_view path) {
+  return fs.stat(path).value().version;
+}
+
+TEST(FileSystem, IdenticalRewriteChangesNothing) {
+  FileSystem fs;
+  ASSERT_TRUE(fs.write_file("/f", "same", kRoot, 0640));
+  const Stat before = fs.stat("/f").value();
+  ASSERT_TRUE(fs.write_file("/f", "same", kRoot, 0600));
+  const Stat after = fs.stat("/f").value();
+  EXPECT_EQ(after.ino, before.ino);
+  EXPECT_EQ(after.version, before.version);
+  EXPECT_EQ(after.mode, 0640);  // write_file never changes an existing file's mode
+  EXPECT_EQ(fs.read_file("/f", kRoot).value(), "same");
+}
+
+TEST(FileSystem, IdenticalRewriteKeepsThePermissionChecks) {
+  FileSystem fs;
+  ASSERT_TRUE(fs.write_file("/rootonly", "x", kRoot, 0644));
+  auto denied = fs.write_file("/rootonly", "x", kAlice);
+  ASSERT_FALSE(denied.has_value());
+  EXPECT_EQ(denied.error(), os::Errno::kEACCES);
+  ASSERT_TRUE(fs.mkdir_p("/d", kRoot));
+  auto is_dir = fs.write_file("/d", "", kRoot);
+  ASSERT_FALSE(is_dir.has_value());
+  EXPECT_EQ(is_dir.error(), os::Errno::kEISDIR);
+}
+
+TEST(FileSystem, EveryContentModeOrOwnerChangeBumpsTheVersion) {
+  FileSystem fs;
+  ASSERT_TRUE(fs.write_file("/f", "one", kRoot));
+  std::uint64_t version = version_of(fs, "/f");
+  const auto bumped = [&] {
+    const std::uint64_t now = version_of(fs, "/f");
+    const bool moved = now > version;
+    version = now;
+    return moved;
+  };
+
+  ASSERT_TRUE(fs.write_file("/f", "shorter", kRoot));
+  EXPECT_TRUE(bumped()) << "write_file of new content";
+  EXPECT_EQ(fs.read_file("/f", kRoot).value(), "shorter");
+  ASSERT_TRUE(fs.write_file("/f", "sh", kRoot));
+  EXPECT_TRUE(bumped()) << "write_file of a prefix";
+  EXPECT_EQ(fs.read_file("/f", kRoot).value(), "sh");
+  ASSERT_TRUE(fs.chmod("/f", 0600, kRoot));
+  EXPECT_TRUE(bumped()) << "chmod";
+  ASSERT_TRUE(fs.chown("/f", 1000, 1000, kRoot));
+  EXPECT_TRUE(bumped()) << "chown";
+
+  auto file = fs.open("/f", os::OpenFlags::kWrite, kRoot);
+  ASSERT_TRUE(file.has_value());
+  EXPECT_FALSE(bumped()) << "open without truncation";
+  ASSERT_TRUE((*file)->write("x").has_value());
+  EXPECT_TRUE(bumped()) << "a write through an open file";
+  ASSERT_TRUE(fs.open("/f", os::OpenFlags::kWrite | os::OpenFlags::kTruncate, kRoot));
+  EXPECT_TRUE(bumped()) << "truncation in open";
+  EXPECT_EQ(fs.read_file("/f", kRoot).value(), "");
+
+  auto reader = fs.open("/f", os::OpenFlags::kRead, kRoot);
+  ASSERT_TRUE(reader.has_value());
+  ASSERT_TRUE((*reader)->read(10).has_value());
+  EXPECT_FALSE(bumped()) << "a read";
+}
+
+TEST(FileSystem, WritePastTheSizeCapFailsAndChangesNothing) {
+  FileSystem fs;
+  ASSERT_TRUE(fs.write_file("/f", "keep", kRoot));
+  const std::uint64_t version = version_of(fs, "/f");
+  auto file = fs.open("/f", os::OpenFlags::kWrite, kRoot);
+  ASSERT_TRUE(file.has_value());
+  // Ending one byte past the cap, and at offsets where offset + size would
+  // wrap around 64 bits.
+  for (const std::uint64_t offset :
+       {kMaxFileSize, std::uint64_t{1} << 30, ~std::uint64_t{0}, ~std::uint64_t{0} - 1}) {
+    ASSERT_TRUE((*file)->seek(offset).has_value());
+    auto written = (*file)->write("xy");
+    ASSERT_FALSE(written.has_value()) << offset;
+    EXPECT_EQ(written.error(), os::Errno::kEFBIG);
+  }
+  EXPECT_EQ(fs.read_file("/f", kRoot).value(), "keep");
+  EXPECT_EQ(version_of(fs, "/f"), version);
+  EXPECT_EQ(os::errno_name(os::Errno::kEFBIG), "EFBIG");
+
+  // A write that ends exactly at the cap is allowed.
+  ASSERT_TRUE((*file)->seek(kMaxFileSize - 2).has_value());
+  ASSERT_TRUE((*file)->write("xy").has_value());
+  EXPECT_EQ(fs.stat("/f").value().size, kMaxFileSize);
+
+  auto too_big = fs.write_file("/g", std::string(kMaxFileSize + 1, 'z'), kRoot);
+  ASSERT_FALSE(too_big.has_value());
+  EXPECT_EQ(too_big.error(), os::Errno::kEFBIG);
+  EXPECT_EQ(fs.stat("/g").value().size, 0u);
 }
 
 TEST(Passwd, ParseAndFormatRoundTrip) {
