@@ -56,7 +56,7 @@ void UidVictim::run(guest::GuestContext& ctx) {
   // Equality comparison is representation-independent, so checking for root
   // locally behaves identically in every variant.
   const bool compromised = ctx.geteuid() == ctx.uid_const(os::kRootUid);
-  ctx.exit(compromised ? kCompromisedExit : 0);
+  if (compromised) ctx.exit(kCompromisedExit);
 }
 
 void AddressVictim::run(guest::GuestContext& ctx) {
@@ -85,7 +85,7 @@ void AddressVictim::run(guest::GuestContext& ctx) {
 
   const bool attacker_win =
       (spec.op != "none") && (leaked == kSecretA || leaked == kSecretB);
-  ctx.exit(attacker_win ? kCompromisedExit : 0);
+  if (attacker_win) ctx.exit(kCompromisedExit);
 }
 
 void CodeVictim::run(guest::GuestContext& ctx) {
@@ -121,7 +121,7 @@ void CodeVictim::run(guest::GuestContext& ctx) {
   }
 
   const bool compromised = ctx.geteuid() == ctx.uid_const(os::kRootUid);
-  ctx.exit(compromised ? kCompromisedExit : 0);
+  if (compromised) ctx.exit(kCompromisedExit);
 }
 
 void StackVictim::run(guest::GuestContext& ctx) {
@@ -157,7 +157,7 @@ void StackVictim::run(guest::GuestContext& ctx) {
   restore = ctx.uid_value(restore);
   (void)ctx.seteuid(restore);
   const bool compromised = ctx.geteuid() == ctx.uid_const(os::kRootUid);
-  ctx.exit(compromised ? kCompromisedExit : 0);
+  if (compromised) ctx.exit(kCompromisedExit);
 }
 
 }  // namespace nv::attack

@@ -177,6 +177,14 @@ double NVariantSystem::keyspace_bits() const {
   return bits;
 }
 
+void NVariantSystem::seal() {
+  // role_transform() depends only on (role, variant) and build-time
+  // parameters (variation.h), so one resolution serves every call.
+  role_tables_.reserve(options_.n_variants);
+  for (unsigned v = 0; v < options_.n_variants; ++v) role_tables_.emplace_back(variations_, v);
+  sealed_ = true;
+}
+
 void NVariantSystem::install_unshared(std::string_view path) {
   if (sealed_) throw std::logic_error("sealed system: unshared paths are fixed at build time");
   std::string normalized = vfs::normalize_path(path);
@@ -316,8 +324,8 @@ void NVariantSystem::run_variant(unsigned v, const VariantBody& body) {
   VariantPort port(*this, v);
   try {
     body(v, port, *procs_[v], configs_[v]);
-    // Guests end with an exit syscall; if the body returned without one,
-    // issue exit(0) so variants that finish together rendezvous cleanly.
+    // A guest's normal end is a return: its exit(0) round is issued here,
+    // so variants that finish together rendezvous cleanly.
     if (!procs_[v]->exited()) {
       SyscallArgs exit_call;
       exit_call.no = Sys::kExit;
@@ -361,6 +369,12 @@ RunReport NVariantSystem::collect_report() {
   }
   if (report.attack_detected) report.completed = false;
   return report;
+}
+
+NVariantSystem::UnsharedMap::const_iterator NVariantSystem::find_unshared(
+    std::string_view path) const {
+  return vfs::is_normalized(path) ? unshared_.find(path)
+                                  : unshared_.find(vfs::normalize_path(path));
 }
 
 bool NVariantSystem::fd_is_shared(os::fd_t fd) const {
@@ -445,13 +459,14 @@ void NVariantSystem::lead_impl(std::span<const SyscallArgs* const> raw,
   const bool sampled = trace_ && trace_->sample_round(trace_track_);
   const auto start = sampled ? trace_->now() : std::chrono::steady_clock::time_point{};
 
-  // Step 1: canonicalize per variant — each variation applies R⁻¹_i to the
-  // argument slots whose descriptor role it diversifies. The guest's own
-  // call is copied into the reused scratch, never modified.
+  // Step 1: canonicalize per variant — the variant's role table applies
+  // R⁻¹_i to the argument slots whose descriptor role a variation
+  // diversifies. The guest's own call is copied into the reused scratch,
+  // never modified.
   std::vector<SyscallArgs>& canonical = canonical_;
   for (unsigned v = 0; v < options_.n_variants; ++v) {
     canonical[v] = *raw[v];
-    for (const auto& variation : variations_) variation->canonicalize_args(v, canonical[v]);
+    role_tables_[v].canonicalize(canonical[v]);
   }
 
   // Step 2: compare canonicalized invocations (normal equivalence check). A
@@ -462,9 +477,7 @@ void NVariantSystem::lead_impl(std::span<const SyscallArgs* const> raw,
     // Step 4: reexpress trusted role-carrying results per variant (R_i on
     // getuid-family values, uid_value echoes, ...).
     for (unsigned v = 0; v < options_.n_variants; ++v) {
-      for (const auto& variation : variations_) {
-        variation->reexpress_result(v, canonical[v], results[v]);
-      }
+      role_tables_[v].reexpress(canonical[v].no, results[v]);
     }
   }
 
@@ -477,7 +490,7 @@ void NVariantSystem::lead_impl(std::span<const SyscallArgs* const> raw,
                  static_cast<std::uint64_t>(raw[0]->no), static_cast<std::uint64_t>(cls));
 }
 
-void NVariantSystem::execute_canonical(const std::vector<SyscallArgs>& canonical,
+void NVariantSystem::execute_canonical(std::vector<SyscallArgs>& canonical,
                                        std::span<SyscallResult> results) {
   const unsigned n = options_.n_variants;
   const SyscallArgs& call = canonical[0];
@@ -506,13 +519,12 @@ void NVariantSystem::execute_canonical(const std::vector<SyscallArgs>& canonical
 
     case ExecPolicy::kPathRouted: {
       // stat on an unshared path must resolve per variant (§3.4).
-      const auto unshared =
-          call.strs.empty() ? unshared_.end() : unshared_.find(vfs::normalize_path(call.strs[0]));
+      const auto unshared = call.str.empty() ? unshared_.end() : find_unshared(call.str);
       if (unshared != unshared_.end()) {
+        // Redirected in the round's scratch, which the next round overwrites.
         for (unsigned v = 0; v < n; ++v) {
-          SyscallArgs redirected = canonical[v];
-          redirected.strs[0] = unshared->second[v];
-          results[v] = vkernel::execute_syscall(ctx_, *procs_[v], redirected);
+          canonical[v].str = unshared->second[v];
+          results[v] = vkernel::execute_syscall(ctx_, *procs_[v], canonical[v]);
         }
       } else {
         execute_once(call, /*mirror_fd=*/false, results);
@@ -545,7 +557,7 @@ void NVariantSystem::execute_canonical(const std::vector<SyscallArgs>& canonical
 void NVariantSystem::lead_open(const std::vector<SyscallArgs>& canonical,
                                std::span<SyscallResult> results) {
   const unsigned n = options_.n_variants;
-  const std::string path = vfs::normalize_path(canonical[0].strs.at(0));
+  const std::string path = vfs::normalize_path(canonical[0].str);
   const auto flags = static_cast<os::OpenFlags>(canonical[0].ints.at(0));
   const auto mode = static_cast<os::mode_t>(canonical[0].ints.size() > 1 ? canonical[0].ints[1]
                                                                          : 0644);

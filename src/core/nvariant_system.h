@@ -175,6 +175,8 @@ class NVariantSystem {
  private:
   friend class Builder;
 
+  using UnsharedMap = std::map<std::string, std::vector<std::string>, std::less<>>;
+
   /// Builder-only construction; the public path is Builder::build().
   explicit NVariantSystem(NVariantOptions options);
 
@@ -182,7 +184,8 @@ class NVariantSystem {
   void install_unshared(std::string_view path);
   void install_trace(std::shared_ptr<obs::TraceRecorder> recorder, std::uint32_t track,
                      std::uint64_t parent_span);
-  void seal() noexcept { sealed_ = true; }
+  /// Fixes the policy and resolves each variant's RoleTable.
+  void seal();
 
   /// Fresh per-run state: variant configs, monitor, network, processes; and
   /// the unshared files' copies, re-derived when restamp() finds a change.
@@ -204,7 +207,7 @@ class NVariantSystem {
 
   // Leader-side execution helpers (run on the leading variant's fiber).
   /// Step 3 of the pass: execute by the descriptor's policy.
-  void execute_canonical(const std::vector<vkernel::SyscallArgs>& canonical,
+  void execute_canonical(std::vector<vkernel::SyscallArgs>& canonical,
                          std::span<vkernel::SyscallResult> results);
   void execute_per_variant(const std::vector<vkernel::SyscallArgs>& canonical,
                            std::span<vkernel::SyscallResult> results);
@@ -215,6 +218,9 @@ class NVariantSystem {
   void lead_detection(const std::vector<vkernel::SyscallArgs>& canonical,
                       std::span<vkernel::SyscallResult> results);
   [[nodiscard]] bool compare_canonical(const std::vector<vkernel::SyscallArgs>& canonical);
+  /// `path`'s entry in unshared_, or its end. Only a path not in normal form
+  /// is normalized first, so looking up a normal one allocates nothing.
+  [[nodiscard]] UnsharedMap::const_iterator find_unshared(std::string_view path) const;
   [[nodiscard]] bool fd_is_shared(os::fd_t fd) const;
   [[nodiscard]] static std::optional<os::fd_t> routed_fd(const vkernel::SyscallArgs& call);
   void mark_fd(os::fd_t fd, bool shared);
@@ -229,7 +235,7 @@ class NVariantSystem {
   Monitor monitor_;
   /// Normalized unshared path (§3.4) -> its per-variant copies
   /// (vfs::variant_path), computed once at build time.
-  std::map<std::string, std::vector<std::string>, std::less<>> unshared_;
+  UnsharedMap unshared_;
   /// (ino, version) of a file, {0, 0} while it is absent: equal stamps mean
   /// an unchanged file, since an inode number is never reused.
   using FileStamp = std::pair<std::uint64_t, std::uint64_t>;
@@ -239,6 +245,8 @@ class NVariantSystem {
   /// Whether the variations have derived the copies at least once.
   bool derived_ = false;
   std::vector<VariationPtr> variations_;
+  /// Per variant: its variations' role transforms, resolved by seal().
+  std::vector<RoleTable> role_tables_;
   std::vector<VariantConfig> configs_;
   std::vector<std::unique_ptr<vkernel::Process>> procs_;
   std::vector<bool> shared_fds_;  // slot -> shared? (kept slot-synchronized)

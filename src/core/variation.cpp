@@ -5,33 +5,30 @@ namespace nv::core {
 using vkernel::ArgRole;
 using vkernel::SyscallDescriptor;
 
-void Variation::canonicalize_args(unsigned variant, vkernel::SyscallArgs& args) const {
-  const SyscallDescriptor& desc = vkernel::descriptor(args.no);
-  // Query role_transform once per distinct role, not per slot: this runs on
-  // every rendezvous, and slots sharing a role are contiguous in practice
-  // (setresuid, setgroups), so a one-entry cache removes the repeated
-  // std::function construction from the hot path.
-  ArgRole cached_role = ArgRole::kNone;
-  std::optional<RoleTransform> cached;
-  for (std::size_t i = 0; i < args.ints.size(); ++i) {
-    const ArgRole role = desc.int_role(i);
-    if (role == ArgRole::kNone) continue;
-    if (role != cached_role) {
-      cached = role_transform(role, variant);
-      cached_role = role;
+RoleTable::RoleTable(const std::vector<VariationPtr>& variations, unsigned variant) {
+  // kNone marks a slot without cross-variant meaning: nothing transforms it.
+  for (std::size_t role = 1; role < vkernel::kArgRoleCount; ++role) {
+    for (const auto& variation : variations) {
+      if (auto transform = variation->role_transform(static_cast<ArgRole>(role), variant)) {
+        by_role_[role].push_back(std::move(*transform));
+      }
     }
-    if (cached) args.ints[i] = cached->invert(args.ints[i]);
   }
 }
 
-void Variation::reexpress_result(unsigned variant, const vkernel::SyscallArgs& canonical,
-                                 vkernel::SyscallResult& result) const {
-  if (!result.ok()) return;
-  const SyscallDescriptor& desc = vkernel::descriptor(canonical.no);
-  if (desc.result_role == ArgRole::kNone) return;
-  if (const auto transform = role_transform(desc.result_role, variant)) {
-    result.value = transform->reexpress(result.value);
+void RoleTable::canonicalize(vkernel::SyscallArgs& args) const {
+  const SyscallDescriptor& desc = vkernel::descriptor(args.no);
+  for (std::size_t i = 0; i < args.ints.size(); ++i) {
+    for (const auto& transform : by_role_[static_cast<std::size_t>(desc.int_role(i))]) {
+      args.ints[i] = transform.invert(args.ints[i]);
+    }
   }
+}
+
+void RoleTable::reexpress(vkernel::Sys no, vkernel::SyscallResult& result) const {
+  if (!result.ok()) return;
+  const auto role = static_cast<std::size_t>(vkernel::descriptor(no).result_role);
+  for (const auto& transform : by_role_[role]) result.value = transform.reexpress(result.value);
 }
 
 }  // namespace nv::core

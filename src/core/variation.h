@@ -6,21 +6,21 @@
 //      program transformation that builds P_i from P.
 //   2. trusted external data — prepare_filesystem() generates per-variant
 //      copies of trusted files (unshared files, §3.4).
-//   3. syscall boundary      — canonicalize_args() applies R⁻¹_i to syscall
-//      arguments before the monitor compares them and before the real kernel
-//      executes; reexpress_result() applies R_i to trusted kernel outputs
-//      (§3.5).
+//   3. syscall boundary      — role_transform() names the R_i, and its
+//      inverse R⁻¹_i, that this variation applies to argument slots of one
+//      semantic role (§3.5).
 //
 // Point 3 is table-driven: the vkernel syscall descriptor table assigns a
 // semantic role (uid-carrying, fd, path, ...) to every argument slot, and a
-// variation registers a RoleTransform per role via role_transform(). The
-// default canonicalize_args()/reexpress_result() walk the descriptor and
-// apply the registered transforms, so a new data variation never pattern
-// matches raw SyscallArgs. Overriding the two boundary hooks directly remains
-// possible for variations that need non-slot-local behaviour.
+// variation registers a RoleTransform per role via role_transform(). A
+// RoleTable resolves those once per variant per session; the monitor then
+// applies R⁻¹_i to arguments before it compares and executes them, and R_i to
+// trusted results, so a new data variation never pattern matches raw
+// SyscallArgs.
 #ifndef NV_CORE_VARIATION_H
 #define NV_CORE_VARIATION_H
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -91,23 +91,15 @@ class Variation {
   /// The reexpression this variation applies to argument slots carrying
   /// `role` in variant `variant`, or nullopt when the role is untouched.
   /// Data variations implement ONLY this; the boundary plumbing is generic.
+  /// The result must depend only on (role, variant) and the parameters the
+  /// variation was built with: a system resolves it once per variant when
+  /// it is built (RoleTable) and applies it to every call of its life.
   [[nodiscard]] virtual std::optional<RoleTransform> role_transform(vkernel::ArgRole role,
                                                                     unsigned variant) const {
     (void)role;
     (void)variant;
     return std::nullopt;
   }
-
-  /// Apply R⁻¹_i to `args` in place. Default: descriptor-table walk applying
-  /// role_transform(...)->invert to every role-carrying int slot.
-  virtual void canonicalize_args(unsigned variant, vkernel::SyscallArgs& args) const;
-
-  /// Apply R_i to trusted results in place. `canonical` is the
-  /// already-canonicalized invocation, for syscall identification. Default:
-  /// applies role_transform(...)->reexpress when the descriptor marks the
-  /// result value as role-carrying and the call succeeded.
-  virtual void reexpress_result(unsigned variant, const vkernel::SyscallArgs& canonical,
-                                vkernel::SyscallResult& result) const;
 
   /// Entropy of this variation's re-expression keyspace, in bits: log2 of the
   /// number of DISTINCT parameterizations a fleet can stamp out for an
@@ -152,6 +144,25 @@ class Variation {
 };
 
 using VariationPtr = std::shared_ptr<const Variation>;
+
+/// One variant's side of the syscall boundary, resolved once per session:
+/// for every argument role, the RoleTransform of each variation that
+/// diversifies it, in the variations' order.
+class RoleTable {
+ public:
+  RoleTable(const std::vector<VariationPtr>& variations, unsigned variant);
+
+  /// Apply R⁻¹_i in place to every int slot whose descriptor role some
+  /// variation transforms.
+  void canonicalize(vkernel::SyscallArgs& args) const;
+
+  /// Apply R_i in place to the value of a successful `no` when the
+  /// descriptor marks its result as role-carrying.
+  void reexpress(vkernel::Sys no, vkernel::SyscallResult& result) const;
+
+ private:
+  std::array<std::vector<RoleTransform>, vkernel::kArgRoleCount> by_role_;
+};
 
 }  // namespace nv::core
 

@@ -26,7 +26,6 @@ class UidChurnGuest final : public guest::GuestProgram {
       if (!ctx.cc(vkernel::CcOp::kNeq, euid, ctx.uid_const(0))) ctx.exit(2);
       if (ctx.seteuid(ctx.uid_const(0)) != os::Errno::kOk) ctx.exit(3);
     }
-    ctx.exit(0);
   }
 
  private:

@@ -15,8 +15,8 @@ SysResult<os::fd_t> GuestContext::open(std::string_view path, os::OpenFlags flag
   SyscallArgs args;
   args.no = Sys::kOpen;
   args.ints = {static_cast<std::uint64_t>(flags), mode};
-  args.strs = {std::string(path)};
-  const SyscallResult r = raw_syscall(std::move(args));
+  args.str = path;
+  const SyscallResult r = raw_syscall(args);
   if (!r.ok()) return sys_fail(r.err);
   return static_cast<os::fd_t>(r.value);
 }
@@ -25,14 +25,14 @@ os::Errno GuestContext::close(os::fd_t fd) {
   SyscallArgs args;
   args.no = Sys::kClose;
   args.ints = {static_cast<std::uint64_t>(fd)};
-  return raw_syscall(std::move(args)).err;
+  return raw_syscall(args).err;
 }
 
 SysResult<std::string> GuestContext::read(os::fd_t fd, std::size_t count) {
   SyscallArgs args;
   args.no = Sys::kRead;
   args.ints = {static_cast<std::uint64_t>(fd), count};
-  SyscallResult r = raw_syscall(std::move(args));
+  SyscallResult r = raw_syscall(args);
   if (!r.ok()) return sys_fail(r.err);
   return std::move(r.data);
 }
@@ -41,8 +41,8 @@ SysResult<std::size_t> GuestContext::write(os::fd_t fd, std::string_view data) {
   SyscallArgs args;
   args.no = Sys::kWrite;
   args.ints = {static_cast<std::uint64_t>(fd)};
-  args.strs = {std::string(data)};
-  const SyscallResult r = raw_syscall(std::move(args));
+  args.str = data;
+  const SyscallResult r = raw_syscall(args);
   if (!r.ok()) return sys_fail(r.err);
   return static_cast<std::size_t>(r.value);
 }
@@ -51,7 +51,7 @@ SysResult<std::uint64_t> GuestContext::seek(os::fd_t fd, std::uint64_t offset) {
   SyscallArgs args;
   args.no = Sys::kSeek;
   args.ints = {static_cast<std::uint64_t>(fd), offset};
-  const SyscallResult r = raw_syscall(std::move(args));
+  const SyscallResult r = raw_syscall(args);
   if (!r.ok()) return sys_fail(r.err);
   return r.value;
 }
@@ -59,8 +59,8 @@ SysResult<std::uint64_t> GuestContext::seek(os::fd_t fd, std::uint64_t offset) {
 SysResult<vfs::Stat> GuestContext::stat(std::string_view path) {
   SyscallArgs args;
   args.no = Sys::kStat;
-  args.strs = {std::string(path)};
-  const SyscallResult r = raw_syscall(std::move(args));
+  args.str = path;
+  const SyscallResult r = raw_syscall(args);
   if (!r.ok()) return sys_fail(r.err);
   vfs::Stat s;
   if (r.out_ints.size() >= 6) {
@@ -77,16 +77,16 @@ SysResult<vfs::Stat> GuestContext::stat(std::string_view path) {
 os::Errno GuestContext::unlink(std::string_view path) {
   SyscallArgs args;
   args.no = Sys::kUnlink;
-  args.strs = {std::string(path)};
-  return raw_syscall(std::move(args)).err;
+  args.str = path;
+  return raw_syscall(args).err;
 }
 
 os::Errno GuestContext::mkdir(std::string_view path, os::mode_t mode) {
   SyscallArgs args;
   args.no = Sys::kMkdir;
   args.ints = {mode};
-  args.strs = {std::string(path)};
-  return raw_syscall(std::move(args)).err;
+  args.str = path;
+  return raw_syscall(args).err;
 }
 
 SysResult<std::string> GuestContext::read_file(std::string_view path) {
@@ -142,13 +142,13 @@ os::Errno GuestContext::setreuid(os::uid_t ruid, os::uid_t euid) {
   SyscallArgs args;
   args.no = Sys::kSetreuid;
   args.ints = {ruid, euid};
-  return raw_syscall(std::move(args)).err;
+  return raw_syscall(args).err;
 }
 os::Errno GuestContext::setresuid(os::uid_t ruid, os::uid_t euid, os::uid_t suid) {
   SyscallArgs args;
   args.no = Sys::kSetresuid;
   args.ints = {ruid, euid, suid};
-  return raw_syscall(std::move(args)).err;
+  return raw_syscall(args).err;
 }
 os::Errno GuestContext::setgid(os::gid_t gid) {
   return raw_syscall(one_arg_call(Sys::kSetgid, gid)).err;
@@ -157,10 +157,13 @@ os::Errno GuestContext::setegid(os::gid_t gid) {
   return raw_syscall(one_arg_call(Sys::kSetegid, gid)).err;
 }
 os::Errno GuestContext::setgroups(const std::vector<os::gid_t>& groups) {
+  // A call carries at most six ints; a longer list is refused as Linux
+  // refuses one past NGROUPS_MAX, before any call is made.
+  if (groups.size() > vkernel::SyscallInts::kCapacity) return os::Errno::kEINVAL;
   SyscallArgs args;
   args.no = Sys::kSetgroups;
   for (os::gid_t g : groups) args.ints.push_back(g);
-  return raw_syscall(std::move(args)).err;
+  return raw_syscall(args).err;
 }
 
 SysResult<os::fd_t> GuestContext::socket() {
@@ -175,7 +178,7 @@ os::Errno GuestContext::bind(os::fd_t fd, std::uint16_t port) {
   // (R_i), exactly like uid_const(): the monitor's kPort canonicalization
   // inverts it, so benign binds agree while an injected raw port diverges.
   args.ints = {static_cast<std::uint64_t>(fd), config_.port_coder->reexpress(port)};
-  return raw_syscall(std::move(args)).err;
+  return raw_syscall(args).err;
 }
 os::Errno GuestContext::listen(os::fd_t fd) {
   return raw_syscall(one_arg_call(Sys::kListen, static_cast<std::uint64_t>(fd))).err;
@@ -214,7 +217,7 @@ bool GuestContext::cc(vkernel::CcOp op, os::uid_t a, os::uid_t b) {
   SyscallArgs args;
   args.no = Sys::kCcCmp;
   args.ints = {static_cast<std::uint64_t>(op), a, b};
-  return raw_syscall(std::move(args)).value != 0;
+  return raw_syscall(args).value != 0;
 }
 
 vkernel::VmResult GuestContext::execute_code(std::uint64_t entry, std::uint64_t max_steps) {

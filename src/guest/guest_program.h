@@ -8,6 +8,11 @@
 //
 // Programs must keep per-run state in locals or in simulated memory — never
 // in member variables — because variant runs interleave at every syscall.
+//
+// A program's normal end is a return from run(): both runners then issue its
+// exit(0). GuestContext::exit() unwinds the guest by throwing GuestExit, so
+// it is for early exits (an error status, a failed setup step), not for the
+// common path every run takes.
 #ifndef NV_GUEST_GUEST_PROGRAM_H
 #define NV_GUEST_GUEST_PROGRAM_H
 
@@ -26,6 +31,7 @@
 namespace nv::guest {
 
 /// Thrown by GuestContext::exit to unwind the guest after the exit syscall.
+/// The runners catch it; a guest that simply returns throws nothing.
 struct GuestExit {
   int code = 0;
 };
@@ -57,8 +63,8 @@ class GuestContext {
   /// One syscall. Under the MVEE every call is one barrier round: it returns
   /// once every variant has issued its call and the monitor has compared and
   /// executed them.
-  [[nodiscard]] vkernel::SyscallResult raw_syscall(vkernel::SyscallArgs args) {
-    return port_.syscall(std::move(args));
+  [[nodiscard]] vkernel::SyscallResult raw_syscall(const vkernel::SyscallArgs& args) {
+    return port_.syscall(args);
   }
 
   // --- files ---------------------------------------------------------------
@@ -85,6 +91,8 @@ class GuestContext {
   [[nodiscard]] os::Errno setresuid(os::uid_t ruid, os::uid_t euid, os::uid_t suid);
   [[nodiscard]] os::Errno setgid(os::gid_t gid);
   [[nodiscard]] os::Errno setegid(os::gid_t gid);
+  /// EINVAL, with no call made, for more groups than a call's six int slots
+  /// hold (as Linux refuses a list past NGROUPS_MAX).
   [[nodiscard]] os::Errno setgroups(const std::vector<os::gid_t>& groups);
 
   // --- network -------------------------------------------------------------
@@ -96,6 +104,8 @@ class GuestContext {
   // --- misc ----------------------------------------------------------------
   [[nodiscard]] os::pid_t getpid();
   [[nodiscard]] std::uint64_t gettime();
+  /// Early exit: the exit syscall, then a GuestExit throw that unwinds the
+  /// guest. A normal end returns from run() instead.
   [[noreturn]] void exit(int code);
   /// Synchronized asynchronous-event poll (extension): returns the next
   /// queued event, or nullopt. Under the MVEE all variants observe the same

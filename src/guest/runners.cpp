@@ -13,8 +13,15 @@ PlainRunResult run_plain(vkernel::KernelContext& ctx, GuestProgram& program,
   GuestContext guest_ctx(kernel, kernel.process(), std::move(config));
   try {
     program.run(guest_ctx);
+    // A normal end is a return: issue its exit(0), as the MVEE does.
+    if (!kernel.process().exited()) {
+      vkernel::SyscallArgs exit_call;
+      exit_call.no = vkernel::Sys::kExit;
+      exit_call.ints = {0};
+      (void)kernel.syscall(exit_call);
+    }
     result.completed = true;
-    result.exit_code = 0;
+    result.exit_code = kernel.process().exit_code();
   } catch (const GuestExit& exit) {
     result.completed = true;
     result.exit_code = exit.code;

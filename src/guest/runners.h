@@ -18,11 +18,14 @@ struct PlainRunResult {
   int exit_code = 0;
   bool faulted = false;
   std::string fault_detail;
+
+  [[nodiscard]] bool operator==(const PlainRunResult&) const = default;
 };
 
 /// Run `program` as a single unmonitored process (the baseline the attacker
 /// faces without N-variant protection). `config` defaults to an identity
-/// build (variant 0 semantics).
+/// build (variant 0 semantics). A return from run() issues exit(0), as under
+/// the MVEE, so both see the same calls.
 [[nodiscard]] PlainRunResult run_plain(vkernel::KernelContext& ctx, GuestProgram& program,
                                        os::Credentials creds = os::Credentials::root(),
                                        core::VariantConfig config = {});

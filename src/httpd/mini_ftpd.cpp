@@ -63,7 +63,6 @@ void MiniFtpd::run(GuestContext& ctx) {
     if (config_.max_sessions != 0 && sessions >= config_.max_sessions) break;
   }
   (void)ctx.close(*listen_fd);
-  ctx.exit(0);
 }
 
 void MiniFtpd::serve_session(GuestContext& ctx, UidOps& ops, os::fd_t conn, Session& session) {

@@ -87,7 +87,6 @@ void MiniHttpd::run(GuestContext& ctx) {
 
   (void)ctx.close(state.listen_fd);
   (void)ctx.close(state.log_fd);
-  ctx.exit(0);
 }
 
 void MiniHttpd::handle_connection(GuestContext& ctx, UidOps& ops, ServerState& state,

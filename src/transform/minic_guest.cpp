@@ -47,7 +47,7 @@ void MiniCGuest::run(guest::GuestContext& ctx) {
   }
   long long code = 0;
   if (const auto* i = std::get_if<long long>(&result.ret)) code = *i;
-  ctx.exit(static_cast<int>(code));
+  if (code != 0) ctx.exit(static_cast<int>(code));
 }
 
 InterpResult MiniCGuest::result_for(unsigned variant) const {

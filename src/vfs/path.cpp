@@ -21,6 +21,19 @@ bool has_dotdot(std::string_view path) noexcept {
   return false;
 }
 
+bool is_normalized(std::string_view path) noexcept {
+  if (path == "/") return true;
+  if (path.empty() || path.front() != '/') return false;
+  path.remove_prefix(1);
+  for (;;) {
+    const std::size_t end = std::min(path.find('/'), path.size());
+    const std::string_view part = path.substr(0, end);
+    if (part.empty() || part == "." || part == "..") return false;
+    if (end == path.size()) return true;
+    path.remove_prefix(end + 1);
+  }
+}
+
 std::string normalize_path(std::string_view path) {
   std::string out;
   out.reserve(path.size() + 1);  // never longer than the input and a leading "/"

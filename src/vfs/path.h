@@ -18,6 +18,10 @@ namespace nv::vfs {
 /// place: "/a/../b" has one, "/a..b" does not.
 [[nodiscard]] bool has_dotdot(std::string_view path) noexcept;
 
+/// Whether `path` is already in the canonical form below, so that
+/// normalize_path() would return it unchanged.
+[[nodiscard]] bool is_normalized(std::string_view path) noexcept;
+
 /// Canonical form: "/" + components joined by "/", with "." dropped and
 /// ".." resolved. "/etc//passwd/." -> "/etc/passwd". Leading ".." at root is
 /// dropped.

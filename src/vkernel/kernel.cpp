@@ -23,11 +23,6 @@ std::uint64_t ival(const SyscallArgs& args, std::size_t i) {
   return i < args.ints.size() ? args.ints[i] : 0;
 }
 
-const std::string& sval(const SyscallArgs& args, std::size_t i) {
-  static const std::string empty;
-  return i < args.strs.size() ? args.strs[i] : empty;
-}
-
 SyscallResult do_read(Process& proc, const SyscallArgs& args) {
   FdEntry* entry = proc.fd(static_cast<os::fd_t>(ival(args, 0)));
   if (entry == nullptr) return failure(os::Errno::kEBADF);
@@ -53,7 +48,7 @@ SyscallResult do_read(Process& proc, const SyscallArgs& args) {
 SyscallResult do_write(Process& proc, const SyscallArgs& args) {
   FdEntry* entry = proc.fd(static_cast<os::fd_t>(ival(args, 0)));
   if (entry == nullptr) return failure(os::Errno::kEBADF);
-  const std::string& payload = sval(args, 0);
+  const std::string& payload = args.str;
   if (auto* file = std::get_if<vfs::OpenFilePtr>(entry)) {
     auto written = (*file)->write(payload);
     if (!written) return failure(written.error());
@@ -87,7 +82,7 @@ SyscallResult execute_syscall(KernelContext& ctx, Process& proc, const SyscallAr
   ctx.count_syscall();
   switch (args.no) {
     case Sys::kOpen:
-      return do_open(ctx, proc, sval(args, 0), static_cast<os::OpenFlags>(ival(args, 0)),
+      return do_open(ctx, proc, args.str, static_cast<os::OpenFlags>(ival(args, 0)),
                      static_cast<os::mode_t>(ival(args, 1)));
     case Sys::kClose: {
       const os::Errno e = proc.close_fd(static_cast<os::fd_t>(ival(args, 0)));
@@ -107,18 +102,18 @@ SyscallResult execute_syscall(KernelContext& ctx, Process& proc, const SyscallAr
       return success(*off);
     }
     case Sys::kStat: {
-      auto st = ctx.fs().stat(sval(args, 0));
+      auto st = ctx.fs().stat(args.str);
       if (!st) return failure(st.error());
       SyscallResult r = success();
       r.out_ints = {st->ino, st->is_dir ? 1ULL : 0ULL, st->mode, st->uid, st->gid, st->size};
       return r;
     }
     case Sys::kUnlink: {
-      auto u = ctx.fs().unlink(sval(args, 0), proc.creds());
+      auto u = ctx.fs().unlink(args.str, proc.creds());
       return u ? success() : failure(u.error());
     }
     case Sys::kMkdir: {
-      auto m = ctx.fs().mkdir(sval(args, 0), proc.creds(),
+      auto m = ctx.fs().mkdir(args.str, proc.creds(),
                               static_cast<os::mode_t>(ival(args, 0)));
       return m ? success() : failure(m.error());
     }

@@ -45,6 +45,9 @@ enum class ArgRole : std::uint8_t {
   kExitCode,  // process exit status
 };
 
+/// Number of ArgRole enumerators (kExitCode is last; keep in sync with the enum).
+inline constexpr std::size_t kArgRoleCount = static_cast<std::size_t>(ArgRole::kExitCode) + 1;
+
 /// How the leader executes the call after canonical arguments compared equal.
 enum class ExecPolicy : std::uint8_t {
   kPerVariant,    // run in every variant's process with canonical args
@@ -72,8 +75,8 @@ struct SyscallDescriptor {
   std::string_view name;
   SysClass cls = SysClass::kPerVariant;
   ExecPolicy exec = ExecPolicy::kPerVariant;
-  /// Roles of ints[0..3]; ints[4...] take rest_int_role (setgroups passes a
-  /// variable-length GID list, so every slot is kUid there).
+  /// Roles of ints[0..3]; ints[4..5] take rest_int_role (setgroups passes a
+  /// GID list of up to six, so every slot is kUid there).
   std::array<ArgRole, kFixedIntRoles> int_roles{ArgRole::kNone, ArgRole::kNone, ArgRole::kNone,
                                                 ArgRole::kNone};
   ArgRole rest_int_role = ArgRole::kNone;

@@ -38,9 +38,9 @@ std::string SyscallArgs::describe() const {
     if (i != 0) out += ", ";
     out += std::to_string(ints[i]);
   }
-  for (const auto& s : strs) {
+  if (!str.empty() || descriptor(no).str0_role != ArgRole::kNone) {
     out += ", \"";
-    out += s.size() > 32 ? s.substr(0, 29) + "..." : s;
+    out += str.size() > 32 ? str.substr(0, 29) + "..." : str;
     out += "\"";
   }
   out += ")";
@@ -50,14 +50,5 @@ std::string SyscallArgs::describe() const {
 SysClass sys_class(Sys sys) noexcept { return descriptor(sys).cls; }
 
 bool returns_uid(Sys sys) noexcept { return descriptor(sys).result_role == ArgRole::kUid; }
-
-std::vector<std::size_t> uid_arg_indices(const SyscallArgs& args) {
-  const SyscallDescriptor& desc = descriptor(args.no);
-  std::vector<std::size_t> indices;
-  for (std::size_t i = 0; i < args.ints.size(); ++i) {
-    if (desc.int_role(i) == ArgRole::kUid) indices.push_back(i);
-  }
-  return indices;
-}
 
 }  // namespace nv::vkernel

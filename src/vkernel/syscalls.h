@@ -7,10 +7,14 @@
 #ifndef NV_VKERNEL_SYSCALLS_H
 #define NV_VKERNEL_SYSCALLS_H
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "vkernel/types.h"
 
@@ -68,13 +72,64 @@ enum class CcOp : std::uint8_t { kEq, kNeq, kLt, kLeq, kGt, kGeq };
 /// Evaluate a CcOp over canonical (post-inverse-reexpression) UID values.
 [[nodiscard]] bool cc_eval(CcOp op, os::uid_t a, os::uid_t b) noexcept;
 
-/// Reified syscall invocation. `ints` carries scalars (fds, uids, flags);
-/// `strs` carries paths and payloads. Equality is what the monitor compares
-/// after canonicalization.
+/// A call's scalar arguments, held inline in six slots like a register
+/// file's arg0..arg5, so that building, copying and comparing a call never
+/// allocates for them. A seventh value does not fit: push_back() throws
+/// std::length_error.
+class SyscallInts {
+ public:
+  static constexpr std::size_t kCapacity = 6;
+
+  using iterator = std::uint64_t*;
+  using const_iterator = const std::uint64_t*;
+
+  SyscallInts() = default;
+  SyscallInts(std::initializer_list<std::uint64_t> values) { *this = values; }
+  /// Assigns in place, so `args.ints = {a, b}` builds no temporary to copy.
+  SyscallInts& operator=(std::initializer_list<std::uint64_t> values) {
+    size_ = 0;
+    for (const std::uint64_t value : values) push_back(value);
+    return *this;
+  }
+
+  void push_back(std::uint64_t value) {
+    if (size_ == kCapacity) throw std::length_error("a syscall takes at most six int arguments");
+    slots_[size_++] = value;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::uint64_t& operator[](std::size_t i) noexcept { return slots_[i]; }
+  [[nodiscard]] std::uint64_t operator[](std::size_t i) const noexcept { return slots_[i]; }
+  /// Bounds-checked against size(): throws std::out_of_range past it.
+  [[nodiscard]] std::uint64_t at(std::size_t i) const {
+    if (i >= size_) throw std::out_of_range("syscall int argument index out of range");
+    return slots_[i];
+  }
+
+  [[nodiscard]] iterator begin() noexcept { return slots_.data(); }
+  [[nodiscard]] iterator end() noexcept { return slots_.data() + size_; }
+  [[nodiscard]] const_iterator begin() const noexcept { return slots_.data(); }
+  [[nodiscard]] const_iterator end() const noexcept { return slots_.data() + size_; }
+
+  /// Equal when they hold the same values; slots past size() do not count.
+  [[nodiscard]] bool operator==(const SyscallInts& other) const noexcept {
+    return std::equal(begin(), end(), other.begin(), other.end());
+  }
+
+ private:
+  std::array<std::uint64_t, kCapacity> slots_{};
+  std::uint8_t size_ = 0;
+};
+
+/// Reified syscall invocation, of fixed shape: `ints` carries scalars (fds,
+/// uids, flags) and `str` the one string argument, a path or a payload (the
+/// descriptor table's str0). Equality is what the monitor compares after
+/// canonicalization.
 struct SyscallArgs {
   Sys no = Sys::kGetpid;
-  std::vector<std::uint64_t> ints;
-  std::vector<std::string> strs;
+  SyscallInts ints;
+  std::string str;
 
   [[nodiscard]] bool operator==(const SyscallArgs&) const = default;
   [[nodiscard]] std::string describe() const;
@@ -85,7 +140,7 @@ struct SyscallResult {
   std::uint64_t value = 0;                 // primary return value
   os::Errno err = os::Errno::kOk;          // kOk means success
   std::string data;                        // read()/accept() payloads
-  std::vector<std::uint64_t> out_ints;     // stat() fields etc.
+  SyscallInts out_ints;                    // stat() fields etc.
 
   [[nodiscard]] bool ok() const noexcept { return err == os::Errno::kOk; }
   [[nodiscard]] bool operator==(const SyscallResult&) const = default;
@@ -106,10 +161,6 @@ enum class SysClass : std::uint8_t {
 /// True for syscalls whose result carries a UID/GID that the UID variation
 /// must reexpress per variant (getuid family).
 [[nodiscard]] bool returns_uid(Sys sys) noexcept;
-
-/// Indices into SyscallArgs::ints that hold UID/GID values for this syscall
-/// (the arguments the UID variation inverse-transforms at the boundary).
-[[nodiscard]] std::vector<std::size_t> uid_arg_indices(const SyscallArgs& args);
 
 /// Guest-facing syscall port. Each variant's GuestContext holds one; the
 /// plain kernel and the N-variant MVEE both implement it. One call is one

@@ -1,10 +1,15 @@
-// Allocation regressions, counted by a global operator new that this file
-// replaces (which is why it is a binary of its own):
+// Allocation and throw regressions, counted by a global operator new and a
+// __cxa_allocate_exception wrapper that this file defines (which is why it is
+// a binary of its own):
 //   - a rendezvous round allocates nothing on the monitor side: one run of K
 //     calls and one of 2K on the same warmed-up session differ only by what
 //     the K extra calls allocated;
+//   - a job pays only for its simulated work: a whole uid_churn job allocates
+//     the same at any round count, and a benign fleet job throws nothing,
+//     since its guest ends by returning;
 //   - a run pays nothing for file work that did not change: a path lookup
 //     allocates nothing, and unchanged trusted files are not derived again.
+#include <dlfcn.h>
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,13 +21,17 @@
 #include <string>
 
 #include "core/nvariant_system.h"
+#include "fleet/fleet.h"
+#include "fleet/jobs.h"
 #include "fleet/session_factory.h"
+#include "httpd/mini_ftpd.h"
 #include "httpd/mini_httpd.h"
 #include "variants/registry.h"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_throws{0};
 
 void* counted_malloc(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
@@ -53,6 +62,17 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
+// Every C++ throw first allocates its exception object here, so wrapping the
+// C++ runtime's own allocator counts throws. The name is the runtime's.
+// NOLINTNEXTLINE(bugprone-reserved-identifier)
+extern "C" void* __cxa_allocate_exception(std::size_t size) noexcept {
+  using Allocate = void* (*)(std::size_t) noexcept;
+  static const auto next =
+      reinterpret_cast<Allocate>(dlsym(RTLD_NEXT, "__cxa_allocate_exception"));
+  g_throws.fetch_add(1, std::memory_order_relaxed);
+  return next(size);
+}
+
 namespace nv {
 namespace {
 
@@ -78,30 +98,39 @@ std::unique_ptr<NVariantSystem> factory_session() {
 
 struct Counted {
   std::uint64_t allocations = 0;
+  std::uint64_t throws = 0;
   RunReport report;
 };
 
-Counted counted_run(NVariantSystem& system, const VariantBody& body) {
-  Counted counted;
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  counted.report = system.run(body);
-  counted.allocations = g_allocations.load(std::memory_order_relaxed) - before;
-  return counted;
+/// Runs `job` on `system`, counting what it allocates and throws.
+template <typename Job>
+Counted counted(NVariantSystem& system, const Job& job) {
+  Counted result;
+  const std::uint64_t allocations = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t throws = g_throws.load(std::memory_order_relaxed);
+  result.report = job(system);
+  result.allocations = g_allocations.load(std::memory_order_relaxed) - allocations;
+  result.throws = g_throws.load(std::memory_order_relaxed) - throws;
+  return result;
 }
 
-/// Runs `body` once with `calls` = 2K to warm the session up (fiber stacks,
-/// result slots and scratch all reach their size for the larger run), then
-/// with K and with 2K. Each of the K extra calls may
+Counted counted_run(NVariantSystem& system, const VariantBody& body) {
+  return counted(system, [&body](NVariantSystem& s) { return s.run(body); });
+}
+
+/// Runs `body` on `system` once with `calls` = 2K to warm the session up
+/// (fiber stacks, result slots and scratch all reach their size for the
+/// larger run), then with K and with 2K. Each of the K extra calls may
 /// allocate at most `allowed_per_call` per variant. Returns the 2K report.
-RunReport expect_flat(const VariantBody& body, unsigned& calls, std::uint64_t allowed_per_call) {
-  auto system = factory_session();
+RunReport expect_flat(NVariantSystem& system, const VariantBody& body, unsigned& calls,
+                      std::uint64_t allowed_per_call) {
   calls = 2 * kCalls;
-  (void)counted_run(*system, body);
+  (void)counted_run(system, body);
   calls = kCalls;
-  const Counted once = counted_run(*system, body);
+  const Counted once = counted_run(system, body);
   calls = 2 * kCalls;
-  const Counted twice = counted_run(*system, body);
-  const std::uint64_t allowed = std::uint64_t{kCalls} * system->n_variants() * allowed_per_call;
+  const Counted twice = counted_run(system, body);
+  const std::uint64_t allowed = std::uint64_t{kCalls} * system.n_variants() * allowed_per_call;
   EXPECT_LE(twice.allocations, once.allocations + allowed)
       << kCalls << " calls made " << once.allocations << " allocations and " << 2 * kCalls
       << " made " << twice.allocations;
@@ -109,6 +138,11 @@ RunReport expect_flat(const VariantBody& body, unsigned& calls, std::uint64_t al
   EXPECT_TRUE(twice.report.completed);
   EXPECT_FALSE(twice.report.attack_detected);
   return twice.report;
+}
+
+RunReport expect_flat(const VariantBody& body, unsigned& calls, std::uint64_t allowed_per_call) {
+  auto system = factory_session();
+  return expect_flat(*system, body, calls, allowed_per_call);
 }
 
 TEST(RoundAllocations, BarrierCallAllocatesNothing) {
@@ -156,6 +190,90 @@ TEST(RoundAllocations, DetectionPairAllocatesNothing) {
   const RunReport report = expect_flat(body, calls, 0);
   EXPECT_EQ(wrong, 0u);
   EXPECT_EQ(report.syscall_rounds, 2 * 2 * kCalls + 1);  // and the exit
+}
+
+TEST(RoundAllocations, StatRoundAllocatesNothing) {
+  // A stat of a shared file executes once, and its result, six inline ints,
+  // is replicated; one of an unshared file is redirected per variant (§3.4)
+  // in the round's scratch.
+  auto system = factory_session();
+  httpd::install_default_site(system->fs());
+  for (const std::string_view path : {"/var/www/index.html", "/etc/passwd"}) {
+    SCOPED_TRACE(std::string(path));
+    unsigned calls = 0;
+    unsigned failed = 0;
+    const VariantBody body = [&](unsigned, SyscallPort& port, Process&, const VariantConfig&) {
+      SyscallArgs args;
+      args.no = Sys::kStat;
+      args.str = path;
+      for (unsigned i = 0; i < calls; ++i) {
+        const SyscallResult result = port.syscall(args);
+        failed += result.ok() && result.out_ints.size() == 6 ? 0 : 1;
+      }
+    };
+    const RunReport report = expect_flat(*system, body, calls, 0);
+    EXPECT_EQ(failed, 0u);
+    EXPECT_EQ(report.syscall_rounds, 2 * kCalls + 1);  // and the exit
+  }
+}
+
+/// What a whole fleet job costs on a warmed-up factory session.
+Counted counted_job(const fleet::FleetJob& job) {
+  auto system = factory_session();
+  (void)job(*system);
+  return counted(*system, job);
+}
+
+TEST(JobAllocations, UidChurnJobAllocatesTheSameAtAnyRoundCount) {
+  // Every call's arguments are inline and the guest ends by returning, so
+  // what a job allocates is its session's per-run setup alone.
+  auto system = factory_session();
+  (void)fleet::jobs::uid_churn(2 * kCalls)(*system);
+  const Counted once = counted(*system, fleet::jobs::uid_churn(kCalls));
+  const Counted twice = counted(*system, fleet::jobs::uid_churn(2 * kCalls));
+  EXPECT_EQ(once.allocations, twice.allocations);
+  EXPECT_TRUE(once.report.completed);
+  EXPECT_TRUE(twice.report.completed);
+  EXPECT_EQ(twice.report.syscall_rounds, 5 * 2 * kCalls + 1);
+}
+
+TEST(JobThrows, BenignJobsThrowNothing) {
+  const struct {
+    const char* name;
+    fleet::FleetJob job;
+  } kJobs[] = {
+      {"uid_churn", fleet::jobs::uid_churn(kCalls)},
+      {"one-GET httpd",
+       fleet::jobs::httpd_request_stream({}, fleet::jobs::normal_browse(1))},
+      {"ftp session",
+       fleet::jobs::ftpd_command_stream({}, fleet::jobs::ftp_normal_session())},
+  };
+  // The counter sees a throw in this build.
+  const std::uint64_t before = g_throws.load(std::memory_order_relaxed);
+  try {
+    throw std::runtime_error("counted");
+  } catch (const std::runtime_error&) {
+  }
+  ASSERT_EQ(g_throws.load(std::memory_order_relaxed) - before, 1u);
+
+  for (const auto& [name, job] : kJobs) {
+    SCOPED_TRACE(name);
+    const Counted run = counted_job(job);
+    EXPECT_EQ(run.throws, 0u);
+    EXPECT_TRUE(run.report.completed);
+    EXPECT_FALSE(run.report.attack_detected);
+  }
+}
+
+TEST(JobThrows, AnAttackStillAlarmsAndQuarantines) {
+  fleet::FleetConfig config;
+  config.pool_size = 1;
+  config.seed = 1;
+  fleet::VariantFleet fleet(config);
+  const fleet::JobOutcome outcome =
+      fleet.submit(fleet::jobs::httpd_request_stream({}, fleet::jobs::uid_smash_attack())).get();
+  EXPECT_TRUE(outcome.report.attack_detected);
+  EXPECT_TRUE(outcome.session_quarantined);
 }
 
 TEST(FileAllocations, LookupAndStatOfAnExistingPathAllocateNothing) {

@@ -193,5 +193,66 @@ TEST_F(GuestFixture, PermissionDeniedAfterDrop) {
   EXPECT_TRUE(result.completed);
 }
 
+TEST_F(GuestFixture, AReturnEndsTheRunAsExitZeroDoes) {
+  // run_plain issues a returning guest's exit(0), as the MVEE does, so both
+  // make the same calls.
+  std::uint64_t before = ctx.syscalls_executed();
+  const PlainRunResult returned = run([](GuestContext& g) { (void)g.getpid(); });
+  const std::uint64_t returned_calls = ctx.syscalls_executed() - before;
+  before = ctx.syscalls_executed();
+  const PlainRunResult exited = run([](GuestContext& g) {
+    (void)g.getpid();
+    g.exit(0);
+  });
+  EXPECT_EQ(ctx.syscalls_executed() - before, returned_calls);
+  EXPECT_EQ(returned_calls, 2u);  // getpid, exit
+  EXPECT_EQ(returned, exited);
+  EXPECT_TRUE(returned.completed);
+  EXPECT_EQ(returned.exit_code, 0);
+}
+
+/// Six groups fit a call; with a seventh, setgroups fails with EINVAL and no
+/// call is made. The guest sees its groups through open() once it has
+/// dropped root: /data/g6 is readable by group 6 only, /data/g7 by group 7.
+void seven_groups(GuestContext& g) {
+  std::vector<os::gid_t> groups;
+  for (os::gid_t gid = 1; gid <= 6; ++gid) groups.push_back(g.uid_const(gid));
+  EXPECT_EQ(g.setgroups(groups), os::Errno::kOk);
+  groups.push_back(g.uid_const(7));
+  EXPECT_EQ(g.setgroups(groups), os::Errno::kEINVAL);
+  ASSERT_EQ(g.seteuid(g.uid_const(1000)), os::Errno::kOk);
+  EXPECT_TRUE(g.open("/data/g6", os::OpenFlags::kRead).has_value());
+  const auto denied = g.open("/data/g7", os::OpenFlags::kRead);
+  ASSERT_FALSE(denied.has_value());
+  EXPECT_EQ(denied.error(), os::Errno::kEACCES);
+}
+
+void install_group_files(vfs::FileSystem& fs) {
+  const auto root = os::Credentials::root();
+  ASSERT_TRUE(fs.mkdir_p("/data", root));
+  for (const os::gid_t gid : {6u, 7u}) {
+    const std::string path = "/data/g" + std::to_string(gid);
+    ASSERT_TRUE(fs.write_file(path, "group only", root, 0040));
+    ASSERT_TRUE(fs.chown(path, os::kRootUid, gid, root));
+  }
+}
+
+TEST_F(GuestFixture, SetgroupsPastSixGroupsIsEinval) {
+  install_group_files(fs);
+  const auto result = run(seven_groups);
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.exit_code, 0);
+}
+
+TEST(GuestUnderMvee, SetgroupsPastSixGroupsIsEinvalWithoutAlarm) {
+  auto system = testing::build_system(2, {"uid-xor"});
+  install_group_files(system->fs());
+  testing::LambdaGuest guest(seven_groups);
+  const core::RunReport report = run_nvariant(*system, guest);
+  EXPECT_FALSE(report.attack_detected);
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.exit_codes, (std::vector<int>{0, 0}));
+}
+
 }  // namespace
 }  // namespace nv::guest

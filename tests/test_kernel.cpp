@@ -1,9 +1,11 @@
 // Plain-kernel syscall semantics (the single-process baseline).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 
 #include "vkernel/kernel.h"
+#include "vkernel/syscall_descriptors.h"
 
 namespace nv::vkernel {
 namespace {
@@ -14,12 +16,11 @@ struct KernelFixture : ::testing::Test {
   KernelContext ctx{fs, hub};
   PlainKernel kernel{ctx, "test-proc"};
 
-  SyscallResult call(Sys no, std::vector<std::uint64_t> ints = {},
-                     std::vector<std::string> strs = {}) {
+  SyscallResult call(Sys no, SyscallInts ints = {}, std::string str = {}) {
     SyscallArgs args;
     args.no = no;
-    args.ints = std::move(ints);
-    args.strs = std::move(strs);
+    args.ints = ints;
+    args.str = std::move(str);
     return kernel.syscall(args);
   }
 };
@@ -171,16 +172,36 @@ TEST(SyscallMetadata, NamesAndClasses) {
   EXPECT_FALSE(returns_uid(Sys::kRead));
 }
 
-TEST(SyscallMetadata, UidArgIndices) {
+/// The int slots of `args` whose descriptor role is kUid.
+std::vector<std::size_t> uid_slots(const SyscallArgs& args) {
+  std::vector<std::size_t> slots;
+  for (std::size_t i = 0; i < args.ints.size(); ++i) {
+    if (descriptor(args.no).int_role(i) == ArgRole::kUid) slots.push_back(i);
+  }
+  return slots;
+}
+
+TEST(SyscallMetadata, UidArgumentSlots) {
   SyscallArgs args;
   args.no = Sys::kSetresuid;
   args.ints = {1, 2, 3};
-  EXPECT_EQ(uid_arg_indices(args), (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(uid_slots(args), (std::vector<std::size_t>{0, 1, 2}));
   args.no = Sys::kCcCmp;
   args.ints = {0, 10, 20};
-  EXPECT_EQ(uid_arg_indices(args), (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(uid_slots(args), (std::vector<std::size_t>{1, 2}));
   args.no = Sys::kRead;
-  EXPECT_TRUE(uid_arg_indices(args).empty());
+  EXPECT_TRUE(uid_slots(args).empty());
+}
+
+TEST(SyscallMetadata, ASeventhIntDoesNotFit) {
+  SyscallArgs args;
+  args.no = Sys::kSetgroups;
+  args.ints = {1, 2, 3, 4, 5, 6};
+  EXPECT_THROW(args.ints.push_back(7), std::length_error);
+  EXPECT_THROW((SyscallInts{1, 2, 3, 4, 5, 6, 7}), std::length_error);
+  EXPECT_EQ(args.ints.size(), SyscallInts::kCapacity);
+  EXPECT_EQ(args.ints.at(5), 6u);
+  EXPECT_THROW((void)SyscallInts{1}.at(1), std::out_of_range);
 }
 
 }  // namespace

@@ -284,20 +284,29 @@ TEST(SyscallDescriptors, DetectionSyscallsAreMarkedDetection) {
   EXPECT_EQ(vkernel::descriptor(Sys::kExit).exec, ExecPolicy::kExit);
 }
 
-TEST(SyscallDescriptors, UidRolesMatchTheLegacyIndexHelpers) {
+/// The int slots of `args` whose descriptor role is kUid.
+std::vector<std::size_t> uid_slots(const vkernel::SyscallArgs& args) {
+  std::vector<std::size_t> slots;
+  for (std::size_t i = 0; i < args.ints.size(); ++i) {
+    if (vkernel::descriptor(args.no).int_role(i) == ArgRole::kUid) slots.push_back(i);
+  }
+  return slots;
+}
+
+TEST(SyscallDescriptors, UidRolesMarkTheUidSlots) {
   vkernel::SyscallArgs args;
   args.no = Sys::kSetresuid;
   args.ints = {1, 2, 3};
-  EXPECT_EQ(vkernel::uid_arg_indices(args), (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(uid_slots(args), (std::vector<std::size_t>{0, 1, 2}));
   args.no = Sys::kCcCmp;
   args.ints = {0, 10, 20};
-  EXPECT_EQ(vkernel::uid_arg_indices(args), (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(uid_slots(args), (std::vector<std::size_t>{1, 2}));
   args.no = Sys::kSetgroups;
-  args.ints = {1, 2, 3, 4, 5, 6};  // variable-length list: every slot is a uid
-  EXPECT_EQ(vkernel::uid_arg_indices(args), (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  args.ints = {1, 2, 3, 4, 5, 6};  // a GID list: every slot is a uid
+  EXPECT_EQ(uid_slots(args), (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
   args.no = Sys::kWrite;
   args.ints = {3};
-  EXPECT_TRUE(vkernel::uid_arg_indices(args).empty());
+  EXPECT_TRUE(uid_slots(args).empty());
 }
 
 TEST(SyscallDescriptors, ResultRolesDriveReexpression) {

@@ -124,57 +124,56 @@ TEST(UidVariationUnit, MissingFilesAreSkippedQuietly) {
   EXPECT_FALSE(fs.exists("/etc/passwd-0"));
 }
 
+/// Variant 1's boundary under a default UidVariation alone.
+core::RoleTable uid_variant_one() {
+  return core::RoleTable({std::make_shared<const UidVariation>()}, 1);
+}
+
 TEST(UidVariationUnit, CanonicalizeRewritesOnlyUidArguments) {
-  const UidVariation variation;
+  const core::RoleTable roles = uid_variant_one();
   vkernel::SyscallArgs args;
   args.no = vkernel::Sys::kSetresuid;
   args.ints = {0x7FFFFFFF ^ 5u, 0x7FFFFFFF ^ 6u, 0x7FFFFFFF ^ 7u};
-  variation.canonicalize_args(1, args);
-  EXPECT_EQ(args.ints, (std::vector<std::uint64_t>{5, 6, 7}));
+  roles.canonicalize(args);
+  EXPECT_EQ(args.ints, (vkernel::SyscallInts{5, 6, 7}));
 
   vkernel::SyscallArgs read_args;
   read_args.no = vkernel::Sys::kRead;
   read_args.ints = {3, 100};
-  variation.canonicalize_args(1, read_args);
-  EXPECT_EQ(read_args.ints, (std::vector<std::uint64_t>{3, 100}));  // untouched
+  roles.canonicalize(read_args);
+  EXPECT_EQ(read_args.ints, (vkernel::SyscallInts{3, 100}));  // untouched
 }
 
 TEST(UidVariationUnit, CcCmpOperatorByteNotRewritten) {
-  const UidVariation variation;
+  const core::RoleTable roles = uid_variant_one();
   vkernel::SyscallArgs args;
   args.no = vkernel::Sys::kCcCmp;
   args.ints = {static_cast<std::uint64_t>(vkernel::CcOp::kLt), 0x7FFFFFFFu, 0x7FFFFFFEu};
-  variation.canonicalize_args(1, args);
+  roles.canonicalize(args);
   EXPECT_EQ(args.ints[0], static_cast<std::uint64_t>(vkernel::CcOp::kLt));
   EXPECT_EQ(args.ints[1], 0u);
   EXPECT_EQ(args.ints[2], 1u);
 }
 
 TEST(UidVariationUnit, ReexpressResultOnlyForUidReturningCalls) {
-  const UidVariation variation;
-  vkernel::SyscallArgs getuid_call;
-  getuid_call.no = vkernel::Sys::kGetuid;
+  const core::RoleTable roles = uid_variant_one();
   vkernel::SyscallResult result;
   result.value = 33;
-  variation.reexpress_result(1, getuid_call, result);
+  roles.reexpress(vkernel::Sys::kGetuid, result);
   EXPECT_EQ(result.value, 33u ^ 0x7FFFFFFFu);
 
-  vkernel::SyscallArgs read_call;
-  read_call.no = vkernel::Sys::kRead;
   vkernel::SyscallResult read_result;
   read_result.value = 33;
-  variation.reexpress_result(1, read_call, read_result);
+  roles.reexpress(vkernel::Sys::kRead, read_result);
   EXPECT_EQ(read_result.value, 33u);  // untouched
 }
 
 TEST(UidVariationUnit, FailedUidCallResultNotReexpressed) {
-  const UidVariation variation;
-  vkernel::SyscallArgs call;
-  call.no = vkernel::Sys::kGeteuid;
+  const core::RoleTable roles = uid_variant_one();
   vkernel::SyscallResult result;
   result.err = os::Errno::kEPERM;
   result.value = static_cast<std::uint64_t>(-1);
-  variation.reexpress_result(1, call, result);
+  roles.reexpress(vkernel::Sys::kGeteuid, result);
   EXPECT_EQ(result.value, static_cast<std::uint64_t>(-1));  // error value untouched
 }
 
@@ -257,7 +256,7 @@ TEST(PortHoppingVariation, InjectedRawPortDivergesAndAlarms) {
     vkernel::SyscallArgs args;
     args.no = vkernel::Sys::kBind;
     args.ints = {static_cast<std::uint64_t>(*sock), 31337};  // raw injected port
-    (void)ctx.raw_syscall(std::move(args));
+    (void)ctx.raw_syscall(args);
     ctx.exit(0);
   });
   const auto report = guest::run_nvariant(*system, guest);

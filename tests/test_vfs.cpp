@@ -63,6 +63,8 @@ TEST(Path, OddPathsNormalizeSplitAndResolveAlike) {
   for (const OddPath& odd : kOddPaths) {
     SCOPED_TRACE(std::string("path \"") + odd.path + "\"");
     EXPECT_EQ(normalize_path(odd.path), odd.normalized);
+    EXPECT_EQ(is_normalized(odd.path), std::string_view(odd.path) == odd.normalized);
+    EXPECT_TRUE(is_normalized(odd.normalized));
     EXPECT_EQ(parent_path(odd.path), odd.parent);
     EXPECT_EQ(basename(odd.path), odd.base);
     const auto found = fs.lookup(odd.path);
