@@ -16,9 +16,9 @@ Spec read_spec(guest::GuestContext& ctx) {
   Spec spec;
   auto content = ctx.read_file(kSpecPath);
   if (!content) return spec;
-  const auto fields = util::split_ws(*content);
-  if (!fields.empty()) spec.op = fields[0];
-  if (fields.size() > 1) spec.value = util::parse_u64(fields[1]).value_or(0);
+  std::string_view rest = *content;
+  if (const std::string_view op = util::pop_token(rest); !op.empty()) spec.op = op;
+  spec.value = util::parse_u64(util::pop_token(rest)).value_or(0);
   return spec;
 }
 
@@ -106,10 +106,12 @@ void CodeVictim::run(guest::GuestContext& ctx) {
     auto content = ctx.read_file(kSpecPath);
     std::vector<std::uint8_t> injected;
     if (content) {
-      const auto fields = util::split_ws(*content);
-      for (std::size_t i = 1; i < fields.size(); ++i) {
-        if (auto byte = util::parse_u64("0x" + fields[i])) {
-          injected.push_back(static_cast<std::uint8_t>(*byte));
+      std::string_view rest = *content;
+      (void)util::pop_token(rest);  // the op
+      for (std::string_view pair = util::pop_token(rest); !pair.empty();
+           pair = util::pop_token(rest)) {
+        if (auto byte = util::parse_uint<std::uint8_t>("0x" + std::string(pair))) {
+          injected.push_back(*byte);
         }
       }
     }
@@ -146,9 +148,9 @@ void StackVictim::run(guest::GuestContext& ctx) {
 
   auto spec = ctx.read_file(kSpecPath);
   if (spec) {
-    const auto fields = util::split_ws(*spec);
-    if (fields.size() >= 2 && fields[0] == "overrun") {
-      const auto len = util::parse_u64(fields[1]).value_or(0);
+    std::string_view rest = *spec;
+    if (util::pop_token(rest) == "overrun") {
+      const auto len = util::parse_u64(util::pop_token(rest)).value_or(0);
       for (std::uint64_t i = 0; i < len; ++i) ctx.memory().store_u8(buffer_addr + i, 0);
     }
   }

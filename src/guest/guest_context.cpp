@@ -227,16 +227,13 @@ vkernel::VmResult GuestContext::execute_code(std::uint64_t entry, std::uint64_t 
 std::optional<vfs::PasswdEntry> GuestContext::getpwnam(std::string_view name) {
   auto content = read_file("/etc/passwd");
   if (!content) return std::nullopt;
-  return vfs::find_user(vfs::parse_passwd(*content), name);
+  return vfs::find_user(*content, name);
 }
 
 std::optional<vfs::GroupEntry> GuestContext::getgrnam(std::string_view name) {
   auto content = read_file("/etc/group");
   if (!content) return std::nullopt;
-  for (const auto& entry : vfs::parse_group(*content)) {
-    if (entry.name == name) return entry;
-  }
-  return std::nullopt;
+  return vfs::find_group(*content, name);
 }
 
 }  // namespace nv::guest

@@ -4,38 +4,43 @@
 
 namespace nv::httpd {
 
+using guest::UidOpsMode;
+
 ServerConfig ServerConfig::parse(std::string_view text) {
   ServerConfig config;
-  for (const auto& raw_line : util::split(text, '\n')) {
-    const std::string_view line = util::trim(raw_line);
-    if (line.empty() || line[0] == '#') continue;
-    const auto tokens = util::split_ws(line);
-    if (tokens.size() < 2) continue;
-    const std::string key = util::to_lower(tokens[0]);
-    const std::string& value = tokens[1];
-    if (key == "listen") {
-      if (auto port = util::parse_u64(value)) config.listen_port = static_cast<std::uint16_t>(*port);
-    } else if (key == "user") {
+  for (util::SplitCursor lines(text, '\n'); !lines.done();) {
+    std::string_view rest = util::trim(lines.next());
+    if (rest.empty() || rest[0] == '#') continue;
+    const std::string_view key = util::pop_token(rest);
+    const std::string_view value = util::pop_token(rest);
+    if (value.empty()) continue;
+    // A number its field cannot hold is ignored, and the field keeps its value.
+    if (util::iequals(key, "listen")) {
+      if (auto port = util::parse_uint<std::uint16_t>(value)) config.listen_port = *port;
+    } else if (util::iequals(key, "user")) {
       config.user = value;
-    } else if (key == "group") {
+    } else if (util::iequals(key, "group")) {
       config.group = value;
-    } else if (key == "documentroot") {
+    } else if (util::iequals(key, "documentroot")) {
       config.document_root = value;
-    } else if (key == "errorlog") {
+    } else if (util::iequals(key, "errorlog")) {
       config.error_log = value;
-    } else if (key == "protected") {
+    } else if (util::iequals(key, "protected")) {
       config.protected_prefix = value;
-    } else if (key == "loguidinerrors") {
-      config.log_uid_in_errors = util::to_lower(value) == "on";
-    } else if (key == "uidopsmode") {
-      const std::string mode = util::to_lower(value);
-      if (mode == "plain") config.uid_ops_mode = guest::UidOpsMode::kPlain;
-      else if (mode == "userspace") config.uid_ops_mode = guest::UidOpsMode::kUserSpaceReversed;
-      else config.uid_ops_mode = guest::UidOpsMode::kSyscallChecked;
-    } else if (key == "maxrequests") {
-      if (auto n = util::parse_u64(value)) config.max_requests = static_cast<std::uint32_t>(*n);
-    } else if (key == "headerbuffersize") {
-      if (auto n = util::parse_u64(value)) config.header_buffer_size = static_cast<std::uint32_t>(*n);
+    } else if (util::iequals(key, "loguidinerrors")) {
+      config.log_uid_in_errors = util::iequals(value, "on");
+    } else if (util::iequals(key, "uidopsmode")) {
+      if (util::iequals(value, "plain")) {
+        config.uid_ops_mode = UidOpsMode::kPlain;
+      } else if (util::iequals(value, "userspace")) {
+        config.uid_ops_mode = UidOpsMode::kUserSpaceReversed;
+      } else {
+        config.uid_ops_mode = UidOpsMode::kSyscallChecked;
+      }
+    } else if (util::iequals(key, "maxrequests")) {
+      if (auto n = util::parse_uint<std::uint32_t>(value)) config.max_requests = *n;
+    } else if (util::iequals(key, "headerbuffersize")) {
+      if (auto n = util::parse_uint<std::uint32_t>(value)) config.header_buffer_size = *n;
     }
   }
   return config;
@@ -43,20 +48,26 @@ ServerConfig ServerConfig::parse(std::string_view text) {
 
 std::string ServerConfig::serialize() const {
   std::string out;
-  out += util::format("Listen %u\n", listen_port);
-  out += "User " + user + "\n";
-  out += "Group " + group + "\n";
-  out += "DocumentRoot " + document_root + "\n";
-  out += "ErrorLog " + error_log + "\n";
-  out += "Protected " + protected_prefix + "\n";
-  out += util::format("LogUidInErrors %s\n", log_uid_in_errors ? "on" : "off");
+  const auto line = [&out](std::string_view key, std::string_view value) {
+    out += key;
+    out += ' ';
+    out += value;
+    out += '\n';
+  };
+  line("Listen", std::to_string(listen_port));
+  line("User", user);
+  line("Group", group);
+  line("DocumentRoot", document_root);
+  line("ErrorLog", error_log);
+  line("Protected", protected_prefix);
+  line("LogUidInErrors", log_uid_in_errors ? "on" : "off");
   switch (uid_ops_mode) {
-    case guest::UidOpsMode::kPlain: out += "UidOpsMode plain\n"; break;
-    case guest::UidOpsMode::kSyscallChecked: out += "UidOpsMode syscall\n"; break;
-    case guest::UidOpsMode::kUserSpaceReversed: out += "UidOpsMode userspace\n"; break;
+    case UidOpsMode::kPlain: line("UidOpsMode", "plain"); break;
+    case UidOpsMode::kSyscallChecked: line("UidOpsMode", "syscall"); break;
+    case UidOpsMode::kUserSpaceReversed: line("UidOpsMode", "userspace"); break;
   }
-  out += util::format("MaxRequests %u\n", max_requests);
-  out += util::format("HeaderBufferSize %u\n", header_buffer_size);
+  line("MaxRequests", std::to_string(max_requests));
+  line("HeaderBufferSize", std::to_string(header_buffer_size));
   return out;
 }
 

@@ -1,5 +1,7 @@
 #include "httpd/http.h"
 
+#include <limits>
+
 #include "util/strings.h"
 
 namespace nv::httpd {
@@ -10,21 +12,23 @@ std::string HttpRequest::header(std::string_view name) const {
 }
 
 std::optional<HttpRequest> parse_request(std::string_view head) {
-  const auto lines = util::split(head, '\n');
-  if (lines.empty()) return std::nullopt;
-  const auto first = util::split_ws(util::trim(lines[0]));
-  if (first.size() < 2) return std::nullopt;
+  util::SplitCursor lines(head, '\n');
+  std::string_view first = lines.next();
+  const std::string_view method = util::pop_token(first);
+  const std::string_view path = util::pop_token(first);
+  if (path.empty()) return std::nullopt;
+  const std::string_view version = util::pop_token(first);
   HttpRequest request;
-  request.method = first[0];
-  request.path = first[1];
-  request.version = first.size() > 2 ? first[2] : "HTTP/1.0";
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const std::string_view line = util::trim(lines[i]);
+  request.method = method;
+  request.path = path;
+  request.version = version.empty() ? "HTTP/1.0" : version;
+  while (!lines.done()) {
+    const std::string_view line = util::trim(lines.next());
     if (line.empty()) break;
     const std::size_t colon = line.find(':');
     if (colon == std::string_view::npos) continue;
     request.headers[util::to_lower(util::trim(line.substr(0, colon)))] =
-        std::string(util::trim(line.substr(colon + 1)));
+        util::trim(line.substr(colon + 1));
   }
   return request;
 }
@@ -41,11 +45,17 @@ std::string_view status_text(int status) noexcept {
 }
 
 std::string format_response(int status, std::string_view body, std::string_view content_type) {
-  std::string out = util::format("HTTP/1.0 %d %s\r\n", status,
-                                 std::string(status_text(status)).c_str());
-  out += util::format("Content-Type: %s\r\n", std::string(content_type).c_str());
-  out += util::format("Content-Length: %zu\r\n", body.size());
-  out += "Connection: close\r\n\r\n";
+  std::string out;
+  out.reserve(128 + content_type.size() + body.size());  // 128: the fixed text and two numbers
+  out += "HTTP/1.0 ";
+  out += std::to_string(status);
+  out += ' ';
+  out += status_text(status);
+  out += "\r\nContent-Type: ";
+  out += content_type;
+  out += "\r\nContent-Length: ";
+  out += std::to_string(body.size());
+  out += "\r\nConnection: close\r\n\r\n";
   out += body;
   return out;
 }
@@ -71,20 +81,22 @@ HttpResponse parse_response(std::string_view raw) {
   HttpResponse response;
   const std::size_t head_end = raw.find("\r\n\r\n");
   const std::string_view head = head_end == std::string_view::npos ? raw : raw.substr(0, head_end);
-  const auto lines = util::split(head, '\n');
-  if (lines.empty()) return response;
-  const auto first = util::split_ws(util::trim(lines[0]));
-  if (first.size() >= 2) {
-    if (auto status = util::parse_i64(first[1])) response.status = static_cast<int>(*status);
+  util::SplitCursor lines(head, '\n');
+  std::string_view first = lines.next();
+  (void)util::pop_token(first);  // the version
+  const auto status = util::parse_i64(util::pop_token(first));
+  if (status && *status >= std::numeric_limits<int>::min() &&
+      *status <= std::numeric_limits<int>::max()) {
+    response.status = static_cast<int>(*status);
   }
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    const std::string_view line = util::trim(lines[i]);
+  while (!lines.done()) {
+    const std::string_view line = util::trim(lines.next());
     const std::size_t colon = line.find(':');
     if (colon == std::string_view::npos) continue;
     response.headers[util::to_lower(util::trim(line.substr(0, colon)))] =
-        std::string(util::trim(line.substr(colon + 1)));
+        util::trim(line.substr(colon + 1));
   }
-  if (head_end != std::string_view::npos) response.body = std::string(raw.substr(head_end + 4));
+  if (head_end != std::string_view::npos) response.body = raw.substr(head_end + 4);
   return response;
 }
 

@@ -32,7 +32,8 @@ struct HttpRequest {
 [[nodiscard]] std::string format_request(std::string_view method, std::string_view path,
                                          const std::map<std::string, std::string>& headers = {});
 
-/// Split a raw response into (status, body). Returns status -1 on garbage.
+/// Split a raw response into (status, body). Returns status -1 on garbage,
+/// a status outside `int` included.
 struct HttpResponse {
   int status = -1;
   std::map<std::string, std::string> headers;

@@ -30,9 +30,10 @@ std::optional<std::string> password_for(GuestContext& ctx, const std::string& pa
                                         const std::string& user) {
   auto content = ctx.read_file(path);
   if (!content) return std::nullopt;
-  for (const auto& line : util::split(*content, '\n')) {
-    const auto fields = util::split(line, ':');
-    if (fields.size() >= 2 && fields[0] == user) return fields[1];
+  for (util::SplitCursor lines(*content, '\n'); !lines.done();) {
+    util::SplitCursor fields(lines.next(), ':');
+    const std::string_view name = fields.next();
+    if (!fields.done() && name == user) return std::string(fields.next());
   }
   return std::nullopt;
 }
@@ -76,14 +77,12 @@ void MiniFtpd::serve_session(GuestContext& ctx, UidOps& ops, os::fd_t conn, Sess
 
 bool MiniFtpd::handle_command(GuestContext& ctx, UidOps& ops, os::fd_t conn, Session& session,
                               const std::string& line) {
-  const auto tokens = util::split_ws(line);
-  if (tokens.empty()) return true;
-  const std::string verb = util::to_lower(tokens[0]);
-  const std::string arg = tokens.size() > 1
-                              ? std::string(util::trim(line.substr(line.find(tokens[1]))))
-                              : std::string{};
+  std::string_view rest = line;
+  const std::string_view verb = util::pop_token(rest);
+  if (verb.empty()) return true;
+  const std::string_view arg = util::trim(rest);  // the rest of the line after the verb
 
-  if (verb == "user") {
+  if (util::iequals(verb, "user")) {
     const auto pw = ctx.getpwnam(arg);
     if (!pw) {
       reply(ctx, conn, "530 unknown user");
@@ -94,7 +93,7 @@ bool MiniFtpd::handle_command(GuestContext& ctx, UidOps& ops, os::fd_t conn, Ses
     return true;
   }
 
-  if (verb == "pass") {
+  if (util::iequals(verb, "pass")) {
     const auto expected = password_for(ctx, config_.secrets_path, session.pending_user);
     const auto pw = ctx.getpwnam(session.pending_user);
     if (!expected || !pw || *expected != arg) {
@@ -114,7 +113,7 @@ bool MiniFtpd::handle_command(GuestContext& ctx, UidOps& ops, os::fd_t conn, Ses
     return true;
   }
 
-  if (verb == "retr") {
+  if (util::iequals(verb, "retr")) {
     if (!session.authenticated) {
       reply(ctx, conn, "530 not logged in");
       return true;
@@ -128,7 +127,7 @@ bool MiniFtpd::handle_command(GuestContext& ctx, UidOps& ops, os::fd_t conn, Ses
     return true;
   }
 
-  if (verb == "site") {
+  if (util::iequals(verb, "site")) {
     // THE VULNERABILITY (wu-ftpd SITE EXEC analog): unbounded copy of the
     // argument into the fixed buffer that sits just below the session UID.
     for (std::size_t i = 0; i < arg.size(); ++i) {
@@ -138,7 +137,7 @@ bool MiniFtpd::handle_command(GuestContext& ctx, UidOps& ops, os::fd_t conn, Ses
     return true;
   }
 
-  if (verb == "rein") {
+  if (util::iequals(verb, "rein")) {
     // Reinitialize: escalate, then re-install the stored session UID — the
     // value the attacker may have corrupted. check_value() is the §3.5
     // uid_value exposure; the seteuid boundary is the fallback detector.
@@ -153,12 +152,12 @@ bool MiniFtpd::handle_command(GuestContext& ctx, UidOps& ops, os::fd_t conn, Ses
     return true;
   }
 
-  if (verb == "whoami") {
+  if (util::iequals(verb, "whoami")) {
     reply(ctx, conn, ops.is_root(ctx.geteuid()) ? "211 root" : "211 user");
     return true;
   }
 
-  if (verb == "quit") {
+  if (util::iequals(verb, "quit")) {
     reply(ctx, conn, "221 bye");
     return false;
   }

@@ -210,7 +210,7 @@ class Interp {
       const auto content = ctx_.read_file("/etc/passwd");
       if (!content) return 0LL;
       const auto uid = as_uid(args.at(0));
-      return static_cast<long long>(vfs::find_uid(vfs::parse_passwd(*content), uid).has_value());
+      return static_cast<long long>(vfs::find_uid(*content, uid).has_value());
     }
     if (name == "log_msg") {
       emit_log(as_str(args.at(0)));

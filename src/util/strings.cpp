@@ -1,43 +1,37 @@
 #include "util/strings.h"
 
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 
 namespace nv::util {
 
-std::vector<std::string> split(std::string_view text, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(text.substr(start));
-      return out;
-    }
-    out.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
+namespace {
+
+/// Whether `c` is whitespace, as pop_token() and trim() define it.
+constexpr bool is_space(char c) noexcept { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+constexpr char ascii_lower(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
-std::vector<std::string> split_ws(std::string_view text) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])) != 0) ++i;
-    std::size_t start = i;
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])) == 0) ++i;
-    if (i > start) out.emplace_back(text.substr(start, i - start));
-  }
-  return out;
+}  // namespace
+
+std::string_view pop_token(std::string_view& rest) noexcept {
+  std::size_t begin = 0;
+  while (begin < rest.size() && is_space(rest[begin])) ++begin;
+  std::size_t end = begin;
+  while (end < rest.size() && !is_space(rest[end])) ++end;
+  const std::string_view token = rest.substr(begin, end - begin);
+  rest.remove_prefix(end);
+  return token;
 }
 
 std::string_view trim(std::string_view text) noexcept {
   std::size_t begin = 0;
   std::size_t end = text.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin])) != 0) ++begin;
-  while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1])) != 0) --end;
+  while (begin < end && is_space(text[begin])) ++begin;
+  while (end > begin && is_space(text[end - 1])) --end;
   return text.substr(begin, end - begin);
 }
 
@@ -52,11 +46,20 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
 
 std::string to_lower(std::string_view text) {
   std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = ascii_lower(c);
   return out;
 }
 
+bool iequals(std::string_view a, std::string_view b) noexcept {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
+  }
+  return true;
+}
+
 std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept {
+  constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
   const std::string_view t = trim(text);
   if (t.empty()) return std::nullopt;
   int base = 10;
@@ -73,7 +76,10 @@ std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept {
     else if (base == 16 && c >= 'a' && c <= 'f') digit = c - 'a' + 10;
     else if (base == 16 && c >= 'A' && c <= 'F') digit = c - 'A' + 10;
     if (digit < 0) return std::nullopt;
-    value = value * static_cast<std::uint64_t>(base) + static_cast<std::uint64_t>(digit);
+    const auto radix = static_cast<std::uint64_t>(base);
+    const auto d = static_cast<std::uint64_t>(digit);
+    if (value > (kMaxU64 - d) / radix) return std::nullopt;  // value * radix + d would wrap
+    value = value * radix + d;
   }
   return value;
 }
@@ -87,8 +93,10 @@ std::optional<std::int64_t> parse_i64(std::string_view text) noexcept {
   }
   const auto magnitude = parse_u64(t);
   if (!magnitude) return std::nullopt;
-  const auto value = static_cast<std::int64_t>(*magnitude);
-  return negative ? -value : value;
+  const auto max = static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  if (*magnitude > max + (negative ? 1 : 0)) return std::nullopt;
+  // Negated in unsigned arithmetic, since -2^63 has no positive int64 to negate.
+  return static_cast<std::int64_t>(negative ? 0 - *magnitude : *magnitude);
 }
 
 std::string format(const char* fmt, ...) {

@@ -31,17 +31,28 @@ struct GroupEntry {
   [[nodiscard]] bool operator==(const GroupEntry&) const = default;
 };
 
-/// Parse passwd-format content; malformed lines are skipped (as glibc does).
+/// Parse passwd-format content. Blank and '#' lines are skipped, and so are
+/// malformed ones, as glibc skips them: fewer than seven ':'-separated
+/// fields, or a uid or gid that is not a number a uid_t or gid_t holds.
 [[nodiscard]] std::vector<PasswdEntry> parse_passwd(std::string_view content);
 [[nodiscard]] std::string format_passwd(const std::vector<PasswdEntry>& entries);
 
+/// Parse group-format content, skipping lines as parse_passwd() does: fewer
+/// than four fields, or a gid that a gid_t cannot hold.
 [[nodiscard]] std::vector<GroupEntry> parse_group(std::string_view content);
 [[nodiscard]] std::string format_group(const std::vector<GroupEntry>& entries);
 
-[[nodiscard]] std::optional<PasswdEntry> find_user(const std::vector<PasswdEntry>& entries,
+/// The entry of the first well-formed line of passwd-format `content` with
+/// this name (glibc's rule: malformed lines are skipped, the first match
+/// wins), or nullopt. The text is walked in place and only the entry
+/// returned is built, so this is parse_passwd() searched, without the vector.
+[[nodiscard]] std::optional<PasswdEntry> find_user(std::string_view content,
                                                    std::string_view name);
-[[nodiscard]] std::optional<PasswdEntry> find_uid(const std::vector<PasswdEntry>& entries,
-                                                  os::uid_t uid);
+/// As find_user(), matching the uid.
+[[nodiscard]] std::optional<PasswdEntry> find_uid(std::string_view content, os::uid_t uid);
+/// As find_user(), over group-format `content`.
+[[nodiscard]] std::optional<GroupEntry> find_group(std::string_view content,
+                                                   std::string_view name);
 
 /// Rewrite every UID/GID field through the given reexpression functions,
 /// producing the variant-i copy of a trusted file. Everything except the

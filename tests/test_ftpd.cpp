@@ -38,6 +38,23 @@ std::vector<std::string> ftp_session(vkernel::SocketHub& hub,
   return replies;
 }
 
+/// A passwd with a user whose name occurs inside the verb "user".
+constexpr std::string_view kPasswdWithUs =
+    "alice:x:1000:1000:Alice:/home/alice:/bin/sh\n"
+    "us:x:1002:1002:Us:/home/us:/bin/sh\n";
+
+/// Sends USER us three ways, then QUIT, and expects the user found each
+/// time: the argument is the rest of the line after the verb, even where its
+/// text also occurs inside the verb.
+void expect_user_us_accepted(vkernel::SocketHub& hub) {
+  const auto replies = ftp_session(hub, {"user us", "USER us", "uSeR \t us  ", "QUIT"});
+  ASSERT_EQ(replies.size(), 5u);
+  EXPECT_EQ(replies[1], "331 need password");  // was "530 unknown user"
+  EXPECT_EQ(replies[2], "331 need password");
+  EXPECT_EQ(replies[3], "331 need password");
+  EXPECT_EQ(replies[4], "221 bye");
+}
+
 std::string attack_site_arg(std::uint32_t buffer_size) {
   // Fill the buffer and overwrite the adjacent session UID with "0000"...
   // almost: the bytes must be non-space to survive tokenization, so the
@@ -62,8 +79,10 @@ struct PlainFtpd {
   std::thread thread;
   guest::PlainRunResult result;
 
-  explicit PlainFtpd(FtpdConfig config) : server(config) {
+  /// A non-empty `passwd` replaces the site's /etc/passwd.
+  explicit PlainFtpd(FtpdConfig config, std::string_view passwd = {}) : server(config) {
     httpd::install_ftpd_site(fs, config);
+    if (!passwd.empty()) (void)fs.write_file("/etc/passwd", passwd, os::Credentials::root());
     thread = std::thread([this] { result = guest::run_plain(ctx, server); });
     wait_for_bind(hub);
   }
@@ -121,6 +140,11 @@ TEST(MiniFtpdPlain, CannotReadRootOnlyFile) {
   EXPECT_EQ(replies[3], "550 denied");
 }
 
+TEST(MiniFtpdPlain, ArgumentIsTheRestOfTheLineAfterTheVerb) {
+  PlainFtpd s(plain_config(1), kPasswdWithUs);
+  expect_user_us_accepted(s.hub);
+}
+
 TEST(MiniFtpdPlain, SiteOverrunPlusReinEscalatesToRoot) {
   // The Chen et al. wu-ftpd attack, end to end, against the unprotected
   // daemon: corrupt the stored session UID, force a reinitialize, read a
@@ -142,9 +166,12 @@ struct NvFtpd {
   std::unique_ptr<core::NVariantSystem> system;
   MiniFtpd server;
 
-  explicit NvFtpd(FtpdConfig config) : server(config) {
+  explicit NvFtpd(FtpdConfig config, std::string_view passwd = {}) : server(config) {
     system = testing::build_system(2, {"uid-xor"});
     httpd::install_ftpd_site(system->fs(), config);
+    if (!passwd.empty()) {
+      (void)system->fs().write_file("/etc/passwd", passwd, os::Credentials::root());
+    }
     guest::launch_nvariant(*system, server);
     wait_for_bind(system->hub());
   }
@@ -182,6 +209,14 @@ TEST(MiniFtpdNVariant, AccessControlIntactAcrossVariants) {
   EXPECT_EQ(replies[4], "150 bob's todo");
   const auto report = s.finish();
   EXPECT_FALSE(report.attack_detected);
+}
+
+TEST(MiniFtpdNVariant, ArgumentIsTheRestOfTheLineAfterTheVerb) {
+  NvFtpd s(nv_config(1), kPasswdWithUs);
+  expect_user_us_accepted(s.system->hub());
+  const auto report = s.finish();
+  EXPECT_TRUE(report.completed);
+  EXPECT_FALSE(report.attack_detected) << (report.alarm ? report.alarm->describe() : "");
 }
 
 TEST(MiniFtpdNVariant, SiteReinAttackDetectedAtUidValue) {

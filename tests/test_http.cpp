@@ -65,6 +65,14 @@ TEST(HttpResponseParse, GarbageGivesStatusMinusOne) {
   EXPECT_EQ(parse_response("not http").status, -1);
 }
 
+TEST(HttpResponseParse, StatusOutsideIntReadsAsMinusOne) {
+  EXPECT_EQ(parse_response("HTTP/1.0 4294967496 OK\r\n\r\n").status, -1);  // was 200
+  EXPECT_EQ(parse_response("HTTP/1.0 2147483648 OK\r\n\r\n").status, -1);
+  EXPECT_EQ(parse_response("HTTP/1.0 -2147483649 OK\r\n\r\n").status, -1);
+  EXPECT_EQ(parse_response("HTTP/1.0 2147483647 OK\r\n\r\n").status, 2147483647);
+  EXPECT_EQ(parse_response("HTTP/1.0 -2147483648 OK\r\n\r\n").status, -2147483647 - 1);
+}
+
 TEST(ServerConfigParse, AllDirectives) {
   const auto config = ServerConfig::parse(R"(
 # comment
@@ -112,6 +120,23 @@ TEST(ServerConfigParse, SerializeRoundTrips) {
   EXPECT_EQ(round.log_uid_in_errors, config.log_uid_in_errors);
   EXPECT_EQ(round.uid_ops_mode, config.uid_ops_mode);
   EXPECT_EQ(round.max_requests, config.max_requests);
+}
+
+TEST(ServerConfigParse, ValuesTheirFieldCannotHoldKeepTheDefault) {
+  // Modulo the field's width these would read as port 80, a 512-byte buffer
+  // and one request.
+  const auto config = ServerConfig::parse(
+      "Listen 65616\nHeaderBufferSize 4294967808\nMaxRequests 4294967297\n");
+  EXPECT_EQ(config.listen_port, ServerConfig{}.listen_port);
+  EXPECT_EQ(config.header_buffer_size, ServerConfig{}.header_buffer_size);
+  EXPECT_EQ(config.max_requests, ServerConfig{}.max_requests);
+  // The ignored line leaves the value an earlier line set.
+  EXPECT_EQ(ServerConfig::parse("HeaderBufferSize 128\nHeaderBufferSize 4294967552\n")
+                .header_buffer_size,
+            128u);
+  const auto widest = ServerConfig::parse("Listen 65535\nHeaderBufferSize 4294967295\n");
+  EXPECT_EQ(widest.listen_port, 65535);
+  EXPECT_EQ(widest.header_buffer_size, 4294967295u);
 }
 
 TEST(ServerConfigParse, UnknownDirectivesIgnored) {

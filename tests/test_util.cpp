@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -181,8 +183,13 @@ TEST(Histogram, CountsAndClamps) {
 }
 
 TEST(Strings, SplitAndJoin) {
-  EXPECT_EQ(split("a:b::c", ':'), (std::vector<std::string>{"a", "b", "", "c"}));
-  EXPECT_EQ(split_ws("  a\tb  c "), (std::vector<std::string>{"a", "b", "c"}));
+  std::vector<std::string_view> fields;
+  for (SplitCursor cursor("a:b::c", ':'); !cursor.done();) fields.push_back(cursor.next());
+  EXPECT_EQ(fields, (std::vector<std::string_view>{"a", "b", "", "c"}));
+  std::vector<std::string_view> tokens;
+  std::string_view rest = "  a\tb  c ";
+  for (std::string_view t = pop_token(rest); !t.empty(); t = pop_token(rest)) tokens.push_back(t);
+  EXPECT_EQ(tokens, (std::vector<std::string_view>{"a", "b", "c"}));
   EXPECT_EQ(join({"x", "y"}, ", "), "x, y");
 }
 
@@ -190,6 +197,9 @@ TEST(Strings, TrimAndLower) {
   EXPECT_EQ(trim("  hi \n"), "hi");
   EXPECT_EQ(trim(""), "");
   EXPECT_EQ(to_lower("MiXeD"), "mixed");
+  EXPECT_TRUE(iequals("LiStEn", "listen"));
+  EXPECT_FALSE(iequals("listen", "listens"));
+  EXPECT_FALSE(iequals("[", "{"));  // 0x5b and 0x7b differ by the case bit, but are no letters
 }
 
 TEST(Strings, ParseNumbers) {
@@ -198,6 +208,28 @@ TEST(Strings, ParseNumbers) {
   EXPECT_FALSE(parse_u64("4x2").has_value());
   EXPECT_FALSE(parse_u64("").has_value());
   EXPECT_EQ(parse_i64("-17").value(), -17);
+}
+
+TEST(Strings, ParseU64RejectsValuesPastUint64Max) {
+  EXPECT_EQ(parse_u64("18446744073709551615").value(), UINT64_MAX);
+  EXPECT_EQ(parse_u64("0xFFFFFFFFFFFFFFFF").value(), UINT64_MAX);
+  EXPECT_FALSE(parse_u64("18446744073709551616").has_value());  // was 0
+  EXPECT_FALSE(parse_u64("0x10000000000000000").has_value());
+  EXPECT_FALSE(parse_u64("99999999999999999999999").has_value());
+  EXPECT_EQ(parse_u64("000000000000000000000000042").value(), 42u);
+  EXPECT_EQ(parse_uint<std::uint16_t>("65535").value(), 65535u);
+  EXPECT_FALSE(parse_uint<std::uint16_t>("65536").has_value());
+  EXPECT_FALSE(parse_uint<std::uint32_t>("4294967296").has_value());
+}
+
+TEST(Strings, ParseI64CoversItsRangeAndNoMore) {
+  EXPECT_EQ(parse_i64("-9223372036854775808").value(), INT64_MIN);  // no negation of INT64_MIN
+  EXPECT_EQ(parse_i64("9223372036854775807").value(), INT64_MAX);
+  EXPECT_EQ(parse_i64("+9223372036854775807").value(), INT64_MAX);
+  EXPECT_FALSE(parse_i64("-9223372036854775809").has_value());  // was INT64_MAX
+  EXPECT_FALSE(parse_i64("9223372036854775808").has_value());
+  EXPECT_FALSE(parse_i64("-18446744073709551616").has_value());
+  EXPECT_EQ(parse_i64("-0").value(), 0);
 }
 
 TEST(Strings, FormatAndHex) {

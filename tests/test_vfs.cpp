@@ -365,10 +365,37 @@ TEST(Passwd, ParseAndFormatRoundTrip) {
 }
 
 TEST(Passwd, FindHelpers) {
-  const auto entries = parse_passwd("a:x:1:1:::\nb:x:2:2:::\n");
-  EXPECT_EQ(find_user(entries, "b")->uid, 2u);
-  EXPECT_FALSE(find_user(entries, "c").has_value());
-  EXPECT_EQ(find_uid(entries, 1)->name, "a");
+  const std::string_view content = "a:x:1:1:::\nb:x:2:2:::\n";
+  EXPECT_EQ(find_user(content, "b")->uid, 2u);
+  EXPECT_FALSE(find_user(content, "c").has_value());
+  EXPECT_EQ(find_uid(content, 1)->name, "a");
+  // glibc's rule: malformed lines are skipped, and the first match wins.
+  const std::string_view odd = "b:x:one:2:::\nb:x:3:3:::\nb:x:4:4:::\n";
+  EXPECT_EQ(find_user(odd, "b")->uid, 3u);
+  EXPECT_EQ(find_group("g:x:bad:\ng:x:7:a,b\ng:x:8:\n", "g"),
+            (GroupEntry{"g", 7, {"a", "b"}}));
+}
+
+TEST(Passwd, UidOrGidPastUint32MaxSkipsTheLine) {
+  // Read modulo 2^32 these ids would be 0: root's.
+  const std::string content =
+      "mallory:x:4294967296:4294967296:M:/home/m:/bin/sh\n"
+      "eve:x:1000:4294967296:E:/home/e:/bin/sh\n"
+      "max:x:4294967295:4294967295:X:/home/x:/bin/sh\n";
+  const auto entries = parse_passwd(content);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].name, "max");
+  EXPECT_EQ(entries[0].uid, 4294967295u);
+  EXPECT_FALSE(find_user(content, "mallory").has_value());
+  EXPECT_FALSE(find_uid(content, 0).has_value());
+}
+
+TEST(Passwd, GroupGidPastUint32MaxSkipsTheLine) {
+  const std::string content = "wheel:x:4294967296:mallory\nstaff:x:0x100000000:\nok:x:1:\n";
+  const auto groups = parse_group(content);
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].name, "ok");
+  EXPECT_FALSE(find_group(content, "wheel").has_value());
 }
 
 TEST(Passwd, GroupParseAndMembers) {
