@@ -5,7 +5,7 @@
 //   $ ./bench_load_curves [--quick] [--out BENCH_load_curves.json]
 //
 // Two experiments in one document (schema load_curves/v1, contract in
-// docs/BENCH_SCHEMAS.md, validated by tools/check_load_curves.py):
+// docs/BENCH_SCHEMAS.md, whose claims tools/check_bench.py checks):
 //
 //   curve     an offered-load sweep (rho = lambda * E[S] / lanes) under the
 //             kShed admission policy: latency percentiles vs rho up to and
@@ -16,12 +16,8 @@
 //             exactly its one correlated campaign alert while BENIGN goodput
 //             stays above a stated floor of the no-attack baseline.
 //
-// Exit code is non-zero when any acceptance claim fails:
-//   - benign p99 latency is non-decreasing in rho (20% tolerance for
-//     percentile jitter) and strictly higher at the top of the sweep;
-//   - shed fraction is monotone non-decreasing in rho, zero before the knee,
-//     positive past it (the knee exists inside the sweep);
-//   - under campaign: alerts >= 1 and goodput >= goodput_floor * baseline.
+// The document's `claims` carry the thresholds below. Exits 0 once the
+// document is written, 2 on a usage or I/O error.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -192,57 +188,12 @@ int main(int argc, char** argv) {
   json += util::format("    \"goodput_ratio\": %.4f\n  }\n}\n", goodput_ratio);
 
   std::ofstream out(out_path);
+  out << json;
+  out.close();
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 2;
   }
-  out << json;
-  out.close();
   std::printf("wrote %s (%zu bytes)\n", out_path.c_str(), json.size());
-
-  // --- acceptance claims, enforced -----------------------------------------
-  bool ok = true;
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    if (curve[i].report.latency_p99_ms < curve[i - 1].report.latency_p99_ms * kP99Tolerance) {
-      ok = false;
-      std::fprintf(stderr, "P99 VIOLATION: rho %.2f p99 %.2f ms < %.0f%% of rho %.2f p99 %.2f ms\n",
-                   curve[i].rho, curve[i].report.latency_p99_ms, kP99Tolerance * 100.0,
-                   curve[i - 1].rho, curve[i - 1].report.latency_p99_ms);
-    }
-    if (curve[i].report.shed_fraction + 1e-9 < curve[i - 1].report.shed_fraction) {
-      ok = false;
-      std::fprintf(stderr, "SHED VIOLATION: shed fraction fell from %.4f (rho %.2f) to %.4f (rho %.2f)\n",
-                   curve[i - 1].report.shed_fraction, curve[i - 1].rho,
-                   curve[i].report.shed_fraction, curve[i].rho);
-    }
-  }
-  if (curve.back().report.latency_p99_ms <= curve.front().report.latency_p99_ms) {
-    ok = false;
-    std::fprintf(stderr, "P99 VIOLATION: saturated p99 %.2f ms not above light-load p99 %.2f ms\n",
-                 curve.back().report.latency_p99_ms, curve.front().report.latency_p99_ms);
-  }
-  if (knee >= curve.size()) {
-    ok = false;
-    std::fprintf(stderr, "KNEE VIOLATION: no saturation knee inside the sweep (rho up to %.2f)\n",
-                 curve.back().rho);
-  }
-  if (curve.back().report.shed_fraction <= kShedThreshold) {
-    ok = false;
-    std::fprintf(stderr, "SHED VIOLATION: rho %.2f shed fraction %.4f — admission control idle past saturation\n",
-                 curve.back().rho, curve.back().report.shed_fraction);
-  }
-  if (attacked.campaign_alerts < 1) {
-    ok = false;
-    std::fprintf(stderr, "CAMPAIGN VIOLATION: attacked run raised no campaign alert\n");
-  }
-  if (goodput_ratio < kGoodputFloor) {
-    ok = false;
-    std::fprintf(stderr, "GOODPUT VIOLATION: under campaign %.3f of baseline, floor %.2f\n",
-                 goodput_ratio, kGoodputFloor);
-  }
-  std::printf("=> p99 rises with rho: %s; shedding monotone past the knee: %s; "
-              "campaign detected at %.0f%% goodput: %s\n",
-              ok ? "yes" : "CHECK FAILED", ok ? "yes" : "CHECK FAILED",
-              goodput_ratio * 100.0, attacked.campaign_alerts >= 1 ? "yes" : "NO");
-  return ok ? 0 : 1;
+  return 0;
 }

@@ -3,8 +3,9 @@
 // campaign gossip — cost an attacker, at FIXED total lanes and FIXED total
 // payload keyspace? Fully deterministic (one ManualClock, fixed seed, an
 // attacker that names each request's lane with submit_to), so the emitted
-// BENCH_network_diversity.json is diffable across PRs — CI archives it and tools/check_network_diversity.py validates
-// the schema, the ledger arithmetic, and the monotonicity.
+// BENCH_network_diversity.json is diffable across PRs — CI archives it, and
+// tools/check_bench.py checks the schema, the ledger arithmetic and the
+// claims (docs/BENCH_SCHEMAS.md).
 //
 //   $ ./bench_network_diversity [--quick] [--out BENCH_network_diversity.json]
 //                               [--trace-out TRACE.json]
@@ -13,10 +14,9 @@
 // highest shard count) and writes the whole campaign — session draws, probe
 // jobs, quarantines, alerts, gossip hops, remote tightens, sweeps — as a
 // Chrome/Perfetto-loadable trace. Tracing does not perturb the deterministic
-// bench numbers; CI validates the artifact with tools/check_trace.py.
+// bench numbers; tools/check_bench.py checks the trace too.
 //
-// Exit code is non-zero when the core claim fails: attacker cost must rise
-// STRICTLY with the shard count.
+// Exits 0 once the documents are written, 2 on a usage or I/O error.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
 
   // The grid: shard counts at FIXED total lanes (and the probed variation's
   // keyspace is per shard but identical across grid points, so total payload
-  // entropy is held fixed too). Ascending — the checker and the exit-code
-  // gate below both require cost to rise strictly along it.
+  // entropy is held fixed too). Ascending — the checker requires cost to
+  // rise strictly along it.
   const std::vector<unsigned> shard_counts =
       quick ? std::vector<unsigned>{1, 2, 4} : std::vector<unsigned>{1, 2, 4, 8};
   std::vector<experiments::ClusterCurve> grid;
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
     if (!trace_path.empty() && shards == shard_counts.back()) {
       // Trace the most interesting grid point (highest shard count: gossip,
       // remote tightens, and network rotations all in play). A generous ring
-      // keeps the causal chains complete for check_trace.py's span closure.
+      // keeps the causal chains complete for the checker's span closure.
       obs::TraceConfig trace_config;
       trace_config.ring_capacity = 65'536;
       recorder = std::make_shared<obs::TraceRecorder>(trace_config);
@@ -112,12 +112,12 @@ int main(int argc, char** argv) {
 
   if (recorder) {
     std::ofstream trace_out(trace_path);
+    trace_out << obs::to_chrome_trace(*recorder);
+    trace_out.close();
     if (!trace_out) {
       std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
       return 2;
     }
-    trace_out << obs::to_chrome_trace(*recorder);
-    trace_out.close();
     std::printf("wrote %s (%llu events, %llu dropped)\n", trace_path.c_str(),
                 static_cast<unsigned long long>(recorder->recorded()),
                 static_cast<unsigned long long>(recorder->dropped()));
@@ -136,37 +136,12 @@ int main(int argc, char** argv) {
 
   const std::string json = experiments::cluster_curves_to_json(base, grid, quick);
   std::ofstream out(out_path);
+  out << json;
+  out.close();
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 2;
   }
-  out << json;
-  out.close();
   std::printf("wrote %s (%zu bytes)\n", out_path.c_str(), json.size());
-
-  // The acceptance claim, enforced: STRICTLY rising cost along the grid.
-  bool monotone = true;
-  for (std::size_t i = 1; i < grid.size(); ++i) {
-    if (grid[i].attacker_cost <= grid[i - 1].attacker_cost) {
-      monotone = false;
-      std::fprintf(stderr,
-                   "MONOTONICITY VIOLATION: %llu shards cost %.3f <= %llu shards cost %.3f\n",
-                   static_cast<unsigned long long>(grid[i].shards), grid[i].attacker_cost,
-                   static_cast<unsigned long long>(grid[i - 1].shards),
-                   grid[i - 1].attacker_cost);
-    }
-  }
-  // Gossip must actually pre-warn once there is more than one shard.
-  bool gossip_warns = true;
-  for (const auto& curve : grid) {
-    if (curve.shards > 1 && curve.campaign_alerts > 0 && curve.pre_warned_shards == 0) {
-      gossip_warns = false;
-      std::fprintf(stderr, "GOSSIP VIOLATION: %llu shards raised %llu campaigns, pre-warned 0\n",
-                   static_cast<unsigned long long>(curve.shards),
-                   static_cast<unsigned long long>(curve.campaign_alerts));
-    }
-  }
-  std::printf("=> attacker cost strictly monotone in shard count: %s; gossip pre-warns: %s\n",
-              monotone ? "yes" : "NO", gossip_warns ? "yes" : "NO");
-  return monotone && gossip_warns ? 0 : 1;
+  return 0;
 }

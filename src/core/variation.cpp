@@ -27,8 +27,15 @@ void RoleTable::canonicalize(vkernel::SyscallArgs& args) const {
 
 void RoleTable::reexpress(vkernel::Sys no, vkernel::SyscallResult& result) const {
   if (!result.ok()) return;
-  const auto role = static_cast<std::size_t>(vkernel::descriptor(no).result_role);
-  for (const auto& transform : by_role_[role]) result.value = transform.reexpress(result.value);
+  const SyscallDescriptor& desc = vkernel::descriptor(no);
+  for (const auto& transform : by_role_[static_cast<std::size_t>(desc.result_role)]) {
+    result.value = transform.reexpress(result.value);
+  }
+  for (std::size_t i = 0; i < result.out_ints.size(); ++i) {
+    for (const auto& transform : by_role_[static_cast<std::size_t>(desc.out_int_roles[i])]) {
+      result.out_ints[i] = transform.reexpress(result.out_ints[i]);
+    }
+  }
 }
 
 }  // namespace nv::core

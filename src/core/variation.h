@@ -156,8 +156,8 @@ class RoleTable {
   /// variation transforms.
   void canonicalize(vkernel::SyscallArgs& args) const;
 
-  /// Apply R_i in place to the value of a successful `no` when the
-  /// descriptor marks its result as role-carrying.
+  /// Apply R_i in place to the value and out_ints slots of a successful `no`
+  /// that the descriptor marks as role-carrying.
   void reexpress(vkernel::Sys no, vkernel::SyscallResult& result) const;
 
  private:

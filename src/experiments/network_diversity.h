@@ -151,9 +151,9 @@ struct ClusterCurve {
 
 /// Serialize a shard-count sweep into the BENCH_network_diversity.json
 /// document, schema "network_diversity/v1". `grid` must be ordered by
-/// ascending shard count; tools/check_network_diversity.py verifies the
-/// schema, the internal ledger arithmetic, and the strict attacker-cost
-/// monotonicity in shard count on exactly this document.
+/// ascending shard count; tools/check_bench.py verifies the schema, the
+/// internal ledger arithmetic, and the strict attacker-cost monotonicity in
+/// shard count on exactly this document.
 [[nodiscard]] std::string cluster_curves_to_json(const ClusterExperimentConfig& base,
                                                  const std::vector<ClusterCurve>& grid,
                                                  bool quick);

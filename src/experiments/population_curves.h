@@ -131,7 +131,7 @@ struct PopulationCurve {
 /// document, schema "population_curves/v2". `grid` must be ordered by
 /// ascending re-diversification rate; `variation_grid` (runs differing only
 /// in the probed variation, at one fixed rotation rate) by ascending
-/// keyspace_bits. tools/check_population_curves.py verifies the schema, the
+/// keyspace_bits. tools/check_bench.py verifies the schema, the
 /// attacker-cost monotonicity in rate, and the attacker-cost monotonicity in
 /// entropy on exactly this document.
 [[nodiscard]] std::string curves_to_json(const PopulationExperimentConfig& base,

@@ -822,11 +822,6 @@ void VariantFleet::respawn(unsigned lane, JobOutcome& outcome) {
       trace_->record(ops_track_, obs::TraceEventKind::kCampaignAlert, alert->trace_span,
                      outcome.trace_span, alert->id, alert->session_ids.size(),
                      alert->signature.key());
-      // Forensic escalation: drop the syscall-round sampling stride on the
-      // LIVE recorder so every round around the active campaign is captured.
-      if (config_.trace_campaign_round_sample != 0) {
-        trace_->set_syscall_round_sample(config_.trace_campaign_round_sample);
-      }
     }
     if (adaptive_.has_value()) {
       const util::MutexLock install_lock(adaptive_install_mutex_);

@@ -183,12 +183,6 @@ struct FleetConfig {
   /// Track-name prefix for this fleet's events; a cluster sets "shard<i>" so
   /// K shards share one recorder without colliding.
   std::string trace_scope = "fleet";
-  /// Forensic escalation: when a campaign alert fires, re-arm the live trace
-  /// recorder's syscall-round sampling stride to this value (via
-  /// TraceRecorder::set_syscall_round_sample) so the rounds surrounding an
-  /// active attack are captured at full (or configured) resolution instead
-  /// of the steady-state stride. 0 = leave the recorder's stride alone.
-  std::uint32_t trace_campaign_round_sample = 0;
   /// TEST SEAM: runs on the worker thread immediately after its lane enters
   /// the respawning state (before the replacement session is built), so a
   /// test can hold a lane mid-respawn and prove the queue drains via peers.

@@ -7,8 +7,8 @@
 //                       operand payload in args, plus flow events ("s"/"t")
 //                       so Perfetto draws the causal arrows between a span's
 //                       defining event and everything it caused. Load the
-//                       file at https://ui.perfetto.dev. Validated by
-//                       tools/check_trace.py in CI.
+//                       file at https://ui.perfetto.dev. Checked by
+//                       tools/check_bench.py in ctest.
 //   expose_metrics()    Prometheus text exposition: every documented
 //                       FleetSnapshot / ClusterSnapshot field as a counter or
 //                       gauge (per-shard series labeled {shard="i"}), plus

@@ -102,7 +102,7 @@ void TraceRecorder::record(std::uint32_t track, TraceEventKind kind, std::uint64
   {
     const util::MutexLock lock(sink->mutex);
     // Clock read under the track lock: timestamps are monotone PER TRACK by
-    // construction, which is exactly what the exporters and check_trace.py
+    // construction, which is exactly what the exporters and check_bench.py
     // assert.
     event.at_us = std::chrono::duration_cast<std::chrono::microseconds>(clock_() - epoch_)
                       .count();

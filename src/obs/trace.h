@@ -98,7 +98,7 @@ inline constexpr std::size_t kTraceEventKindCount =
 /// once handed to a TraceRecorder; `kind_mask` and `syscall_round_sample`
 /// are INITIAL values — the recorder mirrors them into atomics that can be
 /// re-armed on a live fleet (set_kind_mask() / set_syscall_round_sample(),
-/// e.g. dropping the round stride to 1 when a campaign alert fires).
+/// e.g. dropping the round stride to 1 while an attack is investigated).
 struct TraceConfig {
   /// Master switch. False turns every record() into an immediate return —
   /// the cheapest compiled-in path.

@@ -36,6 +36,12 @@ constexpr SyscallDescriptor row(Sys no, std::string_view name, SysClass cls, Exe
   return d;
 }
 
+constexpr SyscallDescriptor with_out_ints(SyscallDescriptor d,
+                                          std::array<ArgRole, SyscallInts::kCapacity> roles) {
+  d.out_int_roles = roles;
+  return d;
+}
+
 // clang-format off
 constexpr std::array<SyscallDescriptor, kSysCount> kTable = {{
     // Files
@@ -50,8 +56,12 @@ constexpr std::array<SyscallDescriptor, kSysCount> kTable = {{
     row(Sys::kSeek,      "seek",      SysClass::kPerVariant, ExecPolicy::kFdRouted,
         ints(R::kFd, R::kOffset), R::kNone, R::kNone, MismatchKind::kArgument,
         ExecPolicy::kPerVariant),
-    row(Sys::kStat,      "stat",      SysClass::kInput,      ExecPolicy::kPathRouted,
-        ints(), R::kPath, R::kNone),
+    // out_ints: ino, is_dir, mode, owner uid, owner gid, size. stat is the
+    // only row whose result slots carry a uid.
+    with_out_ints(
+        row(Sys::kStat,  "stat",      SysClass::kInput,      ExecPolicy::kPathRouted,
+            ints(), R::kPath, R::kNone),
+        {R::kNone, R::kNone, R::kMode, R::kUid, R::kUid, R::kOffset}),
     row(Sys::kUnlink,    "unlink",    SysClass::kPerVariant, ExecPolicy::kOnce,
         ints(), R::kPath, R::kNone),
     row(Sys::kMkdir,     "mkdir",     SysClass::kPerVariant, ExecPolicy::kOnce,

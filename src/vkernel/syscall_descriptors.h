@@ -3,9 +3,9 @@
 //
 // Each descriptor records the syscall's behaviour class (§3.1), the execution
 // policy the leader applies after the monitor's equivalence check, and the
-// semantic role of every argument slot. Canonicalization (R⁻¹_i), result
-// reexpression (R_i), shared-fd routing, unshared-path redirection, and the
-// monitor's alarm classification are all driven from this table — a new
+// semantic role of every argument and result slot. Canonicalization (R⁻¹_i),
+// result reexpression (R_i), shared-fd routing, unshared-path redirection, and
+// the monitor's alarm classification are all driven from this table — a new
 // variation registers transformers for the roles it diversifies instead of
 // pattern-matching raw SyscallArgs, and a new syscall is one table row.
 //
@@ -84,6 +84,9 @@ struct SyscallDescriptor {
   /// Role carried by SyscallResult::value on success (kUid => the variation
   /// reexpresses it per variant in the R_i step).
   ArgRole result_role = ArgRole::kNone;
+  /// Role of each SyscallResult::out_ints slot on success, reexpressed like
+  /// `value` (stat returns the owner's uid and gid there).
+  std::array<ArgRole, SyscallInts::kCapacity> out_int_roles{};
   MismatchKind mismatch = MismatchKind::kArgument;
   /// kFdRouted only: how to execute when the call carries no fd slot at all
   /// (malformed guest call). kOnce replicates a single EBADF; kPerVariant

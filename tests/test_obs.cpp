@@ -153,9 +153,9 @@ TEST(TraceRecorderTest, SyscallRoundsSampleAtThePerTrackStride) {
 }
 
 TEST(TraceRecorderTest, KindMaskAndRoundSampleRearmAtRuntime) {
-  // PR 7 follow-on: the mask and the sampling stride are LIVE knobs, not
-  // construction-time constants — a fleet drops the stride to 1 when a
-  // campaign alert fires so the rounds around an active attack are all kept.
+  // The mask and the sampling stride are LIVE knobs, not construction-time
+  // constants: an operator can drop the stride to 1 mid-run, without a
+  // restart, so the rounds around an active attack are all kept.
   ManualClock clock;
   TraceConfig config;
   config.syscall_round_sample = 4;
@@ -167,7 +167,7 @@ TEST(TraceRecorderTest, KindMaskAndRoundSampleRearmAtRuntime) {
   }
   ASSERT_EQ(recorder.events(track).size(), 1u);  // stride 4 kept round 0 only
 
-  recorder.set_syscall_round_sample(1);  // the campaign-alert escalation
+  recorder.set_syscall_round_sample(1);
   EXPECT_EQ(recorder.syscall_round_sample(), 1u);
   for (int i = 0; i < 4; ++i) {
     if (recorder.sample_round(track)) recorder.record(track, TraceEventKind::kSyscallRound);

@@ -5,6 +5,7 @@
 
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "core/nvariant_system.h"
 #include "fleet/session_factory.h"
@@ -228,6 +229,56 @@ TEST(UidVariation, InvalidUidSentinelRoundTrips) {
     EXPECT_EQ(ctx.getuid(), ctx.uid_const(0));      // ruid unchanged (root)
     EXPECT_EQ(ctx.geteuid(), ctx.uid_const(1000));  // euid changed
     ctx.exit(0);
+  });
+  const auto report = guest::run_nvariant(*system, guest);
+  EXPECT_TRUE(report.completed);
+  EXPECT_FALSE(report.attack_detected);
+}
+
+/// A file owned by uid and gid 1000, which a suexec-style guest drops to.
+void install_owned_file(vfs::FileSystem& fs) {
+  const auto root = os::Credentials::root();
+  EXPECT_TRUE(fs.mkdir_p("/srv", root));
+  EXPECT_TRUE(fs.write_file("/srv/f", "data", root));
+  EXPECT_TRUE(fs.chown("/srv/f", 1000, 1000, root));
+}
+
+TEST(UidVariation, StatReexpressesTheOwnerSoAGuestCanDropToIt) {
+  // stat's owner crosses the boundary as a uid: each variant must read it in
+  // its own representation, or seteuid(st.uid) diverges and alarms.
+  LambdaGuest guest([](guest::GuestContext& ctx) {
+    const auto st = ctx.stat("/srv/f");
+    ASSERT_TRUE(st.has_value());
+    EXPECT_EQ(st->uid, ctx.uid_const(1000));
+    EXPECT_EQ(st->gid, ctx.uid_const(1000));
+    if (ctx.seteuid(st->uid) != os::Errno::kOk) ctx.exit(1);
+  });
+  vfs::FileSystem fs;
+  vkernel::SocketHub hub;
+  vkernel::KernelContext plain{fs, hub};
+  install_owned_file(fs);
+  const guest::PlainRunResult expected = guest::run_plain(plain, guest);
+  ASSERT_TRUE(expected.completed);
+  EXPECT_EQ(expected.exit_code, 0);
+  for (const unsigned n : {2u, 3u}) {
+    SCOPED_TRACE(util::format("N=%u", n));
+    auto system = make_uid_system(n);
+    install_owned_file(system->fs());
+    const auto report = guest::run_nvariant(*system, guest);
+    EXPECT_TRUE(report.completed);
+    EXPECT_FALSE(report.attack_detected) << (report.alarm ? report.alarm->detail : "");
+    EXPECT_EQ(report.exit_codes, std::vector<int>(n, expected.exit_code));
+  }
+}
+
+TEST(UidVariation, StatOfAnUnsharedFileGivesEachVariantItsOwnRoot) {
+  // /etc/passwd is redirected to each variant's copy, which root owns.
+  auto system = make_uid_system(3);
+  LambdaGuest guest([](guest::GuestContext& ctx) {
+    const auto st = ctx.stat("/etc/passwd");
+    ASSERT_TRUE(st.has_value());
+    EXPECT_EQ(st->uid, ctx.uid_const(os::kRootUid)) << "variant " << ctx.variant();
+    EXPECT_EQ(st->gid, ctx.uid_const(0)) << "variant " << ctx.variant();
   });
   const auto report = guest::run_nvariant(*system, guest);
   EXPECT_TRUE(report.completed);

@@ -168,6 +168,16 @@ TEST(UidVariationUnit, ReexpressResultOnlyForUidReturningCalls) {
   EXPECT_EQ(read_result.value, 33u);  // untouched
 }
 
+TEST(UidVariationUnit, ReexpressStatOnlyInItsOwnerSlots) {
+  const core::RoleTable roles = uid_variant_one();
+  vkernel::SyscallResult result;
+  result.out_ints = {7, 0, 0640, 1000, 33, 5};  // ino, is_dir, mode, uid, gid, size
+  roles.reexpress(vkernel::Sys::kStat, result);
+  EXPECT_EQ(result.out_ints,
+            (vkernel::SyscallInts{7, 0, 0640, 1000u ^ 0x7FFFFFFFu, 33u ^ 0x7FFFFFFFu, 5}));
+  EXPECT_EQ(result.value, 0u);
+}
+
 TEST(UidVariationUnit, FailedUidCallResultNotReexpressed) {
   const core::RoleTable roles = uid_variant_one();
   vkernel::SyscallResult result;
@@ -175,6 +185,12 @@ TEST(UidVariationUnit, FailedUidCallResultNotReexpressed) {
   result.value = static_cast<std::uint64_t>(-1);
   roles.reexpress(vkernel::Sys::kGeteuid, result);
   EXPECT_EQ(result.value, static_cast<std::uint64_t>(-1));  // error value untouched
+
+  vkernel::SyscallResult failed_stat;
+  failed_stat.err = os::Errno::kENOENT;
+  failed_stat.out_ints = {7, 0, 0640, 1000, 33, 5};
+  roles.reexpress(vkernel::Sys::kStat, failed_stat);
+  EXPECT_EQ(failed_stat.out_ints, (vkernel::SyscallInts{7, 0, 0640, 1000, 33, 5}));
 }
 
 TEST(UidVariationUnit, CustomDiversifiedFileList) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Documentation consistency checks, run by the CI docs job.
+"""Documentation consistency checks, run by ctest as `check_docs`.
 
 1. Markdown link check: every relative link in README.md and docs/*.md must
    point at a file (or directory) that exists in the repo. External links
