@@ -30,9 +30,11 @@ class Monitor {
   /// Called (outside the lock) for every alarm raised.
   void set_alarm_callback(AlarmCallback callback);
 
-  // Statistics for the overhead experiments.
-  void note_syscall_checked() noexcept { syscalls_checked_.fetch_add(1, std::memory_order_relaxed); }
-  void note_detection_check() noexcept { detection_checks_.fetch_add(1, std::memory_order_relaxed); }
+  // Statistics for the overhead experiments. The counters have one writer,
+  // the thread that runs the session's leader, so a count needs no locked
+  // read-modify-write; other threads may read them.
+  void note_syscall_checked() noexcept { bump(syscalls_checked_); }
+  void note_detection_check() noexcept { bump(detection_checks_); }
   [[nodiscard]] std::uint64_t syscalls_checked() const noexcept {
     return syscalls_checked_.load(std::memory_order_relaxed);
   }
@@ -43,6 +45,10 @@ class Monitor {
   void reset();
 
  private:
+  static void bump(std::atomic<std::uint64_t>& counter) noexcept {
+    counter.store(counter.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+
   mutable util::Mutex mutex_;
   std::vector<Alarm> alarms_ NV_GUARDED_BY(mutex_);
   AlarmCallback callback_ NV_GUARDED_BY(mutex_);

@@ -4,6 +4,7 @@
 #include <exception>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -30,12 +31,16 @@ void SyscallRendezvous::run(const VariantFn& body, const ClientFn& client) {
   const unsigned fibers = client ? n_ + 1 : n_;
   while (fibers_.size() < fibers) fibers_.push_back(std::make_unique<util::Fiber>());
   body_ = &body;
+  fibers_in_run_ = fibers;
   for (unsigned v = 0; v < n_; ++v) fibers_[v]->start([this, v] { (*body_)(v); });
   if (client) fibers_[n_]->start([&client] { client(); });
 
-  // One pass resumes every fiber that can proceed. A pass that finds live
-  // fibers but resumes none means nothing left in the run can release any of
-  // them: pending I/O waits are released, and with none, the variants stall.
+  // One pass resumes every fiber that can proceed. A fiber that parks hands
+  // the CPU on in this same order (hand_off()), so control comes back here
+  // from the fiber whose body ended, or that found none able to proceed, and
+  // the pass goes on after that fiber. A pass that finds live fibers but
+  // resumes none means nothing left in the run can release any of them:
+  // pending I/O waits are released, and with none, the variants stall.
   std::exception_ptr escaped;
   for (;;) {
     if (stop_requested_.load(std::memory_order_acquire)) {
@@ -54,9 +59,9 @@ void SyscallRendezvous::run(const VariantFn& body, const ClientFn& client) {
       } catch (...) {
         if (!escaped) escaped = std::current_exception();
         // The client's exception is its caller's error, not a divergence.
-        if (f < n_) abort(Alarm{AlarmKind::kGuestError, f, "variant body threw"});
+        if (current_ < n_) abort(Alarm{AlarmKind::kGuestError, current_, "variant body threw"});
       }
-      current_ = kNoFiber;
+      f = std::exchange(current_, kNoFiber);
     }
     if (!live) break;
     if (!progressed && !release_io_waits()) abort(stall_alarm());
@@ -83,10 +88,32 @@ bool SyscallRendezvous::wait_io(const std::function<bool()>& ready) {
 
 SyscallRendezvous::Wait SyscallRendezvous::park(unsigned fiber, Wait reason) {
   waits_[fiber] = reason;
-  fibers_[fiber]->suspend();  // the scheduler resumes it once can_proceed()
+  hand_off(fiber);  // back once can_proceed(fiber)
   const Wait woke = waits_[fiber];
   waits_[fiber] = Wait::kNone;
   return woke;
+}
+
+void SyscallRendezvous::hand_off(unsigned from) {
+  // The next fiber that can proceed, in the scheduler's cyclic order. Where
+  // the order wraps past the last fiber, the scheduler's pass would end: a
+  // stop request is read there, and ends the chain.
+  unsigned f = from;
+  for (;;) {
+    if (++f == fibers_in_run_) {
+      if (stop_requested_.load(std::memory_order_acquire)) break;
+      f = 0;
+    }
+    if (fibers_[f]->active() && can_proceed(f)) {
+      if (f == from) return;  // its own wait holds already
+      current_ = f;
+      fibers_[from]->switch_to(*fibers_[f]);
+      return;
+    }
+    if (f == from) break;
+  }
+  // None can: the scheduler releases I/O waits, raises the stall, or stops.
+  fibers_[from]->suspend();
 }
 
 void SyscallRendezvous::require_own_fiber(unsigned variant) const {
@@ -147,7 +174,7 @@ void SyscallRendezvous::lead() {
     }
   } const release{*this};
   // Every result slot starts the round empty: nothing from the last lingers.
-  std::fill(results_.begin(), results_.end(), vkernel::SyscallResult{});
+  for (vkernel::SyscallResult& result : results_) result.clear();
   if (leader_) leader_(slots_, results_);
   if (aborted_) throw_aborted();
   ++rounds_;

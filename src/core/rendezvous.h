@@ -4,21 +4,26 @@
 // proceed until all other variants make the same system call" — holds for
 // every call: exchange() is the only way a variant's call reaches the leader,
 // and it parks the caller until all N variants have issued their call. The N
-// variants run as fibers (util/fiber.h) on the thread that calls run(): a
-// variant that must wait for its peers parks (suspends its fiber), and the
-// scheduler resumes a variant that can proceed. Nothing runs concurrently
-// with anything else, so there are no locks and no clocks here.
+// variants run as fibers (util/fiber.h) on the thread that calls run(). The
+// scheduler there passes over the fibers in index order and resumes each one
+// that can proceed. A variant that must wait for its peers parks: it
+// switches straight into the next fiber in that same cyclic order that can
+// proceed (util::Fiber::switch_to), so the fibers run exactly as if each
+// had suspended back to the scheduler. Control returns to the scheduler only
+// when a body returns, or when no fiber can proceed. Nothing runs
+// concurrently with anything else, so there are no locks and no clocks
+// here.
 //
 // The last variant to arrive at a barrier leads in place, on its own fiber:
 // it runs the leader over one call per variant before any variant proceeds,
 // and the leader compares the calls before it executes any, so a divergence
 // is found before anything it would affect has run. The leading variant then
 // keeps running its guest until its next call; each parked peer takes its
-// result when the scheduler resumes it. A round costs one switch round trip plus the leader's work, and
-// allocates nothing: the leader reads each variant's arguments in place (a
-// slot points at the caller's own call, valid while that variant is parked,
-// because a parked fiber's frame is untouched until it resumes), and writes
-// into per-variant result slots that every round reuses.
+// result when it next runs. A round costs one fiber switch plus the leader's
+// work, and allocates nothing: the leader reads each variant's arguments in
+// place (a slot points at the caller's own call, valid while that variant is
+// parked, because a parked fiber's frame is untouched until it resumes), and
+// writes into per-variant result slots that every round reuses.
 //
 // A variant that stops making the calls its peers make is found at once. If
 // it issues a different call, the leader's comparison alarms at that round.
@@ -31,11 +36,12 @@
 // variants' that drives them over the network (NVariantSystem::serve()). The
 // client is not a variant: it never arrives at a barrier and holds no slot.
 // Any fiber, the client or a variant (a leader executing accept or read,
-// say), may park on I/O through wait_io() with a wake condition, which the
-// scheduler re-checks each time it looks for a fiber to resume. Only a fiber
-// parked on I/O has a condition to check, so a barrier round pays nothing
-// for this. Nothing outside the run touches what the conditions read, so a
-// pass that resumes no fiber ends as follows, with no clock:
+// say), may park on I/O through wait_io() with a wake condition, which is
+// re-checked each time the scheduler or a parking fiber looks for the next
+// fiber to run. Only a fiber parked on I/O has a condition to check, so a
+// barrier round pays nothing for this. Nothing outside the run touches what
+// the conditions read, so a pass that resumes no fiber ends as follows, with
+// no clock:
 //
 //   - if some fiber waits on I/O, every pending I/O wait is released (it
 //     fails, and the socket call returns EINTR) and no alarm is raised: a
@@ -115,7 +121,8 @@ class SyscallRendezvous {
   [[nodiscard]] bool aborted() const noexcept { return aborted_; }
 
   /// The one member another thread may call while run() is on the stack: the
-  /// scheduler checks the flag on every pass and aborts the run (kGuestError).
+  /// flag is read wherever a pass ends, by the scheduler or by a parked fiber
+  /// handing on past the last fiber, and the run aborts (kGuestError).
   /// Final — this run and every later one abort.
   void request_stop() noexcept { stop_requested_.store(true, std::memory_order_release); }
 
@@ -129,9 +136,13 @@ class SyscallRendezvous {
   static constexpr unsigned kNoFiber = ~0U;
 
   [[noreturn]] void throw_aborted() const { throw DivergenceAbort{abort_alarm_}; }
-  /// Suspend `fiber` until the scheduler finds it can proceed; returns its
-  /// wait as the scheduler left it (kIoReleased for a released I/O wait).
+  /// Park `fiber` until it can proceed; returns its wait as the run left it
+  /// (kIoReleased for a released I/O wait).
   Wait park(unsigned fiber, Wait reason);
+  /// Switch from the parked `from` straight into the next fiber that can
+  /// proceed, or back to the scheduler if none can; returns once `from` runs
+  /// again.
+  void hand_off(unsigned from);
   /// Waiting needs the variant's own fiber: not another's, not outside run().
   void require_own_fiber(unsigned variant) const;
   /// `fiber` is a variant's index, or n_ for the client.
@@ -148,6 +159,7 @@ class SyscallRendezvous {
   /// needs each.
   std::vector<std::unique_ptr<util::Fiber>> fibers_;
   const VariantFn* body_ = nullptr;  // set while run() is on the stack
+  unsigned fibers_in_run_ = 0;       // the variants', and the client's if set
   unsigned current_ = kNoFiber;      // the fiber running, as for can_proceed()
   std::vector<Wait> waits_;          // per fiber, the client's included
   /// Per fiber: the wake condition of its I/O wait, read only while pending.

@@ -96,8 +96,16 @@ struct EhState {
   unsigned int uncaught = 0;
 };
 
+/// The running thread's __cxa_eh_globals. Finding them is a call into the C++
+/// runtime, so each thread does it once, not once per switch.
+void* eh_globals() noexcept {
+  thread_local void* globals = nullptr;
+  if (globals == nullptr) globals = abi::__cxa_get_globals();
+  return globals;
+}
+
 void swap_eh_state(EhState& save, const EhState& load) noexcept {
-  void* globals = abi::__cxa_get_globals();
+  void* globals = eh_globals();
   std::memcpy(&save, globals, sizeof(EhState));
   std::memcpy(globals, &load, sizeof(EhState));
 }
@@ -135,6 +143,24 @@ bool use_ucontext() {
 #endif
 }
 
+/// The context of one resume() call, on the resuming thread's stack. The
+/// fiber resumed, and every fiber it switches to, returns here. A swapcontext()
+/// context holds a pointer into itself, so fibers share this one by reference.
+struct Caller {
+  EhState eh;
+  void* sp = nullptr;          // nv_fiber_switch context
+  ucontext_t context{};        // swapcontext() context
+  std::exception_ptr escaped;  // from the body that came back by throwing
+#if defined(NV_FIBER_ASAN)
+  void* fake_stack = nullptr;
+  const void* stack_bottom = nullptr;
+  std::size_t stack_bytes = 0;
+#endif
+#if defined(NV_FIBER_TSAN)
+  void* tsan_fiber = nullptr;
+#endif
+};
+
 }  // namespace
 
 struct Fiber::Impl {
@@ -147,73 +173,100 @@ struct Fiber::Impl {
   const bool ucontext = use_ucontext();
 
   Body body;
-  std::exception_ptr escaped;
   State state = State::kIdle;
-  EhState fiber_eh;
-  EhState caller_eh;
-  void* fiber_sp = nullptr;  // nv_fiber_switch contexts
-  void* caller_sp = nullptr;
-  ucontext_t fiber_context{};  // swapcontext() contexts
-  ucontext_t caller_context{};
+  /// The resume() call this fiber returns to: set by resume(), or inherited
+  /// from the fiber that switched to it. Read only while the fiber runs.
+  Caller* caller = nullptr;
+  EhState eh;
+  void* sp = nullptr;     // nv_fiber_switch context
+  ucontext_t context{};   // swapcontext() context
 #if defined(NV_FIBER_ASAN)
-  void* fiber_fake_stack = nullptr;
-  void* caller_fake_stack = nullptr;
-  const void* caller_stack_bottom = nullptr;
-  std::size_t caller_stack_bytes = 0;
+  void* fake_stack = nullptr;
+  /// Whether the last switch into the fiber came from its resume() caller,
+  /// whose stack ASan then reports, rather than from a peer's switch_to().
+  bool entered_from_caller = false;
 #endif
 #if defined(NV_FIBER_TSAN)
   void* tsan_fiber = nullptr;
-  void* tsan_caller = nullptr;
 #endif
 
   /// Save the running context in `save_sp` / `save` and continue at
-  /// `load_sp` / `load`, by whichever switch this fiber uses.
-  void jump(void** save_sp, void* load_sp, ucontext_t& save, const ucontext_t& load) {
+  /// `load_sp` / `load`, by whichever switch this fiber uses. `into` is the
+  /// fiber continued, which a fresh fiber's entry() receives.
+  void jump(void** save_sp, void* load_sp, ucontext_t& save, const ucontext_t& load,
+            Impl* into) {
 #if defined(__x86_64__)
     if (!ucontext) {
-      nv_fiber_switch(save_sp, load_sp, this);
+      nv_fiber_switch(save_sp, load_sp, into);
       return;
     }
 #else
     (void)save_sp;
     (void)load_sp;
+    (void)into;
 #endif
     swapcontext(&save, &load);
   }
 
-  /// Caller -> fiber; returns when the fiber suspends or its body returns.
-  void switch_in() {
-    swap_eh_state(caller_eh, fiber_eh);
+  /// resume() caller -> this fiber; returns when a fiber switches back to
+  /// `from`.
+  void switch_in(Caller& from) {
+    caller = &from;
+    swap_eh_state(from.eh, eh);
 #if defined(NV_FIBER_ASAN)
-    __sanitizer_start_switch_fiber(&caller_fake_stack, stack_bottom, stack_bytes);
+    entered_from_caller = true;
+    __sanitizer_start_switch_fiber(&from.fake_stack, stack_bottom, stack_bytes);
 #endif
 #if defined(NV_FIBER_TSAN)
-    tsan_caller = __tsan_get_current_fiber();
+    from.tsan_fiber = __tsan_get_current_fiber();
     __tsan_switch_to_fiber(tsan_fiber, 0);
 #endif
-    jump(&caller_sp, fiber_sp, caller_context, fiber_context);
+    jump(&from.sp, sp, from.context, context, this);
 #if defined(NV_FIBER_ASAN)
-    __sanitizer_finish_switch_fiber(caller_fake_stack, nullptr, nullptr);
+    __sanitizer_finish_switch_fiber(from.fake_stack, nullptr, nullptr);
 #endif
   }
 
-  /// Fiber -> caller; returns when resumed.
+  /// This fiber -> its resume() caller; returns when switched into again.
   void switch_out() {
-    swap_eh_state(fiber_eh, caller_eh);
+    Caller& to = *caller;
+    swap_eh_state(eh, to.eh);
 #if defined(NV_FIBER_ASAN)
-    __sanitizer_start_switch_fiber(&fiber_fake_stack, caller_stack_bottom, caller_stack_bytes);
+    __sanitizer_start_switch_fiber(&fake_stack, to.stack_bottom, to.stack_bytes);
 #endif
 #if defined(NV_FIBER_TSAN)
-    __tsan_switch_to_fiber(tsan_caller, 0);
+    __tsan_switch_to_fiber(to.tsan_fiber, 0);
 #endif
-    jump(&fiber_sp, caller_sp, fiber_context, caller_context);
+    jump(&sp, to.sp, context, to.context, nullptr);
     entered();
   }
 
-  /// First thing on the fiber after every switch into it.
+  /// This fiber -> `next`, which inherits the resume() caller; returns when
+  /// switched into again.
+  void switch_to(Impl& next) {
+    next.caller = caller;
+    swap_eh_state(eh, next.eh);
+#if defined(NV_FIBER_ASAN)
+    next.entered_from_caller = false;
+    __sanitizer_start_switch_fiber(&fake_stack, next.stack_bottom, next.stack_bytes);
+#endif
+#if defined(NV_FIBER_TSAN)
+    __tsan_switch_to_fiber(next.tsan_fiber, 0);
+#endif
+    jump(&sp, next.sp, context, next.context, &next);
+    entered();
+  }
+
+  /// First thing on the fiber after every switch into it. Only a switch from
+  /// the resume() caller tells ASan the caller's stack; across a handoff the
+  /// fiber keeps the one its caller recorded.
   void entered() {
 #if defined(NV_FIBER_ASAN)
-    __sanitizer_finish_switch_fiber(fiber_fake_stack, &caller_stack_bottom, &caller_stack_bytes);
+    if (entered_from_caller) {
+      __sanitizer_finish_switch_fiber(fake_stack, &caller->stack_bottom, &caller->stack_bytes);
+    } else {
+      __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+    }
 #endif
   }
 
@@ -227,7 +280,7 @@ struct Fiber::Impl {
       try {
         self.body();
       } catch (...) {
-        self.escaped = std::current_exception();
+        self.caller->escaped = std::current_exception();
       }
       self.body = nullptr;
       self.state = State::kIdle;
@@ -244,14 +297,14 @@ struct Fiber::Impl {
   /// Make the first resume() enter entry() at the top of the stack.
   void prepare_entry() {
     if (ucontext) {
-      if (getcontext(&fiber_context) != 0) {
+      if (getcontext(&context) != 0) {
         throw std::system_error(errno, std::generic_category(), "util::Fiber: getcontext");
       }
-      fiber_context.uc_stack.ss_sp = stack_bottom;
-      fiber_context.uc_stack.ss_size = stack_bytes;
-      fiber_context.uc_link = nullptr;
+      context.uc_stack.ss_sp = stack_bottom;
+      context.uc_stack.ss_size = stack_bytes;
+      context.uc_link = nullptr;
       const auto self = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(this));
-      makecontext(&fiber_context, reinterpret_cast<void (*)()>(&ucontext_entry), 2,
+      makecontext(&context, reinterpret_cast<void (*)()>(&ucontext_entry), 2,
                   static_cast<unsigned>(self >> 32), static_cast<unsigned>(self & 0xffffffffU));
       return;
     }
@@ -264,12 +317,12 @@ struct Fiber::Impl {
     std::uint16_t x87 = 0;
     asm volatile("stmxcsr %0" : "=m"(mxcsr));
     asm volatile("fnstcw %0" : "=m"(x87));
-    auto* sp = reinterpret_cast<std::uint64_t*>(stack_bottom + stack_bytes);
-    *--sp = 0;
-    *--sp = reinterpret_cast<std::uintptr_t>(&entry);
-    for (int reg = 0; reg < 6; ++reg) *--sp = 0;
-    *--sp = mxcsr | (std::uint64_t{x87} << 32);
-    fiber_sp = sp;
+    auto* top = reinterpret_cast<std::uint64_t*>(stack_bottom + stack_bytes);
+    *--top = 0;
+    *--top = reinterpret_cast<std::uintptr_t>(&entry);
+    for (int reg = 0; reg < 6; ++reg) *--top = 0;
+    *--top = mxcsr | (std::uint64_t{x87} << 32);
+    sp = top;
 #endif
   }
 };
@@ -327,8 +380,9 @@ void Fiber::resume() {
     throw std::logic_error("util::Fiber: resume() of a fiber that is not armed or suspended");
   }
   f.state = Impl::State::kRunning;
-  f.switch_in();
-  if (f.escaped) std::rethrow_exception(std::exchange(f.escaped, nullptr));
+  Caller caller;
+  f.switch_in(caller);
+  if (caller.escaped) std::rethrow_exception(std::move(caller.escaped));
 }
 
 void Fiber::suspend() {
@@ -338,6 +392,20 @@ void Fiber::suspend() {
   }
   f.state = Impl::State::kSuspended;
   f.switch_out();
+}
+
+void Fiber::switch_to(Fiber& next) {
+  Impl& f = *impl_;
+  Impl& n = *next.impl_;
+  if (f.state != Impl::State::kRunning) {
+    throw std::logic_error("util::Fiber: switch_to() outside the running fiber");
+  }
+  if (n.state != Impl::State::kArmed && n.state != Impl::State::kSuspended) {
+    throw std::logic_error("util::Fiber: switch_to() a fiber that is not armed or suspended");
+  }
+  f.state = Impl::State::kSuspended;
+  n.state = Impl::State::kRunning;
+  f.switch_to(n);
 }
 
 bool Fiber::active() const noexcept { return impl_->state != Impl::State::kIdle; }

@@ -2,10 +2,13 @@
 // (core/rendezvous.h).
 //
 // A Fiber runs a body on its own stack, on whichever thread resumes it.
-// Control moves at exactly two points: resume() switches from the caller into
-// the fiber, and suspend(), called from inside the body, switches back to that
-// caller. There is no preemption and no second OS thread, so the fibers of one
-// thread share memory without locks.
+// Control moves at exactly three points: resume() switches from the caller
+// into the fiber; suspend(), called from inside the body, switches back to
+// that caller; and switch_to(), also called from inside the body, switches
+// straight into another fiber, which inherits the caller. Whichever fiber
+// suspends or ends its body returns control to that resume() call. There is
+// no preemption and no second OS thread, so the fibers of one thread share
+// memory without locks.
 //
 // The stack, the size of a default thread stack with a PROT_NONE guard page
 // below it, is mapped once and reused by every body the fiber runs. On x86-64
@@ -37,11 +40,16 @@ class Fiber {
   /// Arm the fiber to run `body` at the next resume(). Throws
   /// std::logic_error while a previous body is unfinished.
   void start(Body body);
-  /// Switch into the fiber until its body calls suspend() or returns. An
-  /// exception that escapes the body is rethrown here, once.
+  /// Switch into the fiber until it, or a fiber it switched to, suspends or
+  /// ends its body. An exception that escapes that body is rethrown here,
+  /// once.
   void resume();
   /// From inside the running body: switch back to the resume() caller.
   void suspend();
+  /// From inside the running body: switch into `next`, armed or suspended,
+  /// as if this fiber suspended and its resume() caller resumed `next` at
+  /// once. Returns when this fiber is resumed or switched to again.
+  void switch_to(Fiber& next);
 
   /// Armed by start() and its body has not returned yet.
   [[nodiscard]] bool active() const noexcept;

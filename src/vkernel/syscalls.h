@@ -144,6 +144,14 @@ struct SyscallResult {
 
   [[nodiscard]] bool ok() const noexcept { return err == os::Errno::kOk; }
   [[nodiscard]] bool operator==(const SyscallResult&) const = default;
+  /// Equal to a default-constructed result again, in place: `data` keeps its
+  /// buffer.
+  void clear() noexcept {
+    value = 0;
+    err = os::Errno::kOk;
+    data.clear();
+    out_ints = SyscallInts{};
+  }
 };
 
 /// Behaviour class used by the MVEE to decide execution strategy (§3.1).

@@ -53,6 +53,29 @@ def first(events, phase):
     return next(event for event in events if event["ph"] == phase)
 
 
+def recost(curve):
+    """Re-derive a curve's attacker_cost after its probes changed."""
+    curve["attacker_cost"] = round(curve["probes"] / max(1, curve["compromised_lane_ticks"]), 6)
+
+
+def cost_no_more_than(curve, cost, lane_ticks):
+    """Let the attacker hold lanes long enough that `curve` costs at most
+    `cost`, with the fields derived from the hold (`lane_ticks` is ticks x
+    lanes)."""
+    held = math.ceil(curve["probes"] / cost)
+    curve["compromised_lane_ticks"] = held
+    curve["mean_compromised_fraction"] = round(held / lane_ticks, 6)
+    recost(curve)
+
+
+def population_lane_ticks(doc):
+    return doc["config"]["ticks"] * doc["config"]["pool_size"]
+
+
+def network_lane_ticks(doc):
+    return doc["config"]["ticks"] * doc["config"]["total_lanes"]
+
+
 # --- population_curves/v2 ----------------------------------------------------
 
 @breaks("population", "unexpected schema 'population_curves/v1'")
@@ -105,6 +128,27 @@ def population_mean_fraction(doc):
     doc["grid"][0]["mean_compromised_fraction"] = 1.5
 
 
+@breaks("population",
+        "grid[2]: attacker_cost != probes / max(1, compromised_lane_ticks)")
+def population_attacker_cost_derived(doc):
+    doc["grid"][2]["attacker_cost"] += 2e-6
+
+
+@breaks("population", "grid[1]: mean_compromised_fraction != compromised_lane_ticks / "
+                      "1600 lane-ticks")
+def population_mean_fraction_derived(doc):
+    doc["grid"][1]["mean_compromised_fraction"] += 2e-6
+
+
+@breaks("population", "check_bench: OK", exit_code=0)
+def population_no_foothold(doc):
+    # An attacker that never held a lane divides by max(1, 0), as the
+    # experiments do.
+    curve = doc["variation_grid"][-1]
+    curve.update(compromised_lane_ticks=0, mean_compromised_fraction=0.0,
+                 attacker_cost=float(curve["probes"]))
+
+
 @breaks("population", "variation_grid[0]: empty timeline")
 def population_empty_timeline(doc):
     doc["variation_grid"][0]["timeline"] = []
@@ -140,13 +184,16 @@ def population_rate_order(doc):
 @breaks("population", "grid attacker_cost not strictly rising")
 def population_invariant_1_rate(doc):
     grid = doc["grid"]
-    grid[3]["attacker_cost"] = grid[2]["attacker_cost"]
+    cost_no_more_than(grid[3], grid[2]["attacker_cost"], population_lane_ticks(doc))
 
 
 @breaks("population", "adaptive posture did not raise attacker cost")
 def population_invariant_2_adaptive(doc):
+    # The adaptive run fares exactly as the static one did.
     static, adaptive = doc["adaptive_comparison"]
-    adaptive["attacker_cost"] = static["attacker_cost"]
+    for key in ("probes", "silent_compromises", "quarantines", "compromised_lane_ticks",
+                "mean_compromised_fraction", "attacker_cost"):
+        adaptive[key] = static[key]
 
 
 @breaks("population", "adaptive_comparison holds 1 runs")
@@ -173,7 +220,7 @@ def population_equal_keyspace_bits(doc):
 @breaks("population", "variation_grid attacker_cost not strictly rising")
 def population_invariant_3_entropy(doc):
     low, high = doc["variation_grid"][:2]
-    high["attacker_cost"] = low["attacker_cost"]
+    cost_no_more_than(high, low["attacker_cost"], population_lane_ticks(doc))
 
 
 # --- network_diversity/v1 ----------------------------------------------------
@@ -208,6 +255,20 @@ def network_mean_fraction(doc):
     doc["grid"][2]["mean_compromised_fraction"] = -0.5
 
 
+@breaks("network", "grid[1]: attacker_cost != probes / max(1, compromised_lane_ticks)")
+def network_attacker_cost_derived(doc):
+    doc["grid"][1]["attacker_cost"] -= 2e-6
+
+
+@breaks("network", "grid[1]: mean_compromised_fraction != compromised_lane_ticks / "
+                   "3200 lane-ticks")
+def network_mean_fraction_derived(doc):
+    # Right for a pool of one shard's lanes, wrong for the cluster's.
+    config, curve = doc["config"], doc["grid"][1]
+    curve["mean_compromised_fraction"] = round(
+        curve["compromised_lane_ticks"] / (config["ticks"] * curve["lanes_per_shard"]), 6)
+
+
 @breaks("network", "grid[0]: timeline column 'endpoint_discoveries' decreases")
 def network_timeline_cumulative(doc):
     doc["grid"][0]["timeline"][-1]["endpoint_discoveries"] = 0
@@ -225,7 +286,9 @@ def network_total_lanes(doc):
 
 @breaks("network", "grid[1]: probes != payload_probes + endpoint_probes")
 def network_probe_split(doc):
-    doc["grid"][1]["probes"] += 1
+    curve = doc["grid"][1]
+    curve["probes"] += 1
+    recost(curve)
 
 
 @breaks("network", "grid[1]: endpoint_probes != endpoint_discoveries x endpoint_discovery_cost")
@@ -233,6 +296,7 @@ def network_endpoint_ledger(doc):
     curve = doc["grid"][1]
     curve["endpoint_probes"] += 1
     curve["probes"] += 1
+    recost(curve)
 
 
 def rescan(curve, discoveries, cost):
@@ -241,6 +305,7 @@ def rescan(curve, discoveries, cost):
     curve["endpoint_discovery_cost"] = cost
     curve["endpoint_probes"] = discoveries * cost
     curve["probes"] = curve["payload_probes"] + curve["endpoint_probes"]
+    recost(curve)
 
 
 @breaks("network", "grid[1]: endpoint_discovery_cost 16385 != 2^(network_bits - 1)")
@@ -283,7 +348,7 @@ def network_shard_order(doc):
 @breaks("network", "grid attacker_cost not strictly rising")
 def network_invariant_1_shards(doc):
     low, high = doc["grid"][1], doc["grid"][2]
-    high["attacker_cost"] = low["attacker_cost"]
+    cost_no_more_than(high, low["attacker_cost"], network_lane_ticks(doc))
 
 
 # --- load_curves/v1 ----------------------------------------------------------
@@ -341,6 +406,16 @@ def load_duration(doc):
 @breaks("load", "curve[1]: goodput_per_sec != completed / duration_s")
 def load_goodput(doc):
     doc["curve"][1]["goodput_per_sec"] *= 2
+
+
+@breaks("load", "curve[2]: offered_per_sec != offered / duration_s")
+def load_offered_rate(doc):
+    doc["curve"][2]["offered_per_sec"] += 0.5
+
+
+@breaks("load", "campaign.attacked: queue_high_watermark 17 > queue_capacity 16")
+def load_queue_watermark(doc):
+    doc["campaign"]["attacked"]["queue_high_watermark"] = doc["config"]["queue_capacity"] + 1
 
 
 @breaks("load", "curve[1]: latency_count != completed")

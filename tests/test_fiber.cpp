@@ -1,4 +1,5 @@
-// util::Fiber: switch order, exceptions on fiber stacks, stack reuse.
+// util::Fiber: switch order, direct switches between fibers, exceptions on
+// fiber stacks, stack reuse.
 #include <gtest/gtest.h>
 
 #include <exception>
@@ -61,6 +62,102 @@ TEST(Fiber, ThreeFibersRoundRobin) {
     }
   }
   EXPECT_EQ(order, (std::vector<int>{0, 10, 20, 1, 11, 21, 2, 12, 22}));
+}
+
+TEST(Fiber, SwitchToChainsFibersAndTheLastReturnsToTheCaller) {
+  // a -> b -> c -> resume() caller, each fiber entered fresh by the one
+  // before; then c hands straight to the suspended a, whose body ends.
+  Fiber a;
+  Fiber b;
+  Fiber c;
+  std::string trace;
+  a.start([&] {
+    trace += "a1 ";
+    a.switch_to(b);
+    trace += "a2 ";
+  });
+  b.start([&] {
+    trace += "b1 ";
+    b.switch_to(c);
+    trace += "b2 ";
+  });
+  c.start([&] {
+    trace += "c1 ";
+    c.suspend();
+    trace += "c2 ";
+    c.switch_to(a);
+    trace += "c3 ";
+  });
+  a.resume();
+  EXPECT_EQ(trace, "a1 b1 c1 ");
+  EXPECT_TRUE(a.active());
+  EXPECT_TRUE(b.active());
+  EXPECT_TRUE(c.active());
+  c.resume();
+  EXPECT_EQ(trace, "a1 b1 c1 c2 a2 ");
+  EXPECT_FALSE(a.active());
+  b.resume();
+  c.resume();
+  EXPECT_EQ(trace, "a1 b1 c1 c2 a2 b2 c3 ");
+  EXPECT_FALSE(b.active());
+  EXPECT_FALSE(c.active());
+}
+
+TEST(Fiber, SwitchToInsideACatchBlockKeepsEachFibersException) {
+  // Both fibers switch away while an exception of their own is caught; each
+  // finds its own on return, and the resume() caller has none.
+  Fiber a;
+  Fiber b;
+  std::string seen;
+  const auto caught = [] {
+    try {
+      throw;
+    } catch (const std::exception& e) {
+      return std::string(e.what());
+    }
+  };
+  a.start([&] {
+    try {
+      throw std::runtime_error("a ");
+    } catch (const std::runtime_error&) {
+      a.switch_to(b);
+      seen += caught();
+    }
+  });
+  b.start([&] {
+    try {
+      throw std::logic_error("b ");
+    } catch (const std::logic_error&) {
+      b.switch_to(a);
+      seen += caught();
+    }
+  });
+  a.resume();
+  EXPECT_EQ(seen, "a ");
+  EXPECT_EQ(std::current_exception(), nullptr);
+  EXPECT_EQ(std::uncaught_exceptions(), 0);
+  b.resume();
+  EXPECT_EQ(seen, "a b ");
+  EXPECT_FALSE(a.active());
+  EXPECT_FALSE(b.active());
+  EXPECT_EQ(std::current_exception(), nullptr);
+}
+
+TEST(Fiber, ExceptionEscapingAFiberEnteredBySwitchToIsRethrownByResume) {
+  Fiber a;
+  Fiber b;
+  a.start([&] { a.switch_to(b); });
+  b.start([] { throw std::runtime_error("from b"); });
+  try {
+    a.resume();
+    ADD_FAILURE() << "expected b's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "from b");
+  }
+  EXPECT_FALSE(b.active());
+  EXPECT_TRUE(a.active());
+  a.resume();  // rethrown once: a's own end throws nothing
+  EXPECT_FALSE(a.active());
 }
 
 TEST(Fiber, LocalsSurviveSwitches) {
@@ -155,9 +252,15 @@ TEST(Fiber, ThousandRunsReuseOneSetOfStacks) {
 
 TEST(Fiber, MisuseIsRejected) {
   Fiber fiber;
-  EXPECT_THROW(fiber.resume(), std::logic_error);   // nothing armed
-  EXPECT_THROW(fiber.suspend(), std::logic_error);  // not running
-  fiber.start([&] { fiber.suspend(); });
+  Fiber other;
+  EXPECT_THROW(fiber.resume(), std::logic_error);           // nothing armed
+  EXPECT_THROW(fiber.suspend(), std::logic_error);          // not running
+  EXPECT_THROW(fiber.switch_to(other), std::logic_error);   // not running
+  fiber.start([&] {
+    EXPECT_THROW(fiber.switch_to(other), std::logic_error);  // nothing armed
+    EXPECT_THROW(fiber.switch_to(fiber), std::logic_error);  // already running
+    fiber.suspend();
+  });
   EXPECT_THROW(fiber.start([] {}), std::logic_error);  // body unfinished
   fiber.resume();
   fiber.resume();

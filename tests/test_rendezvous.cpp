@@ -341,20 +341,90 @@ TEST(Rendezvous, StallAbortsEveryWaiter) {
 }
 
 TEST(Rendezvous, EscapingExceptionAbortsTheRunAndIsRethrown) {
+  // Variant 0 parks at the barrier and hands the CPU to variant 1, whose body
+  // throws: the alarm names variant 1, not the fiber the scheduler resumed.
   SyscallRendezvous rdv(2);
   rdv.set_leader(scaled(1));
-  std::optional<AlarmKind> peer;
+  std::optional<Alarm> peer;
   EXPECT_THROW(rdv.run([&](unsigned v) {
     if (v == 1) throw std::runtime_error("guest bug");
     try {
       (void)rdv.exchange(v, call(Sys::kGetpid));
     } catch (const DivergenceAbort& abort) {
-      peer = abort.alarm.kind;
+      peer = abort.alarm;
     }
   }),
                std::runtime_error);
   ASSERT_TRUE(peer.has_value());
-  EXPECT_EQ(*peer, AlarmKind::kGuestError);
+  EXPECT_EQ(peer->kind, AlarmKind::kGuestError);
+  EXPECT_EQ(peer->variant, 1u);
+}
+
+/// One run's calls, returns and leader runs, in the order they happen. Each
+/// variant v makes four exchanges, and a fifth when v is odd, so every run
+/// ends in a stall. With a client, variant 0 first waits on I/O the client
+/// completes, and the client then waits on I/O that nothing completes.
+std::string order_log(unsigned n, bool with_client) {
+  SyscallRendezvous rdv(n);
+  std::string log;
+  const auto note = [&log](const std::string& event) { log += event + " "; };
+  rdv.set_leader([&](Calls calls, Results results) {
+    note("lead" + std::to_string(rdv.rounds_completed()));
+    for (std::size_t v = 0; v < calls.size(); ++v) results[v].value = calls[v]->ints[0];
+  });
+  bool sent = false;
+  const auto body = [&](unsigned v) {
+    const std::string self = "v" + std::to_string(v);
+    try {
+      for (std::uint64_t i = 0; i < 4 + v % 2; ++i) {
+        if (with_client && v == 0 && i == 1) {
+          note(self + (rdv.wait_io([&] { return sent; }) ? ":woke" : ":released"));
+        }
+        note(self + ":call" + std::to_string(i));
+        note(self + ":got" + std::to_string(rdv.exchange(v, call(Sys::kGettime, i)).value));
+      }
+      note(self + ":end");
+    } catch (const DivergenceAbort& abort) {
+      note(self + ":" + std::string(to_string(abort.alarm.kind)));
+    }
+  };
+  if (!with_client) {
+    rdv.run(body);
+    return log;
+  }
+  rdv.run(body, [&] {
+    note(rdv.wait_io([&] { return rdv.rounds_completed() >= 1; }) ? "client:woke"
+                                                                   : "client:released");
+    sent = true;
+    note(rdv.wait_io([] { return false; }) ? "client:woke" : "client:released");
+  });
+  return log;
+}
+
+TEST(Rendezvous, FibersRunInTheSchedulersOrder) {
+  // Recorded from the scheduler that resumed every fiber from its own pass.
+  // A parked fiber that hands the CPU straight to the next one must keep
+  // exactly that order, including where the runs end.
+  EXPECT_EQ(order_log(2, false),
+            "v0:call0 v1:call0 lead0 v1:got0 v1:call1 v0:got0 v0:call1 lead1 v0:got1 "
+            "v0:call2 v1:got1 v1:call2 lead2 v1:got2 v1:call3 v0:got2 v0:call3 lead3 "
+            "v0:got3 v0:end v1:got3 v1:call4 v1:rendezvous-stall ");
+  EXPECT_EQ(order_log(3, false),
+            "v0:call0 v1:call0 v2:call0 lead0 v2:got0 v2:call1 v0:got0 v0:call1 v1:got0 "
+            "v1:call1 lead1 v1:got1 v1:call2 v2:got1 v2:call2 v0:got1 v0:call2 lead2 "
+            "v0:got2 v0:call3 v1:got2 v1:call3 v2:got2 v2:call3 lead3 v2:got3 v2:end "
+            "v0:got3 v0:end v1:got3 v1:call4 v1:rendezvous-stall ");
+  EXPECT_EQ(order_log(4, false),
+            "v0:call0 v1:call0 v2:call0 v3:call0 lead0 v3:got0 v3:call1 v0:got0 v0:call1 "
+            "v1:got0 v1:call1 v2:got0 v2:call1 lead1 v2:got1 v2:call2 v3:got1 v3:call2 "
+            "v0:got1 v0:call2 v1:got1 v1:call2 lead2 v1:got2 v1:call3 v2:got2 v2:call3 "
+            "v3:got2 v3:call3 v0:got2 v0:call3 lead3 v0:got3 v0:end v1:got3 v1:call4 "
+            "v2:got3 v2:end v3:got3 v3:call4 v1:rendezvous-stall v3:rendezvous-stall ");
+  EXPECT_EQ(order_log(2, true),
+            "v0:call0 v1:call0 lead0 v1:got0 v1:call1 v0:got0 client:woke v0:woke "
+            "v0:call1 lead1 v0:got1 v0:call2 v1:got1 v1:call2 lead2 v1:got2 v1:call3 "
+            "v0:got2 v0:call3 lead3 v0:got3 v0:end v1:got3 v1:call4 client:released "
+            "v1:rendezvous-stall ");
 }
 
 TEST(Rendezvous, EachRunStartsFresh) {

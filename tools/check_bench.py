@@ -47,6 +47,15 @@ def require_fraction(value, where):
     require(0.0 <= value <= 1.0, f"{where} out of [0,1]: {value}")
 
 
+def require_derived(value, exact, slack, what):
+    """`value` is `exact` as printed: within `slack`, the rounding of the
+    places the bench printed it (and its operands) with."""
+    require(abs(value - exact) <= slack + 1e-12, f"{what} {value} != {exact:.9g}")
+
+
+SIX_PLACES = 0.5e-6  # %.6f
+
+
 # --- attacker-cost curves (population_curves/v2, network_diversity/v1) -------
 
 def check_timeline(timeline, where):
@@ -64,9 +73,11 @@ def check_timeline(timeline, where):
                 f"{where}: timeline column {column!r} decreases")
 
 
-def check_attack_curve(curve, keys, where, bits, space, spent):
+def check_attack_curve(curve, keys, where, bits, space, spent, lane_ticks):
     """What both attacker-cost schemas share: the keyspace is real entropy,
-    and every guess that failed cost the attacker one quarantine."""
+    every guess that failed cost the attacker one quarantine, and the cost
+    and the mean foothold derive from the counts (`lane_ticks` is ticks x
+    lanes)."""
     require_keys(curve, keys, where)
     require(curve["probed_variation"], f"{where}: empty probed_variation")
     require(curve[space] >= 2, f"{where}: {space} < 2 is not a guessing game")
@@ -75,8 +86,15 @@ def check_attack_curve(curve, keys, where, bits, space, spent):
     require(curve["quarantines"] == curve[spent] - curve["silent_compromises"],
             f"{where}: quarantines != {spent} - silent_compromises")
     require(curve["attacker_cost"] >= 0, f"{where}: negative attacker_cost")
+    require_derived(curve["attacker_cost"],
+                    curve["probes"] / max(1, curve["compromised_lane_ticks"]), SIX_PLACES,
+                    f"{where}: attacker_cost != probes / max(1, compromised_lane_ticks):")
     require_fraction(curve["mean_compromised_fraction"],
                      f"{where}.mean_compromised_fraction")
+    require_derived(curve["mean_compromised_fraction"],
+                    curve["compromised_lane_ticks"] / lane_ticks, SIX_PLACES,
+                    f"{where}: mean_compromised_fraction != "
+                    f"compromised_lane_ticks / {lane_ticks} lane-ticks:")
     check_timeline(curve["timeline"], where)
 
 
@@ -94,12 +112,14 @@ POPULATION_CURVE_KEYS = {
 
 def check_population(doc):
     require_keys(doc, POPULATION_KEYS, "document")
-    require_keys(doc["config"], POPULATION_CONFIG_KEYS, "config")
+    config = doc["config"]
+    require_keys(config, POPULATION_CONFIG_KEYS, "config")
     for section in ("grid", "adaptive_comparison", "variation_grid"):
         for i, curve in enumerate(doc[section]):
             check_attack_curve(curve, POPULATION_CURVE_KEYS, f"{section}[{i}]",
                                bits="keyspace_bits", space="keyspace_keys",
-                               spent="probes")
+                               spent="probes",
+                               lane_ticks=config["ticks"] * config["pool_size"])
 
     # 1. Rotating faster shortens every foothold: cost rises with the rate.
     grid = doc["grid"]
@@ -153,7 +173,8 @@ def check_network(doc):
     for i, curve in enumerate(grid):
         where = f"grid[{i}]"
         check_attack_curve(curve, NETWORK_CURVE_KEYS, where, bits="payload_bits",
-                           space="payload_keys", spent="payload_probes")
+                           space="payload_keys", spent="payload_probes",
+                           lane_ticks=config["ticks"] * config["total_lanes"])
         shards = curve["shards"]
         require(shards >= 1, f"{where}: shards < 1")
         require(shards * curve["lanes_per_shard"] == config["total_lanes"],
@@ -205,7 +226,7 @@ LOAD_POINT_KEYS = {
 }
 
 
-def check_load_point(point, where):
+def check_load_point(point, where, queue_capacity):
     """4. The arithmetic of one load point."""
     require_keys(point, LOAD_POINT_KEYS, where)
     require(point["offered"] > 0, f"{where}: no offered load")
@@ -214,6 +235,14 @@ def check_load_point(point, where):
     require(abs(point["shed_fraction"] - point["shed"] / point["offered"]) <= 1e-4,
             f"{where}: shed_fraction != shed / offered")
     require(point["duration_s"] > 0, f"{where}: non-positive duration_s")
+    # offered_per_sec is printed to two places, duration_s to three.
+    offered_rate = point["offered"] / point["duration_s"]
+    require_derived(point["offered_per_sec"], offered_rate,
+                    0.005 + offered_rate * 0.0005 / point["duration_s"],
+                    f"{where}: offered_per_sec != offered / duration_s:")
+    require(point["queue_high_watermark"] <= queue_capacity,
+            f"{where}: queue_high_watermark {point['queue_high_watermark']} > "
+            f"queue_capacity {queue_capacity}")
     goodput = point["completed"] / point["duration_s"]
     require(abs(point["goodput_per_sec"] - goodput) <= max(0.1, goodput * 0.01),
             f"{where}: goodput_per_sec != completed / duration_s")
@@ -244,10 +273,11 @@ def check_load(doc):
     require(0 < claims["p99_tolerance"] <= 1, "claims.p99_tolerance outside (0, 1]")
     require(0 < claims["goodput_floor"] <= 1, "claims.goodput_floor outside (0, 1]")
 
+    capacity = doc["config"]["queue_capacity"]
     curve = doc["curve"]
     require(len(curve) >= 3, "curve needs at least three points to locate a knee")
     for i, point in enumerate(curve):
-        check_load_point(point, f"curve[{i}]")
+        check_load_point(point, f"curve[{i}]", capacity)
     require_rising([point["rho"] for point in curve], "curve rho")
 
     # 1. Latency rises with load, within the quantization slack.
@@ -275,8 +305,8 @@ def check_load(doc):
     campaign = doc["campaign"]
     require_keys(campaign, {"baseline", "attacked", "goodput_ratio"}, "campaign")
     baseline, attacked = campaign["baseline"], campaign["attacked"]
-    check_load_point(baseline, "campaign.baseline")
-    check_load_point(attacked, "campaign.attacked")
+    check_load_point(baseline, "campaign.baseline", capacity)
+    check_load_point(attacked, "campaign.attacked", capacity)
     require(baseline["campaign_alerts"] == 0,
             f"baseline raised {baseline['campaign_alerts']} campaign alerts")
     require(attacked["campaign_alerts"] >= claims["campaign_alerts_min"],
@@ -397,7 +427,7 @@ def main(argv):
         except CheckFailed as failure:
             print(f"check_bench: FAIL {path}: {failure}", file=sys.stderr)
             status = 1
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, ZeroDivisionError) as err:
             print(f"check_bench: FAIL {path}: malformed document ({err!r})",
                   file=sys.stderr)
             status = 1
