@@ -165,9 +165,9 @@ int main() {
   // The trace must tell the same story as the counters, as ONE causal chain:
   // each quarantine carries its poisoning job's span, the single alert is
   // parented to the job that crossed the threshold, and the policy tighten
-  // hangs off the alert. Rotations the escalation caused (lanes rotate
-  // lazily, so the count depends on post-alert traffic) must all point at
-  // the alert too.
+  // hangs off the alert. Rotations the escalation caused (each lane installs
+  // its draw before its next job, so the count depends on post-alert
+  // traffic) must all point at the alert too.
   std::printf("\n--- causal trace (obs::TraceRecorder rode along) ---\n");
   std::set<std::uint64_t> quarantine_spans;
   std::uint64_t alert_span = 0;

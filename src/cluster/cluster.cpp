@@ -211,9 +211,8 @@ TickReport FleetCluster::tick() {
   TickReport report;
   report.tick = ++tick_count_;
   report.gossip_delivered = gossip_.pump();
-  // Tell every shard the clock moved: wakes deadline-bounded drains and
-  // enforces each fleet's rotation deadline even when no jobs are flowing.
-  for (auto& member : fleets_) report.forced_rotations += member->notify_time_advanced();
+  // Tell every shard the clock moved: wakes deadline-bounded drains.
+  for (auto& member : fleets_) member->notify_time_advanced();
 
   if (config_.sweep_interval > std::chrono::milliseconds::zero()) {
     const auto now = clock_();

@@ -69,7 +69,7 @@ struct ClusterConfig {
   /// Housekeeping sweep period for tick(), measured on the injected clock:
   /// each due sweep re-diversifies (sessions + network identity) every shard
   /// whose adaptive posture is currently TIGHTENED. 0 disables sweeping —
-  /// tick() still pumps gossip and enforces rotation deadlines.
+  /// tick() still pumps gossip and tells the shards the clock moved.
   std::chrono::milliseconds sweep_interval{0};
   /// Structured tracing (obs/trace.h): each shard's fleet records under
   /// trace_scope "shard<i>", and the cluster adds "cluster.router" (route
@@ -78,14 +78,14 @@ struct ClusterConfig {
   std::shared_ptr<obs::TraceRecorder> trace;
 };
 
-/// One tightened shard's share of a tick() housekeeping sweep. The sweep only
-/// FLAGS session rotations (they resolve on the shard's worker threads);
-/// lanes_flagged + rotations_before let a deterministic driver await
+/// One tightened shard's share of a tick() housekeeping sweep. The sweep
+/// draws each named lane's session at once, but the lanes' workers install
+/// them; lanes_flagged + rotations_before let a deterministic driver await
 /// sessions_rotated + rotations_failed reaching rotations_before +
 /// lanes_flagged before reading fingerprints.
 struct ShardSweep {
   unsigned shard = 0;
-  /// Lanes rotate_fleet() flagged for re-diversification this sweep.
+  /// Lanes rotate_fleet() named for re-diversification this sweep.
   std::size_t lanes_flagged = 0;
   /// The shard's sessions_rotated + rotations_failed when the sweep started.
   std::uint64_t rotations_before = 0;
@@ -97,7 +97,6 @@ struct ShardSweep {
 struct TickReport {
   std::uint64_t tick = 0;              // ordinal of this tick, 1-based
   std::size_t gossip_delivered = 0;    // due deliveries pumped this tick
-  std::size_t forced_rotations = 0;    // rotation-deadline swaps across shards
   bool swept = false;                  // the sweep interval elapsed this tick
   std::vector<ShardSweep> sweeps;      // tightened shards swept (empty unless swept)
 };
@@ -158,8 +157,8 @@ class FleetCluster {
 
   /// One cluster housekeeping step, meant to run once per driver tick (after
   /// the injected clock advances): pumps due gossip deliveries, tells every
-  /// shard the clock moved (enforcing rotation deadlines), and — when
-  /// ClusterConfig::sweep_interval has elapsed since the last sweep — flags a
+  /// shard the clock moved (waking deadline-bounded drains), and — when
+  /// ClusterConfig::sweep_interval has elapsed since the last sweep — orders a
   /// fleet-wide re-diversification plus a network-identity redraw on every
   /// shard whose adaptive posture is tightened. Deterministic under
   /// ManualClock; records kClusterTick (and per-shard rotation events) when

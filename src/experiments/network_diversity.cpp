@@ -18,8 +18,9 @@ namespace {
 /// gossip loop is meant to propagate.
 constexpr const char* kProbeSignature = "cluster probe: diversity guess rejected";
 
-/// Same settling contract as the population experiment: rotations resolve on
-/// worker threads; a run that cannot settle cannot stay deterministic.
+/// Same settling contract as the population experiment: rotations are
+/// installed on worker threads; a run that cannot settle cannot stay
+/// deterministic.
 void await_rotations(const fleet::VariantFleet& fleet, std::uint64_t target) {
   const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   for (;;) {
@@ -175,11 +176,11 @@ ClusterCurve run_cluster_experiment(const ClusterExperimentConfig& config) {
     clock.advance(config.tick);
     elapsed_ms += static_cast<std::uint64_t>(config.tick.count());
 
-    // Cluster housekeeping: pump due gossip, enforce rotation deadlines, and
-    // — when the sweep interval elapsed — re-diversify every TIGHTENED shard
-    // (sessions and network identity) so held footholds die and the attacker
-    // must pay endpoint discovery again. The sweep only FLAGS session
-    // rotations; settle each swept shard before the attacker reads
+    // Cluster housekeeping: pump due gossip, and — when the sweep interval
+    // elapsed — re-diversify every TIGHTENED shard (sessions and network
+    // identity) so held footholds die and the attacker must pay endpoint
+    // discovery again. The sweep draws the sessions, but each lane's worker
+    // installs its own; settle each swept shard before the attacker reads
     // fingerprints, exactly as the hand-rolled loop did.
     const cluster::TickReport housekeeping = cluster.tick();
     for (const auto& sweep : housekeeping.sweeps) {

@@ -18,11 +18,12 @@ namespace {
 /// the adaptive scenario) is meant to see.
 constexpr const char* kProbeSignature = "population probe: diversity guess rejected";
 
-/// Rotation resolves asynchronously on the worker threads; park until every
-/// flagged lane has either rotated or failed to. A timeout means the run can
-/// no longer be deterministic (rotations still in flight would race the
-/// fingerprint reads), so it throws rather than silently degrading the
-/// byte-identical-replay contract — a healthy fleet settles in microseconds.
+/// A rotation's draws happen at the order, but each lane's worker installs
+/// its own; park until every named lane has either rotated or failed to
+/// draw. A timeout means the run can no longer be deterministic (installs
+/// still in flight would race the fingerprint reads), so it throws rather
+/// than silently degrading the byte-identical-replay contract — a healthy
+/// fleet settles in microseconds.
 void await_rotations(const fleet::VariantFleet& fleet, std::uint64_t target) {
   const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   for (;;) {

@@ -28,6 +28,16 @@ SessionSpec traced_spec(const FleetConfig& config) {
   return spec;
 }
 
+/// Low water: one more fleet-wide rotation would drain the keyspace (the
+/// watermark is the pool size).
+bool keyspace_low(const KeyspaceAccount& account, unsigned pool_size) {
+  return account.tracked && account.keys_remaining <= pool_size;
+}
+
+/// While the keyspace is low, fleet-wide rotations are spaced at least this
+/// far apart on the injected clock.
+constexpr std::chrono::milliseconds kRotationBackoff{1'000};
+
 }  // namespace
 
 unsigned VariantFleet::resolve_pool_size(unsigned requested) {
@@ -69,12 +79,11 @@ VariantFleet::VariantFleet(FleetConfig config)
     }
     sessions_.push_back(std::move(*session));
   }
-  displaced_sessions_.resize(pool_size_);
   // Arm the backoff so the FIRST low-keyspace rotation is admitted; only the
   // spacing between subsequent ones is enforced.
-  last_backoff_rotation_ = clock_() - config_.rotation_backoff;
+  last_backoff_rotation_ = clock_() - kRotationBackoff;
   (void)refresh_keyspace_gauge();
-  lane_flags_.assign(pool_size_, LaneFlags{});
+  lane_flags_.resize(pool_size_);
   workers_.reserve(pool_size_);
   try {
     for (unsigned lane = 0; lane < pool_size_; ++lane) {
@@ -166,11 +175,6 @@ std::future<JobOutcome> VariantFleet::submit_to(unsigned lane, FleetJob job) {
 }
 
 std::future<JobOutcome> VariantFleet::admit(std::optional<unsigned> lane, FleetJob job) {
-  // A submitter's thread is a guaranteed tick an otherwise idle fleet gets:
-  // enforce the rotation deadline here so it never depends on a worker poll.
-  if (config_.rotation_deadline > std::chrono::milliseconds::zero()) {
-    (void)enforce_rotation_deadlines();
-  }
   std::future<JobOutcome> future;
   {
     util::MutexLock lock(queue_mutex_);
@@ -208,9 +212,6 @@ std::future<JobOutcome> VariantFleet::admit(std::optional<unsigned> lane, FleetJ
 }
 
 std::optional<std::future<JobOutcome>> VariantFleet::try_submit(FleetJob job) {
-  if (config_.rotation_deadline > std::chrono::milliseconds::zero()) {
-    (void)enforce_rotation_deadlines();
-  }
   std::future<JobOutcome> future;
   {
     const util::MutexLock lock(queue_mutex_);
@@ -302,7 +303,7 @@ VariantFleet::IdleSnapshot VariantFleet::idle_snapshot() const {
   snapshot.blocked_submitters = blocked_submitters_;
   for (const LaneFlags& flags : lane_flags_) {
     if (flags.waiting) ++snapshot.idle_workers;
-    if (flags.respawning || flags.force_rotating) ++snapshot.lanes_in_flux;
+    if (flags.respawning) ++snapshot.lanes_in_flux;
   }
   // An idle worker may pop a queued job: any idle worker an untargeted one,
   // only the named lane's worker a submit_to() job.
@@ -338,14 +339,7 @@ std::vector<CampaignAlert> VariantFleet::open_campaigns() const {
 
 CampaignPolicy VariantFleet::campaign_policy() const { return correlator_.policy(); }
 
-std::size_t VariantFleet::notify_time_advanced() {
-  // A truly idle fleet (no jobs, no operator poll) learns the clock moved
-  // ONLY here, so the rotation deadline must be enforced before waking the
-  // drain — otherwise a pinned lane keeps its stale re-expression forever.
-  const std::size_t swapped = enforce_rotation_deadlines();
-  drain_progress_.notify_all();
-  return swapped;
-}
+void VariantFleet::notify_time_advanced() { drain_progress_.notify_all(); }
 
 bool VariantFleet::accepting() const {
   const util::MutexLock lock(queue_mutex_);
@@ -371,10 +365,6 @@ void VariantFleet::apply_remote_campaign(const CampaignAlert& alert) {
   }
 }
 
-std::uint64_t VariantFleet::low_watermark() const noexcept {
-  return config_.keyspace_low_watermark == 0 ? pool_size_ : config_.keyspace_low_watermark;
-}
-
 KeyspaceAccount VariantFleet::refresh_keyspace_gauge() {
   const KeyspaceAccount account = factory_.keyspace();
   telemetry_.set_keyspace(account.keys_total, account.keys_remaining);
@@ -385,13 +375,10 @@ KeyspaceAccount VariantFleet::refresh_keyspace_gauge() {
     trace_->record(ops_track_, obs::TraceEventKind::kKeyspaceExhausted, 0, 0,
                    account.keys_issued, account.keys_total);
   }
-  if (account.tracked && account.keys_remaining <= low_watermark() &&
-      !keyspace_low_fired_.exchange(true, std::memory_order_relaxed)) {
-    if (trace_) {
-      trace_->record(ops_track_, obs::TraceEventKind::kKeyspaceLow, 0, 0,
-                     account.keys_remaining, account.keys_total);
-    }
-    if (config_.on_keyspace_low) config_.on_keyspace_low(account);
+  if (keyspace_low(account, pool_size_) &&
+      !keyspace_low_fired_.exchange(true, std::memory_order_relaxed) && trace_) {
+    trace_->record(ops_track_, obs::TraceEventKind::kKeyspaceLow, 0, 0, account.keys_remaining,
+                   account.keys_total);
   }
   return account;
 }
@@ -399,116 +386,30 @@ KeyspaceAccount VariantFleet::refresh_keyspace_gauge() {
 std::size_t VariantFleet::rotate_fleet() {
   const KeyspaceAccount account = refresh_keyspace_gauge();
   if (account.exhausted()) {
-    // Every flag would resolve as a rotations_failed increment against a
-    // factory that can never satisfy it. Stop re-flagging; the operator
-    // already heard about it via on_keyspace_low and the gauges.
+    // Every draw would fail against a factory that can never satisfy it.
+    // Stop ordering rotations; the gauges and the keyspace_exhausted trace
+    // event already tell the operator.
     return 0;
   }
   const auto now = clock_();
   const util::MutexLock lock(queue_mutex_);
-  const bool low = account.tracked && account.keys_remaining <= low_watermark();
+  const bool low = keyspace_low(account, pool_size_);
   // Low water: still rotate (a burned reexpression in service is worse than
   // a shorter runway), but no faster than one fleet sweep per backoff
   // interval — heightened-posture periodic rotation must not sprint through
   // the last few keys.
-  if (low && now - last_backoff_rotation_ < config_.rotation_backoff) return 0;
-  std::size_t flagged = 0;
-  for (unsigned lane = 0; lane < pool_size_; ++lane) {
-    LaneFlags& flags = lane_flags_[lane];
-    // A lane mid-respawn is skipped for the same reason campaign escalation
-    // skips it: it is about to install a fresh draw anyway, and the unique
-    // reexpression space is finite.
-    if (!flags.dead && !flags.exited && !flags.respawning && !flags.rotate) {
-      flags.rotate = true;
-      flags.rotate_since = now;
-      flags.rotate_parent_span = 0;  // operator-initiated: no causing alert
-      ++flagged;
-    }
-  }
-  // Charge the backoff slot only for a sweep that flagged something: a call
-  // that found every lane busy respawning (or already flagged) must not
-  // block the retry that would actually rotate.
-  if (low && flagged > 0) last_backoff_rotation_ = now;
+  if (low && now - last_backoff_rotation_ < kRotationBackoff) return 0;
+  const std::size_t named = draw_rotations_locked(std::nullopt, 0);
+  // Charge the backoff slot only for a sweep that named a lane: a call that
+  // found every lane respawning (or holding a draw already) must not block
+  // the retry that would actually rotate.
+  if (low && named > 0) last_backoff_rotation_ = now;
   queue_not_empty_.notify_all();
-  return flagged;
-}
-
-std::size_t VariantFleet::enforce_rotation_deadlines() {
-  if (config_.rotation_deadline <= std::chrono::milliseconds::zero()) return 0;
-  const auto now = clock_();
-  std::vector<std::pair<unsigned, std::uint64_t>> overdue;  // lane, causing span
-  {
-    const util::MutexLock lock(queue_mutex_);
-    for (unsigned lane = 0; lane < pool_size_; ++lane) {
-      LaneFlags& flags = lane_flags_[lane];
-      if (flags.rotate && !flags.force_rotating && !flags.dead && !flags.exited &&
-          !flags.respawning && now - flags.rotate_since >= config_.rotation_deadline) {
-        // Latch so the lane's own worker (and concurrent pollers) leave this
-        // rotation to us.
-        flags.force_rotating = true;
-        overdue.emplace_back(lane, flags.rotate_parent_span);
-      }
-    }
-  }
-  std::size_t swapped = 0;
-  for (const auto& [lane, parent_span] : overdue) {
-    // The session this deadline is about, observed after the latch: if a
-    // concurrent quarantine respawn replaces it while the factory below
-    // works, the lane already holds a fresh never-exposed draw and this
-    // swap must abort rather than displace it.
-    std::uint64_t stale_id = 0;
-    {
-      const util::MutexLock lock(sessions_mutex_);
-      stale_id = sessions_[lane].id;
-    }
-    auto replacement = factory_.make_session();
-    (void)refresh_keyspace_gauge();
-    if (!replacement) {
-      telemetry_.note_rotation_failed();
-      if (trace_) {
-        trace_->record(lane_tracks_[lane], obs::TraceEventKind::kRotationFailed, 0,
-                       parent_span, lane, 1, replacement.error());
-      }
-    } else {
-      const std::uint64_t replacement_span = replacement->trace_span;
-      const std::uint64_t replacement_id = replacement->id;
-      bool installed = false;
-      {
-        const util::MutexLock lock(sessions_mutex_);
-        if (sessions_[lane].id == stale_id) {
-          // The lane may still be driving the old session; park it until its
-          // worker finishes the in-flight job and reaps it (quarantine-style
-          // swap: the stale reexpression leaves service NOW either way).
-          displaced_sessions_[lane].push_back(std::move(sessions_[lane]));
-          sessions_[lane] = std::move(*replacement);
-          installed = true;
-          ++swapped;
-        }
-        // else: raced a respawn; the surplus replacement is discarded (one
-        // draw lost to the race, the fresh session in the lane is kept).
-      }
-      if (installed) {
-        // Event first, then counter: a reader who sees sessions_rotated
-        // move must find the kRotation event already recorded.
-        if (trace_) {
-          // b=1 marks a FORCED (deadline) rotation vs the lazy b=0 kind.
-          trace_->record(lane_tracks_[lane], obs::TraceEventKind::kRotation, replacement_span,
-                         parent_span, replacement_id, 1);
-        }
-        telemetry_.note_rotated();
-      }
-    }
-    const util::MutexLock lock(queue_mutex_);
-    lane_flags_[lane].rotate = false;  // fulfilled (or given up on, counted)
-    lane_flags_[lane].force_rotating = false;
-    lane_flags_[lane].rotate_parent_span = 0;
-  }
-  return swapped;
+  return named;
 }
 
 std::size_t VariantFleet::poll_adaptive() {
-  std::size_t moved = enforce_rotation_deadlines();
-  if (!adaptive_.has_value()) return moved;
+  if (!adaptive_.has_value()) return 0;
   {
     // Decay first: a posture that just relaxed to baseline owes no rotation.
     const util::MutexLock install_lock(adaptive_install_mutex_);
@@ -525,32 +426,23 @@ std::size_t VariantFleet::poll_adaptive() {
   // the rotation debt unconsumed instead of burning a guaranteed failure —
   // the interval re-fires normally if the operator widens the space. The
   // cached bit keeps this post-every-job path off the factory mutex.
-  if (keyspace_exhausted_.load(std::memory_order_relaxed)) return moved;
-  if (adaptive_->rotation_due()) return moved + rotate_fleet();
-  return moved;
+  if (keyspace_exhausted_.load(std::memory_order_relaxed)) return 0;
+  if (adaptive_->rotation_due()) return rotate_fleet();
+  return 0;
 }
 
 void VariantFleet::worker_loop(unsigned lane) {
   for (;;) {
-    bool rotate = false;
-    std::uint64_t rotate_parent = 0;
+    std::optional<Rotation> rotation;
+    bool accepting = false;
     {
       const util::MutexLock lock(queue_mutex_);
-      // A rotation pending at shutdown is moot: the replacement would never
-      // serve a job, and building it would burn a draw from the finite
-      // unique-key space. A lane mid-force-rotation (deadline enforcement)
-      // leaves the swap to the enforcer.
-      LaneFlags& flags = lane_flags_[lane];
-      rotate = flags.rotate && !flags.force_rotating && accepting_;
-      // Consume the flag unless a deadline enforcer owns it (force_rotating):
-      // a rotation pending at shutdown is consumed as moot too.
-      if (flags.rotate && !flags.force_rotating) {
-        flags.rotate = false;
-        rotate_parent = flags.rotate_parent_span;
-        flags.rotate_parent_span = 0;
-      }
+      rotation = std::exchange(lane_flags_[lane].rotation, std::nullopt);
+      accepting = accepting_;
     }
-    if (rotate) rotate_lane(lane, rotate_parent);  // factory work outside the locks
+    // A rotation still waiting at shutdown is moot: the jobs left to drain
+    // finish on the lane's current session.
+    if (rotation && accepting) rotate_lane(lane, std::move(*rotation));
 
     PendingJob job;
     {
@@ -564,7 +456,7 @@ void VariantFleet::worker_loop(unsigned lane) {
       // Explicit wait loop (not a wait-with-predicate lambda): the analysis
       // must see the guarded reads happen with queue_mutex_ held.
       for (;;) {
-        if (lane_flags_[lane].rotate && !lane_flags_[lane].force_rotating) break;
+        if (lane_flags_[lane].rotation) break;
         next = std::find_if(queue_.begin(), queue_.end(), runnable);
         if (next != queue_.end() || !accepting_) break;
         // The waiting flag is what idle_snapshot() reports: set strictly
@@ -575,9 +467,7 @@ void VariantFleet::worker_loop(unsigned lane) {
         queue_not_empty_.wait(lock.native());
         lane_flags_[lane].waiting = false;
       }
-      if (lane_flags_[lane].rotate && !lane_flags_[lane].force_rotating) {
-        continue;  // rotate at the loop top
-      }
+      if (lane_flags_[lane].rotation) continue;  // install it at the loop top
       if (next == queue_.end()) {
         // Draining, and nothing left that this lane may run.
         lane_flags_[lane].exited = true;
@@ -602,12 +492,6 @@ void VariantFleet::worker_loop(unsigned lane) {
       }
     }
     run_job(lane, std::move(job));
-    // The job this lane just finished was the last possible user of any
-    // session a rotation deadline displaced from under it; reap them now.
-    {
-      const util::MutexLock lock(sessions_mutex_);
-      displaced_sessions_[lane].clear();
-    }
     // A lane whose respawn failed has no session to run jobs on: retire.
     {
       const util::MutexLock lock(queue_mutex_);
@@ -697,9 +581,7 @@ void VariantFleet::run_job(unsigned lane, PendingJob job) {
   }
   if (outcome.ok()) {
     const util::MutexLock lock(sessions_mutex_);
-    // Credit the session that actually served the job — a rotation deadline
-    // may have swapped a fresh session into the lane mid-job.
-    if (sessions_[lane].id == outcome.session_id) ++sessions_[lane].jobs_served;
+    ++sessions_[lane].jobs_served;
   } else {
     // Rotation skips a respawning lane, and the load harness waits it out.
     {
@@ -724,34 +606,13 @@ void VariantFleet::respawn(unsigned lane, JobOutcome& outcome) {
   telemetry_.note_quarantined();
 
   QuarantineRecord record;
-  bool already_replaced = false;
   std::uint64_t session_span = 0;  // the quarantined session's draw span
   {
     const util::MutexLock lock(sessions_mutex_);
-    if (sessions_[lane].id == outcome.session_id) {
-      record.session_id = sessions_[lane].id;
-      record.fingerprint = sessions_[lane].fingerprint;
-      record.jobs_served = sessions_[lane].jobs_served;
-      session_span = sessions_[lane].trace_span;
-    } else {
-      // A rotation deadline already swapped the poisoned session out from
-      // under this job: it sits among the lane's displaced sessions and the
-      // lane ALREADY holds a fresh, never-exposed replacement. Record the
-      // quarantine against the session the attacker actually faced and keep
-      // the fresh one — burning another draw on it would waste keyspace.
-      already_replaced = true;
-      record.session_id = outcome.session_id;
-      record.fingerprint = "(displaced by rotation deadline)";
-      for (const auto& displaced : displaced_sessions_[lane]) {
-        if (displaced.id == outcome.session_id) {
-          record.fingerprint = displaced.fingerprint;
-          record.jobs_served = displaced.jobs_served;
-          session_span = displaced.trace_span;
-        }
-      }
-      record.replacement_id = sessions_[lane].id;
-      record.replacement_fingerprint = sessions_[lane].fingerprint;
-    }
+    record.session_id = sessions_[lane].id;
+    record.fingerprint = sessions_[lane].fingerprint;
+    record.jobs_served = sessions_[lane].jobs_served;
+    session_span = sessions_[lane].trace_span;
   }
   record.report = outcome.report;
   if (outcome.report.alarm.has_value()) {
@@ -768,7 +629,19 @@ void VariantFleet::respawn(unsigned lane, JobOutcome& outcome) {
                    session_span, record.session_id, record.jobs_served, record.fingerprint);
   }
 
-  if (!already_replaced) {
+  // A rotation order already drew this lane's next session, and no job has
+  // seen it: it replaces the poisoned session without another draw, and
+  // counts as the rotation it was ordered as.
+  std::optional<Rotation> rotation;
+  {
+    const util::MutexLock lock(queue_mutex_);
+    rotation = std::exchange(lane_flags_[lane].rotation, std::nullopt);
+  }
+  if (rotation) {
+    record.replacement_id = rotation->session.id;
+    record.replacement_fingerprint = rotation->session.fingerprint;
+    rotate_lane(lane, std::move(*rotation));
+  } else {
     auto replacement = factory_.make_session();
     (void)refresh_keyspace_gauge();
     if (replacement) {
@@ -847,56 +720,59 @@ void VariantFleet::respawn(unsigned lane, JobOutcome& outcome) {
 void VariantFleet::request_rotation_except(unsigned lane, std::uint64_t parent_span) {
   // Campaign escalation outranks the low-keyspace backoff (an active attack
   // is exactly when a burned reexpression must leave service) but yields to
-  // exhaustion: flagging an empty factory can only churn rotations_failed.
+  // exhaustion: drawing from an empty factory can only churn rotations_failed.
   if (refresh_keyspace_gauge().exhausted()) return;
-  const auto now = clock_();
   const util::MutexLock lock(queue_mutex_);
-  for (unsigned peer = 0; peer < pool_size_; ++peer) {
-    // The quarantining lane just respawned fresh; every other live lane
-    // rotates before its next job (a lane mid-job rotates right after it).
-    // A peer that is itself mid-respawn is skipped for the same reason the
-    // alerting lane is: it is about to install a fresh draw anyway, and the
-    // unique-fingerprint space is finite — don't burn a draw rotating it.
-    LaneFlags& flags = lane_flags_[peer];
-    if (peer != lane && !flags.dead && !flags.exited && !flags.respawning) {
-      if (!flags.rotate) flags.rotate_since = now;
-      flags.rotate = true;
-      flags.rotate_parent_span = parent_span;
-    }
-  }
+  // The quarantining lane just respawned fresh; every other live lane
+  // rotates before its next job (a lane mid-job rotates right after it).
+  (void)draw_rotations_locked(lane, parent_span);
   queue_not_empty_.notify_all();
 }
 
-// Runs on the lane's OWN worker between jobs: the lane holds no job, and a
-// dead lane's worker retires before ever reaching here, so the swap is safe.
-void VariantFleet::rotate_lane(unsigned lane, std::uint64_t parent_span) {
-  auto replacement = factory_.make_session();
-  (void)refresh_keyspace_gauge();
-  if (!replacement) {
-    // Rotation is best-effort — the lane keeps serving on its old session —
-    // but a fleet that silently keeps burned reexpressions in service after
-    // a rotation order is an operator hazard: count it so a key-space-
-    // exhausted factory shows up in telemetry instead of nowhere.
-    telemetry_.note_rotation_failed();
-    if (trace_) {
-      trace_->record(lane_tracks_[lane], obs::TraceEventKind::kRotationFailed, 0, parent_span,
-                     lane, 0, replacement.error());
+std::size_t VariantFleet::draw_rotations_locked(std::optional<unsigned> except,
+                                                std::uint64_t parent_span) {
+  std::size_t named = 0;
+  for (unsigned lane = 0; lane < pool_size_; ++lane) {
+    // A lane mid-respawn is about to install a fresh draw anyway, and the
+    // unique reexpression space is finite: don't burn a draw rotating it.
+    LaneFlags& flags = lane_flags_[lane];
+    if (except == lane || flags.dead || flags.exited || flags.respawning || flags.rotation) {
+      continue;
     }
-    return;
+    ++named;
+    auto replacement = factory_.make_session();
+    (void)refresh_keyspace_gauge();
+    if (!replacement) {
+      // Rotation is best-effort — the lane keeps serving on its old session —
+      // but a fleet that silently keeps burned reexpressions in service after
+      // a rotation order is an operator hazard: count it so a key-space-
+      // exhausted factory shows up in telemetry instead of nowhere.
+      telemetry_.note_rotation_failed();
+      if (trace_) {
+        trace_->record(lane_tracks_[lane], obs::TraceEventKind::kRotationFailed, 0, parent_span,
+                       lane, 0, replacement.error());
+      }
+      continue;
+    }
+    flags.rotation = Rotation{std::move(*replacement), parent_span};
   }
-  const std::uint64_t replacement_span = replacement->trace_span;
-  const std::uint64_t replacement_id = replacement->id;
+  return named;
+}
+
+void VariantFleet::rotate_lane(unsigned lane, Rotation rotation) {
+  const std::uint64_t replacement_span = rotation.session.trace_span;
+  const std::uint64_t replacement_id = rotation.session.id;
   {
     const util::MutexLock lock(sessions_mutex_);
-    sessions_[lane] = std::move(*replacement);
+    sessions_[lane] = std::move(rotation.session);
   }
   if (trace_) {
-    // b=0: lazy (worker-initiated) rotation; parent is the causing alert's
-    // span when campaign escalation flagged it, 0 for operator sweeps.
     trace_->record(lane_tracks_[lane], obs::TraceEventKind::kRotation, replacement_span,
-                   parent_span, replacement_id, 0);
+                   rotation.parent_span, replacement_id);
   }
-  telemetry_.note_rotated();  // after the event, as in enforce_rotation_deadlines()
+  // Event first, then counter: a reader who sees sessions_rotated move must
+  // find the kRotation event already recorded.
+  telemetry_.note_rotated();
 }
 
 void VariantFleet::retire_lane_locked(unsigned lane) {

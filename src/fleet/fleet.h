@@ -146,31 +146,6 @@ struct FleetConfig {
   /// Escalation hook: invoked on the quarantining worker's thread each time
   /// a NEW campaign alert is raised (joins do not re-fire). Keep it cheap.
   std::function<void(const CampaignAlert&)> on_campaign;
-  /// --- Keyspace posture (see SessionFactory::keyspace()) -----------------
-  /// Rotation becomes reluctant once keys_remaining drops to this watermark:
-  /// fleet-wide rotations are throttled to one per `rotation_backoff`, and
-  /// `on_keyspace_low` fires (exactly once per fleet lifetime) the first time
-  /// the factory's account is observed at or below it. 0 = auto: the pool
-  /// size, i.e. "one more fleet-wide rotation would drain the space".
-  std::uint64_t keyspace_low_watermark = 0;
-  /// Minimum spacing between fleet-wide rotations while the keyspace is low
-  /// (measured on the injected clock). Exhaustion stops rotation flagging
-  /// entirely — quarantine respawns, which MUST replace a burned session,
-  /// are never throttled and surface their failures as retired lanes.
-  std::chrono::milliseconds rotation_backoff{1'000};
-  /// Operator hook for the low/exhausted keyspace transition: provision a new
-  /// fleet, widen the spec, or accept reduced re-diversification. Invoked at
-  /// most once, on whichever thread first observes the account at or below
-  /// the watermark. Keep it cheap.
-  std::function<void(const KeyspaceAccount&)> on_keyspace_low;
-  /// Rotation deadline: a lane flagged for rotation normally swaps lazily
-  /// before its next job, so a long-running job pins its stale (possibly
-  /// campaign-burned) re-expression until it finishes. With a deadline set,
-  /// poll_adaptive() force-rotates any lane still flagged after this long:
-  /// the replacement session is installed immediately and the displaced
-  /// session is parked (quarantine-style) until its in-flight job completes
-  /// against it. 0 = lazy rotation only (previous behavior).
-  std::chrono::milliseconds rotation_deadline{0};
   /// Injectable time source for correlator windows and drain deadlines;
   /// empty = real steady clock. Tests install ManualClock::fn().
   ClockFn clock;
@@ -243,30 +218,32 @@ class VariantFleet {
   /// mirrored in telemetry jobs_abandoned.
   [[nodiscard]] DrainReport shutdown(std::chrono::milliseconds deadline);
 
-  /// Operator-initiated fleet-wide re-diversification: flag every live lane
-  /// to swap in a freshly-drawn session before its next job (the same
-  /// mechanism campaign escalation uses, minus the alert). Returns how many
-  /// lanes were flagged; each flag resolves asynchronously into exactly one
-  /// telemetry sessions_rotated or rotations_failed increment. This is the
-  /// defender's re-diversification-rate lever the population experiments
-  /// sweep (experiments/population_curves.h).
+  /// Operator-initiated fleet-wide re-diversification (the same mechanism
+  /// campaign escalation uses, minus the alert): draw a fresh session for
+  /// every live lane now, in ascending lane order. Each lane's own worker
+  /// installs its draw before the lane's next job; if the lane's running
+  /// job is quarantined, the draw becomes the replacement instead. A lane
+  /// mid-respawn or still holding an earlier order's draw is skipped.
+  /// Returns how many lanes the order named; each resolves into exactly one
+  /// telemetry sessions_rotated (at the install) or rotations_failed (at
+  /// once, when the draw fails) increment. This is the defender's
+  /// re-diversification-rate lever the population experiments sweep
+  /// (experiments/population_curves.h).
   ///
   /// Exhaustion-aware: once the factory's keyspace account reads 0 keys
-  /// remaining this flags NOTHING and returns 0 — re-flagging an empty
+  /// remaining this names NOTHING and returns 0 — drawing from an empty
   /// factory only churns rotations_failed without buying diversity. While
-  /// the account is merely LOW (<= keyspace_low_watermark) rotations are
-  /// throttled to one per rotation_backoff.
+  /// the account is merely LOW (at most pool_size() keys remaining)
+  /// rotations are throttled to one per second of the injected clock.
   std::size_t rotate_fleet();
 
-  /// Fleet housekeeping: enforce the rotation deadline (force-rotating lanes
-  /// whose flag outlived FleetConfig::rotation_deadline), take a due adaptive
-  /// decay step, and fire the heightened-posture periodic rotation when one
-  /// is owed — unless the keyspace is exhausted, in which case the periodic
-  /// rotation is suppressed (it could only fail). Returns how many lanes it
-  /// flagged or force-rotated (usually 0). Workers poll after every job, so
-  /// a serving fleet adapts on its own; an IDLE fleet needs this called (or
-  /// a job submitted) once the injected clock moves past the quiet period /
-  /// rotation interval / rotation deadline.
+  /// Fleet housekeeping: take a due adaptive decay step, and fire the
+  /// heightened-posture periodic rotation when one is owed — unless the
+  /// keyspace is exhausted, in which case the periodic rotation is
+  /// suppressed (it could only fail). Returns how many lanes it named for
+  /// rotation (usually 0). Workers poll after every job, so a serving fleet
+  /// adapts on its own; an IDLE fleet needs this called once the injected
+  /// clock moves past the quiet period / rotation interval.
   std::size_t poll_adaptive();
 
   /// Live keyspace ledger (factory account; also mirrored into telemetry
@@ -274,14 +251,10 @@ class VariantFleet {
   [[nodiscard]] KeyspaceAccount keyspace() const { return factory_.keyspace(); }
 
   /// Tell the fleet the injected clock moved: wakes a deadline-bounded drain
-  /// blocked on it AND enforces the rotation deadline (a truly idle fleet —
-  /// no jobs, no operator poll — would otherwise never force-rotate a pinned
-  /// lane past FleetConfig::rotation_deadline). Subscribe it to the clock —
+  /// blocked on it. Subscribe it to the clock —
   /// clock.subscribe([&fleet] { fleet.notify_time_advanced(); }) — or call it
-  /// directly after advance(). Harmless no-op otherwise. Returns how many
-  /// lanes the deadline enforcement force-rotated (usually 0) so a periodic
-  /// caller (FleetCluster::tick) can report sweep work without re-polling.
-  std::size_t notify_time_advanced();
+  /// directly after advance(). Harmless no-op otherwise.
+  void notify_time_advanced();
 
   /// True while the fleet admits jobs (drain/shutdown flip it off). The
   /// cluster router's health bit; also useful for operator dashboards.
@@ -319,12 +292,12 @@ class VariantFleet {
   /// single-step the fleet on an injected clock (src/load). The fleet is
   /// externally at rest when every worker is accounted for (idle_workers
   /// plus the driver's own count of in-flight job bodies equals pool_size),
-  /// no idle worker may pop a queued job, and no lane is mid-swap — all
+  /// no idle worker may pop a queued job, and no lane is mid-respawn — all
   /// remaining progress then needs the clock to move.
   struct IdleSnapshot {
     std::size_t idle_workers = 0;   ///< workers blocked on the queue condvar
     bool idle_backlog = false;      ///< an idle worker may pop a queued job
-    std::size_t lanes_in_flux = 0;  ///< respawn / forced rotation in progress
+    std::size_t lanes_in_flux = 0;  ///< respawn in progress
     /// kBlock submitters waiting for queue space; each has read the clock
     /// its blocked time is measured from.
     std::size_t blocked_submitters = 0;
@@ -366,6 +339,15 @@ class VariantFleet {
     /// deadline is armed (kDeadlineDrop with queue_deadline > 0).
     std::chrono::steady_clock::time_point admitted_at{};
   };
+  /// A rotation order's draw, waiting in its lane's slot for the lane's
+  /// worker.
+  struct Rotation {
+    Session session;
+    /// Trace span that CAUSED the order (the campaign alert's span, or 0 for
+    /// operator rotate_fleet): the kRotation event parents here, closing the
+    /// alert -> rotation causal chain.
+    std::uint64_t parent_span = 0;
+  };
   /// Lane state; every field is accessed under queue_mutex_ (the flags vector
   /// itself is NV_GUARDED_BY below).
   struct LaneFlags {
@@ -373,37 +355,31 @@ class VariantFleet {
     bool exited = false;      // worker thread returned; pops nothing more
     bool respawning = false;  // lane is mid-respawn; rotation skips it
     bool waiting = false;     // worker is blocked on the queue condvar
-    bool rotate = false;      // campaign escalation: re-diversify before next job
-    /// Deadline enforcement is force-rotating this lane right now; its own
-    /// worker must not race it with a lazy rotation.
-    bool force_rotating = false;
-    /// When `rotate` was set (injected clock), for the rotation deadline.
-    std::chrono::steady_clock::time_point rotate_since{};
-    /// Trace span that CAUSED the pending rotation (the campaign alert's
-    /// span, or 0 for operator rotate_fleet): the eventual kRotation event
-    /// parents here, closing the alert -> rotation causal chain.
-    std::uint64_t rotate_parent_span = 0;
+    /// Installed before the lane's next job, or by respawn() as the
+    /// replacement.
+    std::optional<Rotation> rotation;
   };
 
   void worker_loop(unsigned lane);
   void run_job(unsigned lane, PendingJob job);
-  /// Replace lane's session after quarantine; on persistent factory failure
-  /// the lane keeps the poisoned session out of service and retires.
+  /// Replace lane's session after quarantine with the lane's waiting
+  /// rotation draw, or a fresh draw when none waits; on persistent factory
+  /// failure the lane keeps the poisoned session out of service and retires.
   void respawn(unsigned lane, JobOutcome& outcome);
-  /// Campaign escalation: flag every other live lane for re-diversification.
-  /// `parent_span` threads the causing alert's trace span into the flags.
-  void request_rotation_except(unsigned lane, std::uint64_t parent_span = 0);
-  /// Swap a freshly-drawn session into an idle lane (rotation escalation).
-  void rotate_lane(unsigned lane, std::uint64_t parent_span);
-  /// Mirror the factory account into the telemetry gauges and fire
-  /// on_keyspace_low on the first observation at/below the watermark.
+  /// Campaign escalation: order a rotation of every other live lane.
+  /// `parent_span` threads the causing alert's trace span into the order.
+  void request_rotation_except(unsigned lane, std::uint64_t parent_span);
+  /// One rotation order: draw a session for each lane it names (live, not
+  /// respawning, no draw waiting; never `except`), in ascending lane order,
+  /// and leave it in the lane's slot. Returns how many lanes it named.
+  std::size_t draw_rotations_locked(std::optional<unsigned> except, std::uint64_t parent_span)
+      NV_REQUIRES(queue_mutex_);
+  /// Install an order's draw into `lane`, on the lane's own worker (which
+  /// then holds no job of the lane's), and count the rotation.
+  void rotate_lane(unsigned lane, Rotation rotation);
+  /// Mirror the factory account into the telemetry gauges, and trace the
+  /// first observation at or below the low watermark (the pool size).
   KeyspaceAccount refresh_keyspace_gauge();
-  /// Resolved low watermark (config value, or the pool size when 0).
-  [[nodiscard]] std::uint64_t low_watermark() const noexcept;
-  /// Force-rotate lanes whose rotate flag outlived the rotation deadline:
-  /// install the replacement NOW and park the displaced session until the
-  /// lane's in-flight job finishes with it. Returns lanes swapped.
-  std::size_t enforce_rotation_deadlines();
   /// Fail the queued jobs sent to a retiring lane (every queued job when no
   /// live lane remains); jobs any lane may run stay for the survivors.
   void retire_lane_locked(unsigned lane) NV_REQUIRES(queue_mutex_);
@@ -437,6 +413,12 @@ class VariantFleet {
   /// allowlisted), the guarded state lives inside controller + correlator.
   util::Mutex adaptive_install_mutex_;
 
+  /// Lock order: queue_mutex_ -> the factory's mutex -> a trace track's
+  /// mutex. A rotation order draws under queue_mutex_, so one order's draws
+  /// never interleave with another's; nothing takes queue_mutex_ while it
+  /// holds the factory's lock or a track's lock, and no caller's code runs
+  /// inside a draw. sessions_mutex_ and quarantine_mutex_ are taken with no
+  /// other fleet lock held.
   mutable util::Mutex queue_mutex_;
   std::condition_variable queue_not_empty_;
   std::condition_variable queue_not_full_;
@@ -461,22 +443,20 @@ class VariantFleet {
   std::uint32_t ops_track_ = 0;
   std::vector<std::uint32_t> lane_tracks_;
 
-  /// One fleet-wide rotation per rotation_backoff while the keyspace is low.
+  /// One fleet-wide rotation per backoff interval while the keyspace is low.
   std::chrono::steady_clock::time_point last_backoff_rotation_ NV_GUARDED_BY(queue_mutex_){};
-  /// on_keyspace_low fires at most once per fleet lifetime (the account only
-  /// ever drains).
+  /// kKeyspaceLow is recorded at most once per fleet lifetime (the account
+  /// only ever drains).
   std::atomic<bool> keyspace_low_fired_{false};
   /// Cached KeyspaceAccount::exhausted(), refreshed by
   /// refresh_keyspace_gauge(): poll_adaptive runs after EVERY job, and the
   /// hot path must not take the factory mutex just to read one bit.
   std::atomic<bool> keyspace_exhausted_{false};
 
+  /// Only a lane's own worker replaces its session, so a running job's
+  /// session stays installed until the job ends.
   mutable util::Mutex sessions_mutex_;
   std::vector<Session> sessions_ NV_GUARDED_BY(sessions_mutex_);  // one per lane
-  /// Sessions a rotation deadline displaced while a job was still driving
-  /// them (per lane): the job holds a raw pointer into the old system, so it
-  /// must stay alive until the lane's worker finishes the job and reaps them.
-  std::vector<std::vector<Session>> displaced_sessions_ NV_GUARDED_BY(sessions_mutex_);
 
   mutable util::Mutex quarantine_mutex_;
   std::vector<QuarantineRecord> quarantine_log_ NV_GUARDED_BY(quarantine_mutex_);

@@ -56,9 +56,10 @@ struct SessionSpec {
   /// Cluster budgeting: hard cap on the unique diversity keys this factory
   /// may issue over its lifetime, 0 = uncapped. A ClusterKeyspaceBudget
   /// allocates slices of a global budget through this; keyspace() reports
-  /// keys_total = min(2^bits, cap) so the fleet's exhaustion posture (low
-  /// watermark, rotation refusal, on_keyspace_low) applies to the allocation
-  /// exactly as it does to the natural space. Ignored when randomize is off.
+  /// keys_total = min(2^bits, cap) so the fleet's exhaustion posture (the
+  /// low-keyspace rotation throttle, rotation refusal) applies to the
+  /// allocation exactly as it does to the natural space. Ignored when
+  /// randomize is off.
   std::uint64_t max_unique_keys = 0;
   /// Structured tracing (obs/trace.h): every draw records kSessionDraw (and
   /// refusals kDrawRefused / kBudgetRefusal) on "<trace_scope>.factory", and

@@ -161,7 +161,7 @@ LoadReport run_load(const LoadHarnessConfig& config) {
   fleet_config.clock = clock.fn();
   fleet::VariantFleet fleet(std::move(fleet_config));
   clock.subscribe([&service] { service.wake(); });
-  clock.subscribe([&fleet] { (void)fleet.notify_time_advanced(); });
+  clock.subscribe([&fleet] { fleet.notify_time_advanced(); });
 
   const TimePoint epoch = clock.now();
   const auto to_tp = [epoch](sim::SimTime at) { return epoch + to_ns(at); };
@@ -286,9 +286,8 @@ LoadReport run_load(const LoadHarnessConfig& config) {
   //      clock read, in its post-body epilogue, or mid-respawn is neither —
   //      and would otherwise make progress across the advance;
   //   4. no idle worker may pop a queued job (it will pop any moment), and
-  //      no lane is mid-swap (a deadline force-rotation swaps a lane's
-  //      session while its worker sits idle, so advancing mid-swap would let
-  //      the factory's real-time speed decide which session a job meets).
+  //      no lane is mid-respawn (its worker is in neither state of 3, and
+  //      counts as in flux until the replacement is installed).
   // Work the check holds the clock for progresses in real time to a counted
   // state without virtual time moving, so settle() terminates.
   const auto quiescent = [&]() {

@@ -47,8 +47,6 @@ std::string_view to_string(TraceEventKind kind) noexcept {
 
 TraceRecorder::TraceRecorder(TraceConfig config, ClockFn clock)
     : config_(config),
-      kind_mask_(config.kind_mask),
-      round_sample_(config.syscall_round_sample),
       clock_(resolve(std::move(clock))),
       epoch_(clock_()) {
   // Track 0 ("trace") always exists: the overflow alias for out-of-range ids
@@ -121,7 +119,7 @@ void TraceRecorder::record(std::uint32_t track, TraceEventKind kind, std::uint64
 
 bool TraceRecorder::sample_round(std::uint32_t track) noexcept {
   if (!enabled(TraceEventKind::kSyscallRound)) return false;
-  const std::uint32_t stride = round_sample_.load(std::memory_order_relaxed);
+  const std::uint32_t stride = config_.syscall_round_sample;
   if (stride == 0) return false;
   Track* sink = track_at(track);
   if (sink == nullptr) return false;

@@ -94,11 +94,7 @@ inline constexpr std::size_t kTraceEventKindCount =
 /// Stable lower_snake name ("job_admitted") for exporters and logs.
 [[nodiscard]] std::string_view to_string(TraceEventKind kind) noexcept;
 
-/// Sampling and capacity knobs. `enabled` and `ring_capacity` are immutable
-/// once handed to a TraceRecorder; `kind_mask` and `syscall_round_sample`
-/// are INITIAL values — the recorder mirrors them into atomics that can be
-/// re-armed on a live fleet (set_kind_mask() / set_syscall_round_sample(),
-/// e.g. dropping the round stride to 1 while an attack is investigated).
+/// Sampling and capacity knobs, fixed once handed to a TraceRecorder.
 struct TraceConfig {
   /// Master switch. False turns every record() into an immediate return —
   /// the cheapest compiled-in path.
@@ -189,29 +185,8 @@ class TraceRecorder {
   }
 
   /// Cheap pre-check for call sites that would otherwise build payloads.
-  /// Reads the LIVE (re-armable) kind mask.
   [[nodiscard]] bool enabled(TraceEventKind kind) const noexcept {
-    return config_.enabled &&
-           (kind_mask_.load(std::memory_order_relaxed) & TraceConfig::kind_bit(kind)) != 0;
-  }
-
-  // ---- Runtime re-arming (atomic stores; safe on a live recorder) --------
-  /// Replace the per-kind enable mask. Takes effect on the next record().
-  void set_kind_mask(std::uint64_t mask) noexcept {
-    kind_mask_.store(mask, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t kind_mask() const noexcept {
-    return kind_mask_.load(std::memory_order_relaxed);
-  }
-  /// Replace the kSyscallRound sampling stride (1 = keep every round, 0 =
-  /// drop all). The fleet drops this to 1 on a campaign alert so the
-  /// attacked shard's traces go fine-grained exactly when the investigation
-  /// needs them.
-  void set_syscall_round_sample(std::uint32_t stride) noexcept {
-    round_sample_.store(stride, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint32_t syscall_round_sample() const noexcept {
-    return round_sample_.load(std::memory_order_relaxed);
+    return config_.kind_enabled(kind);
   }
 
   /// Append one event to `track` (timestamped now, on the injected clock).
@@ -290,11 +265,6 @@ class TraceRecorder {
       NV_NO_THREAD_SAFETY_ANALYSIS;
 
   TraceConfig config_;
-  /// Live twins of config_.kind_mask / config_.syscall_round_sample (the
-  /// config keeps the construction-time values; these are what the hot path
-  /// reads and what re-arming stores into).
-  std::atomic<std::uint64_t> kind_mask_;
-  std::atomic<std::uint32_t> round_sample_;
   ClockFn clock_;
   std::chrono::steady_clock::time_point epoch_;
 

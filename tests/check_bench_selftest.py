@@ -6,7 +6,9 @@ guard on them. This test reads the documents the three bench entries just
 wrote (a ctest fixture runs it after them), breaks one check at a time, and
 asserts that check_bench.py exits 1 with that check's message. The documents
 as written must pass. Nothing here is a committed JSON fixture, so nothing
-can go stale: every mutation starts from the bench's current output.
+can go stale: every mutation starts from the bench's current output. The
+trace also checks --same-trace: shifted timestamps replay, and a rotation
+that names another session does not.
 
 Usage: check_bench_selftest.py [repo_root [doc_dir]]
   (defaults: the tests/ parent, and the working directory)
@@ -602,6 +604,31 @@ def main():
             path = workdir / f"{name}.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
             expect(name, check(path), exit_code, message)
+
+        trace = documents["trace"]
+        trace_path = workdir / "trace.json"
+        trace_path.write_text(json.dumps(trace), encoding="utf-8")
+        shifted = copy.deepcopy(trace)
+        for event in shifted["traceEvents"]:
+            if "ts" in event:
+                event["ts"] += 7
+        shifted_path = workdir / "shifted.json"
+        shifted_path.write_text(json.dumps(shifted), encoding="utf-8")
+        expect("same trace, other timestamps",
+               check("--same-trace", trace_path, shifted_path), 0,
+               "replay once ts is dropped")
+
+        renamed = copy.deepcopy(trace)
+        rotation = next(event for event in renamed["traceEvents"]
+                        if event.get("name") == "rotation")
+        rotation["args"]["a"] += 1  # the replacement session id
+        track = next(event["args"]["name"] for event in renamed["traceEvents"]
+                     if event["ph"] == "M" and event["tid"] == rotation["tid"])
+        renamed_path = workdir / "renamed.json"
+        renamed_path.write_text(json.dumps(renamed), encoding="utf-8")
+        expect("rotation names another session",
+               check("--same-trace", trace_path, renamed_path), 1,
+               f"differs beyond ts: track {track!r}, kind 'rotation'")
 
         broken = workdir / "broken.json"
         broken.write_text("{", encoding="utf-8")

@@ -47,6 +47,18 @@ class GatedJob {
     };
   }
 
+  /// The same gate for a job that throws once released, quarantining the
+  /// session it ran on.
+  [[nodiscard]] FleetJob poison() {
+    auto started = started_;
+    auto release = release_future_;
+    return [started, release](core::NVariantSystem&) -> core::RunReport {
+      started->set_value();
+      release.wait();
+      throw std::runtime_error("gated probe");
+    };
+  }
+
   void wait_started() { started_->get_future().wait(); }
   void release() { release_->set_value(); }
 

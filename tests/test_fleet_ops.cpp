@@ -9,6 +9,7 @@
 #include <atomic>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -21,6 +22,7 @@
 #include "fleet/ops.h"
 #include "fleet/session_factory.h"
 #include "fleet_test_harness.h"
+#include "obs/trace.h"
 #include "util/strings.h"
 #include "variants/registry.h"
 
@@ -434,27 +436,23 @@ TEST(FleetRotation, OperatorRotationRediversifiesEveryLane) {
   EXPECT_TRUE(fleet.submit(jobs::uid_churn(3)).get().ok());
 }
 
-TEST(FleetRotation, ExhaustedKeySpaceStopsRotationAndFiresTheHookOnce) {
+TEST(FleetRotation, ExhaustedKeySpaceStopsRotationAndTracesKeyspaceLowOnce) {
   // The exhaustion contract: once the factory's real keyspace
   // (address-partitioning draws from exactly 16 strides) is spent, rotation
-  // stops being requested at all — rotations_failed must NOT grow without
+  // stops being ordered at all — rotations_failed must NOT grow without
   // bound against an empty factory — the keys_remaining gauge reads 0, and
-  // the on_keyspace_low operator hook has fired exactly once.
-  int low_hook_calls = 0;
-  KeyspaceAccount hook_account;
+  // the keyspace_low trace event was recorded exactly once, when the
+  // account first read at or below the pool size.
   ManualClock clock;
+  auto recorder = std::make_shared<obs::TraceRecorder>(obs::TraceConfig{}, clock.fn());
   FleetConfig config;
   config.spec.n_variants = 2;
   config.spec.variations = {"address-partitioning"};
   config.pool_size = 2;
   config.queue_capacity = 32;
   config.seed = 2026;
-  config.keyspace_low_watermark = 1;  // fire on the last key, not earlier
-  config.on_keyspace_low = [&](const KeyspaceAccount& account) {
-    ++low_hook_calls;
-    hook_account = account;
-  };
   config.clock = clock.fn();
+  config.trace = recorder;
   VariantFleet fleet(config);
   EXPECT_EQ(fleet.keyspace().keys_total, 16u);
   EXPECT_EQ(fleet.keyspace().keys_remaining, 14u);  // 2 initial draws
@@ -467,7 +465,7 @@ TEST(FleetRotation, ExhaustedKeySpaceStopsRotationAndFiresTheHookOnce) {
   const auto before = fleet.live_fingerprints();
 
   // Both lanes are alive but NO unique reexpression remains: rotation is
-  // refused up front, repeatedly, without ever flagging a lane — no amount
+  // refused up front, repeatedly, without ever naming a lane — no amount
   // of elapsed backoff time changes that (an exhausted space cannot refill).
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(fleet.rotate_fleet(), 0u);
@@ -480,8 +478,13 @@ TEST(FleetRotation, ExhaustedKeySpaceStopsRotationAndFiresTheHookOnce) {
   EXPECT_EQ(snap.keys_remaining, 0u);
   EXPECT_NE(snap.describe().find("0 of 16 keys remaining"), std::string::npos)
       << snap.describe();
-  EXPECT_EQ(low_hook_calls, 1);  // exactly once, despite 5 refused rotations
-  EXPECT_LE(hook_account.keys_remaining, 1u);  // fired at the watermark crossing
+  std::vector<obs::TraceEvent> lows;
+  for (const auto& event : recorder->all_events()) {
+    if (event.kind == obs::TraceEventKind::kKeyspaceLow) lows.push_back(event);
+  }
+  ASSERT_EQ(lows.size(), 1u);  // exactly once, despite 5 refused rotations
+  EXPECT_EQ(lows[0].a, 2u);    // keys remaining at the watermark crossing
+  EXPECT_EQ(lows[0].b, 16u);   // keys total
   EXPECT_EQ(fleet.live_fingerprints(), before);  // old sessions stayed in service
   EXPECT_TRUE(fleet.submit(jobs::uid_churn(3)).get().ok());
 }

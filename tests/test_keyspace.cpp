@@ -3,9 +3,10 @@
 // DiversitySuite / NVariantSystem, the SessionFactory's keys-total /
 // keys-remaining ledger (including the 16-stride address-partitioning space
 // whose exhaustion the factory's observed draw count must match exactly),
-// and the fleet's exhaustion posture: low-keyspace rotation backoff and the
-// rotation deadline's quarantine-style swap under a too-slow job — all on
-// ManualClock time, no sleeps.
+// and the fleet's rotation contract: a rotation order draws each lane's
+// session at once, in lane order, the lane's worker installs it, and every
+// lane an order names resolves even as the last key goes — plus the
+// low-keyspace rotation backoff, on ManualClock time, no sleeps.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -220,7 +221,23 @@ TEST(FleetKeyspace, GaugesMirrorTheFactoryAccount) {
   EXPECT_NE(snap.describe().find("keys remaining"), std::string::npos);
 }
 
+/// Quarantine `count` sessions, each burning one key on its respawn.
+void burn_keys(VariantFleet& fleet, int count) {
+  for (int i = 0; i < count; ++i) {
+    ASSERT_TRUE(fleet.submit(harness::poison_job("burn a key")).get().session_quarantined);
+  }
+}
+
+std::uint64_t rotations_resolved(const VariantFleet& fleet) {
+  const FleetSnapshot snap = fleet.telemetry().snapshot();
+  return snap.sessions_rotated + snap.rotations_failed;
+}
+
 TEST(FleetKeyspace, LowWatermarkThrottlesRotationToTheBackoffInterval) {
+  // The watermark is the pool size: at 2 keys left, one more fleet-wide
+  // rotation would drain the space, so sweeps are spaced a second apart on
+  // the injected clock. Lane 1 stays pinned with an earlier order's draw
+  // waiting, so each low-water sweep names lane 0 alone and spends one key.
   ManualClock clock;
   FleetConfig config;
   config.spec.n_variants = 2;
@@ -228,205 +245,156 @@ TEST(FleetKeyspace, LowWatermarkThrottlesRotationToTheBackoffInterval) {
   config.pool_size = 2;
   config.queue_capacity = 8;
   config.seed = 0x10;
-  config.keyspace_low_watermark = 16;  // the whole space counts as low
-  config.rotation_backoff = milliseconds(1000);
   config.clock = clock.fn();
   VariantFleet fleet(config);
+  burn_keys(fleet, 10);  // 2 initial draws + 10 respawns: 4 of 16 keys left
+  ASSERT_EQ(fleet.keyspace().keys_remaining, 4u);
+
+  harness::GatedJob pin;
+  auto pinned = fleet.submit_to(1, pin.job());
+  pin.wait_started();
+  ASSERT_EQ(fleet.rotate_fleet(), 2u);  // not yet low: both lanes draw
+  ASSERT_EQ(fleet.keyspace().keys_remaining, 2u);
+  ASSERT_TRUE(
+      wait_until([&] { return fleet.telemetry().snapshot().sessions_rotated == 1u; }));
 
   // First rotation under low water is admitted; the next must wait out the
   // backoff on the injected clock.
-  ASSERT_EQ(fleet.rotate_fleet(), 2u);
+  ASSERT_EQ(fleet.rotate_fleet(), 1u);
   ASSERT_TRUE(
       wait_until([&] { return fleet.telemetry().snapshot().sessions_rotated == 2u; }));
   EXPECT_EQ(fleet.rotate_fleet(), 0u);
+  clock.advance(milliseconds(999));
   EXPECT_EQ(fleet.rotate_fleet(), 0u);
+  EXPECT_EQ(fleet.keyspace().keys_remaining, 1u);
 
-  clock.advance(milliseconds(1000));
-  ASSERT_EQ(fleet.rotate_fleet(), 2u);
+  clock.advance(milliseconds(1));
+  ASSERT_EQ(fleet.rotate_fleet(), 1u);
+  ASSERT_TRUE(
+      wait_until([&] { return fleet.telemetry().snapshot().sessions_rotated == 3u; }));
+  pin.release();
+  EXPECT_TRUE(pinned.get().ok());
   ASSERT_TRUE(
       wait_until([&] { return fleet.telemetry().snapshot().sessions_rotated == 4u; }));
   EXPECT_EQ(fleet.telemetry().snapshot().rotations_failed, 0u);
+  EXPECT_TRUE(fleet.keyspace().exhausted());
 }
 
-TEST(FleetKeyspace, RotationDeadlineSwapsTheSessionUnderATooSlowJob) {
-  // ROADMAP follow-on: lazy rotation let a long-running job pin its lane's
-  // stale reexpression indefinitely. With a rotation deadline, the flag that
-  // outlives it force-installs the replacement while the job keeps running
-  // against the (parked) old session.
-  ManualClock clock;
+TEST(FleetRotationOrder, DrawsEachLaneAtTheOrderInLaneOrder) {
+  // A rotation order draws every named lane's session at once, in ascending
+  // lane order; the sessions wait until each lane's own job ends. So which
+  // draw a lane gets is fixed by the order, not by which worker wakes first.
   FleetConfig config;
   config.spec = uid_spec();
   config.pool_size = 2;
   config.queue_capacity = 8;
   config.seed = 0xDEAD11;
-  config.rotation_deadline = milliseconds(5000);
-  config.clock = clock.fn();
   VariantFleet fleet(config);
   const auto before = fleet.live_fingerprints();
-
-  // Pin BOTH lanes mid-job, then order a fleet-wide rotation.
-  harness::GatedJob first;
-  harness::GatedJob second;
-  auto first_outcome = fleet.submit(first.job());
-  auto second_outcome = fleet.submit(second.job());
-  first.wait_started();
-  second.wait_started();
-  ASSERT_EQ(fleet.rotate_fleet(), 2u);
-
-  // Deadline not reached: the stale sessions stay pinned.
-  EXPECT_EQ(fleet.poll_adaptive(), 0u);
-  EXPECT_EQ(fleet.live_fingerprints(), before);
-
-  // Past the deadline the operator poll force-rotates both lanes even though
-  // their jobs are still running.
-  clock.advance(milliseconds(5000));
-  EXPECT_EQ(fleet.poll_adaptive(), 2u);
-  const auto after = fleet.live_fingerprints();
-  EXPECT_NE(after[0], before[0]);
-  EXPECT_NE(after[1], before[1]);
-  EXPECT_EQ(fleet.telemetry().snapshot().sessions_rotated, 2u);
-
-  // The displaced sessions stay alive until their jobs finish — cleanly.
-  first.release();
-  second.release();
-  EXPECT_TRUE(first_outcome.get().ok());
-  EXPECT_TRUE(second_outcome.get().ok());
-  EXPECT_TRUE(fleet.submit(jobs::uid_churn(3)).get().ok());
-  EXPECT_EQ(fleet.live_fingerprints(), after);  // clean jobs don't re-rotate
-}
-
-TEST(FleetKeyspace, IdleFleetEnforcesRotationDeadlineOnClockAdvance) {
-  // Regression: the deadline used to be checked only inside poll_adaptive()
-  // and job completion, so an idle fleet with no operator tick never
-  // enforced it — a pinned stale session outlived its deadline for as long
-  // as nobody happened to poll. notify_time_advanced() now enforces it, so
-  // subscribing the fleet to the ManualClock is enough.
-  ManualClock clock;
-  FleetConfig config;
-  config.spec = uid_spec();
-  config.pool_size = 2;
-  config.queue_capacity = 8;
-  config.seed = 0xDEAD33;
-  config.rotation_deadline = milliseconds(2000);
-  config.clock = clock.fn();
-  VariantFleet fleet(config);
-  clock.subscribe([&fleet] { fleet.notify_time_advanced(); });
-  const auto before = fleet.live_fingerprints();
-
-  // Pin BOTH lanes mid-job so rotate_fleet() can only flag, then go idle:
-  // no polls, no further submissions.
-  harness::GatedJob first;
-  harness::GatedJob second;
-  auto first_outcome = fleet.submit(first.job());
-  auto second_outcome = fleet.submit(second.job());
-  first.wait_started();
-  second.wait_started();
-  ASSERT_EQ(fleet.rotate_fleet(), 2u);
-  EXPECT_EQ(fleet.live_fingerprints(), before);  // deadline not reached
-
-  // The clock advance ALONE must force-install the replacements.
-  clock.advance(milliseconds(2000));
-  const auto after = fleet.live_fingerprints();
-  EXPECT_NE(after[0], before[0]);
-  EXPECT_NE(after[1], before[1]);
-  EXPECT_EQ(fleet.telemetry().snapshot().sessions_rotated, 2u);
-
-  first.release();
-  second.release();
-  EXPECT_TRUE(first_outcome.get().ok());
-  EXPECT_TRUE(second_outcome.get().ok());
-}
-
-TEST(FleetKeyspace, SubmissionEnforcesRotationDeadlineWithoutAnyPoll) {
-  // The other half of the regression fix: a fleet nobody subscribed to the
-  // clock still must not ADMIT new work past a stale deadline — submit() and
-  // try_submit() enforce it on entry.
-  ManualClock clock;
-  FleetConfig config;
-  config.spec = uid_spec();
-  config.pool_size = 2;
-  config.queue_capacity = 8;
-  config.seed = 0xDEAD44;
-  config.rotation_deadline = milliseconds(2000);
-  config.clock = clock.fn();
-  VariantFleet fleet(config);
-  const auto before = fleet.live_fingerprints();
+  ASSERT_EQ(fleet.keyspace().keys_issued, 2u);
 
   harness::GatedJob first;
   harness::GatedJob second;
-  auto first_outcome = fleet.submit(first.job());
-  auto second_outcome = fleet.submit(second.job());
+  auto first_outcome = fleet.submit_to(0, first.job());
+  auto second_outcome = fleet.submit_to(1, second.job());
   first.wait_started();
   second.wait_started();
   ASSERT_EQ(fleet.rotate_fleet(), 2u);
-  clock.advance(milliseconds(2000));
-  EXPECT_EQ(fleet.live_fingerprints(), before);  // nobody looked yet
+  EXPECT_EQ(fleet.keyspace().keys_issued, 4u);     // drawn already
+  EXPECT_EQ(fleet.live_fingerprints(), before);    // not yet installed
+  EXPECT_EQ(fleet.telemetry().snapshot().sessions_rotated, 0u);
 
-  // The next admission — not its completion — performs the force-swap.
-  auto queued = fleet.try_submit(jobs::uid_churn(3));
-  ASSERT_TRUE(queued.has_value());
-  const auto after = fleet.live_fingerprints();
-  EXPECT_NE(after[0], before[0]);
-  EXPECT_NE(after[1], before[1]);
-  EXPECT_EQ(fleet.telemetry().snapshot().sessions_rotated, 2u);
-
-  first.release();
+  // Release lane 1 first: it still installs the later draw.
   second.release();
-  EXPECT_TRUE(first_outcome.get().ok());
   EXPECT_TRUE(second_outcome.get().ok());
-  EXPECT_TRUE(queued->get().ok());
+  first.release();
+  EXPECT_TRUE(first_outcome.get().ok());
+  ASSERT_TRUE(
+      wait_until([&] { return fleet.telemetry().snapshot().sessions_rotated == 2u; }));
+  const JobOutcome lane0 = fleet.submit_to(0, jobs::uid_churn(1)).get();
+  const JobOutcome lane1 = fleet.submit_to(1, jobs::uid_churn(1)).get();
+  EXPECT_TRUE(lane0.ok());
+  EXPECT_TRUE(lane1.ok());
+  EXPECT_EQ(lane0.session_id, 2u);
+  EXPECT_EQ(lane1.session_id, 3u);
+  EXPECT_EQ(fleet.keyspace().keys_issued, 4u);
+  EXPECT_EQ(fleet.telemetry().snapshot().rotations_failed, 0u);
 }
 
-TEST(FleetKeyspace, DisplacedSessionQuarantineKeepsTheFreshReplacement) {
-  // The deadline swap interacting with detection: when the too-slow job then
-  // ALARMS, the quarantine must be recorded against the displaced session the
-  // attacker actually faced — and the never-exposed replacement stays in
-  // service instead of burning another draw.
-  ManualClock clock;
+TEST(FleetRotationOrder, AnOrderedLaneThatIsQuarantinedDrawsOnce) {
+  // The order drew lane 0's next session while its job was still running.
+  // When that job alarms, the waiting draw — which no job has seen — is the
+  // replacement: no second draw, and it counts as the ordered rotation.
   FleetConfig config;
   config.spec = uid_spec();
   config.pool_size = 2;
   config.queue_capacity = 8;
   config.seed = 0xDEAD22;
-  config.rotation_deadline = milliseconds(1000);
-  config.clock = clock.fn();
   VariantFleet fleet(config);
   const auto before = fleet.live_fingerprints();
 
-  // A gated poison job: held open like GatedJob, then throws.
-  auto started = std::make_shared<std::promise<void>>();
-  auto release = std::make_shared<std::promise<void>>();
-  auto release_future = release->get_future().share();
-  auto slow_poison = [started, release_future](core::NVariantSystem&) -> core::RunReport {
-    started->set_value();
-    release_future.wait();
-    throw std::runtime_error("slow probe");
-  };
-  auto outcome = fleet.submit_to(0, slow_poison);
-  started->get_future().wait();
-
+  harness::GatedJob probe;
+  auto outcome = fleet.submit_to(0, probe.poison());
+  probe.wait_started();
   ASSERT_EQ(fleet.rotate_fleet(), 2u);
-  // Lane 1 is idle and rotates lazily on its own; lane 0 is pinned.
+  EXPECT_EQ(fleet.keyspace().keys_issued, 4u);
+  // Lane 1 is idle and installs its draw at once; lane 0 is pinned.
   ASSERT_TRUE(
       wait_until([&] { return fleet.telemetry().snapshot().sessions_rotated == 1u; }));
-  clock.advance(milliseconds(1000));
-  EXPECT_EQ(fleet.poll_adaptive(), 1u);  // the force-rotation of lane 0
-  const auto fresh = fleet.live_fingerprints();
-  EXPECT_NE(fresh[0], before[0]);
+  EXPECT_EQ(fleet.live_fingerprints()[0], before[0]);
 
-  release->set_value();
+  probe.release();
   const JobOutcome result = outcome.get();
   EXPECT_TRUE(result.session_quarantined);
+  EXPECT_EQ(fleet.keyspace().keys_issued, 4u);  // the quarantine drew nothing
 
   const auto log = fleet.quarantine_log();
   ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].fingerprint, before[0]);           // what the attacker faced
-  EXPECT_EQ(log[0].replacement_fingerprint, fresh[0]);  // already installed
+  EXPECT_EQ(log[0].fingerprint, before[0]);  // what the attacker faced
+  EXPECT_EQ(log[0].replacement_id, 2u);      // lane 0's draw at the order
+  EXPECT_EQ(log[0].replacement_fingerprint.rfind("session-2[", 0), 0u)
+      << log[0].replacement_fingerprint;
+  EXPECT_EQ(fleet.live_fingerprints()[0], log[0].replacement_fingerprint);
   const FleetSnapshot snap = fleet.telemetry().snapshot();
   EXPECT_EQ(snap.sessions_quarantined, 1u);
-  EXPECT_EQ(snap.sessions_respawned, 0u);  // no extra draw was burned
-  EXPECT_EQ(fleet.live_fingerprints()[0], fresh[0]);
+  EXPECT_EQ(snap.sessions_respawned, 0u);
+  EXPECT_EQ(snap.sessions_rotated, 2u);
+  EXPECT_EQ(snap.rotations_failed, 0u);
   EXPECT_TRUE(fleet.submit(jobs::uid_churn(3)).get().ok());
+}
+
+TEST(FleetRotationOrder, EveryNamedLaneResolvesAsTheLastKeyGoes) {
+  // One key left, lane 0 running a probe, then a fleet-wide order: lane 0
+  // draws the last key and lane 1's draw fails at once. When the probe
+  // alarms, lane 0's waiting draw replaces the burned session, so the lane
+  // keeps serving and both named lanes resolve.
+  ManualClock clock;
+  FleetConfig config;
+  config.spec.n_variants = 2;
+  config.spec.variations = {"address-partitioning"};
+  config.pool_size = 2;
+  config.queue_capacity = 8;
+  config.seed = 0x1A57;
+  config.clock = clock.fn();
+  VariantFleet fleet(config);
+  burn_keys(fleet, 13);  // 2 initial draws + 13 respawns: 1 of 16 keys left
+  ASSERT_EQ(fleet.keyspace().keys_remaining, 1u);
+  const std::uint64_t resolved_before = rotations_resolved(fleet);
+
+  harness::GatedJob probe;
+  auto outcome = fleet.submit_to(0, probe.poison());
+  probe.wait_started();
+  ASSERT_EQ(fleet.rotate_fleet(), 2u);
+  EXPECT_EQ(fleet.telemetry().snapshot().rotations_failed, 1u);  // lane 1, at once
+
+  probe.release();
+  EXPECT_TRUE(outcome.get().session_quarantined);
+  EXPECT_EQ(rotations_resolved(fleet), resolved_before + 2);
+  EXPECT_EQ(fleet.telemetry().snapshot().sessions_rotated, 1u);
+  EXPECT_TRUE(fleet.keyspace().exhausted());
+  const JobOutcome served = fleet.submit_to(0, jobs::uid_churn(1)).get();
+  EXPECT_TRUE(served.ok()) << served.error;
+  EXPECT_TRUE(fleet.submit_to(1, jobs::uid_churn(1)).get().ok());
 }
 
 }  // namespace

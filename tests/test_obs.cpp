@@ -152,41 +152,6 @@ TEST(TraceRecorderTest, SyscallRoundsSampleAtThePerTrackStride) {
   EXPECT_FALSE(off.sample_round(off.track("lane")));
 }
 
-TEST(TraceRecorderTest, KindMaskAndRoundSampleRearmAtRuntime) {
-  // The mask and the sampling stride are LIVE knobs, not construction-time
-  // constants: an operator can drop the stride to 1 mid-run, without a
-  // restart, so the rounds around an active attack are all kept.
-  ManualClock clock;
-  TraceConfig config;
-  config.syscall_round_sample = 4;
-  TraceRecorder recorder(config, clock.fn());
-  const auto track = recorder.track("lane0");
-  for (int i = 0; i < 4; ++i) {
-    if (recorder.sample_round(track)) recorder.record(track, TraceEventKind::kSyscallRound);
-    clock.advance(milliseconds(1));
-  }
-  ASSERT_EQ(recorder.events(track).size(), 1u);  // stride 4 kept round 0 only
-
-  recorder.set_syscall_round_sample(1);
-  EXPECT_EQ(recorder.syscall_round_sample(), 1u);
-  for (int i = 0; i < 4; ++i) {
-    if (recorder.sample_round(track)) recorder.record(track, TraceEventKind::kSyscallRound);
-    clock.advance(milliseconds(1));
-  }
-  EXPECT_EQ(recorder.events(track).size(), 5u);  // every subsequent round kept
-
-  // The kind mask re-arms the same way: masking the kind out mid-run stops
-  // recording without touching the recorder's master switch.
-  recorder.set_kind_mask(TraceConfig::kind_bit(TraceEventKind::kQuarantine));
-  EXPECT_FALSE(recorder.enabled(TraceEventKind::kSyscallRound));
-  EXPECT_FALSE(recorder.sample_round(track));
-  recorder.record(track, TraceEventKind::kSyscallRound);
-  EXPECT_EQ(recorder.events(track).size(), 5u);
-  recorder.set_kind_mask(~std::uint64_t{0});
-  EXPECT_TRUE(recorder.enabled(TraceEventKind::kSyscallRound));
-  EXPECT_TRUE(recorder.sample_round(track));
-}
-
 TEST(ObsExportersTest, PrometheusLabelValuesAreEscaped) {
   // Exposition format: backslash, double-quote, and newline in a label VALUE
   // must be escaped — an operator-supplied instance name must not be able to
@@ -325,9 +290,9 @@ TEST(TraceFleetTest, CampaignReadsAsOneCausalChainFromDrawToRotation) {
   ASSERT_EQ(tightens.size(), 1u);
   EXPECT_EQ(tightens[0].parent, alerts[0].span);
 
-  // The rotation the alert requested resolves lazily before the flagged
-  // lane's next job; its kRotation event must close the chain to the alert.
-  // One clean job per lane makes sure the flagged lane runs one.
+  // The rotation the alert ordered is installed before the named lane's
+  // next job; its kRotation event must close the chain to the alert. One
+  // clean job per lane makes sure the named lane runs one.
   for (unsigned lane = 0; lane < fleet.pool_size(); ++lane) {
     (void)fleet.submit_to(lane, clean_job()).get();
   }
@@ -335,7 +300,7 @@ TEST(TraceFleetTest, CampaignReadsAsOneCausalChainFromDrawToRotation) {
   const auto rotations = events_of(*recorder, TraceEventKind::kRotation);
   ASSERT_GE(rotations.size(), 1u);
   EXPECT_EQ(rotations[0].parent, alerts[0].span);
-  EXPECT_EQ(rotations[0].b, 0u);  // lazy rotation, not deadline-forced
+  EXPECT_EQ(rotations[0].b, 0u);  // the event carries no b operand
 }
 
 TEST(TraceFleetTest, GoldenManualClockRunsExportByteIdenticalTraces) {
@@ -481,7 +446,6 @@ TEST(TraceClusterTest, TickPumpsEnforcesAndSweepsTightenedShards) {
   EXPECT_EQ(quiet.tick, 1u);
   EXPECT_FALSE(quiet.swept);
   EXPECT_TRUE(quiet.sweeps.empty());
-  EXPECT_EQ(quiet.forced_rotations, 0u);
 
   // Campaign on shard 0 tightens every shard (gossip); once the interval
   // elapses the next tick sweeps ALL of them — flagging their lanes for

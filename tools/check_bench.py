@@ -11,13 +11,18 @@ its `traceEvents`:
   (traceEvents)          a trace written by nv::obs::to_chrome_trace(), such
                          as bench_network_diversity --trace-out's
 
+With --same-trace it compares two such traces instead: two runs of one
+build replay when their events are equal once each event's wall-clock `ts`
+is dropped. The first event that differs is named by its track and kind.
+
 ctest runs it on the documents each ManualClock bench writes, and
 tests/check_bench_selftest.py shows that each check still fails a document
 that breaks it.
 
 Usage: check_bench.py DOC.json [DOC.json ...]
-Exit status: 0 when every document passes, 1 when any check fails, 2 on a
-usage or I/O error.
+       check_bench.py --same-trace TRACE.json TRACE.json
+Exit status: 0 when every document passes (the traces replay), 1 when any
+check fails, 2 on a usage or I/O error.
 """
 import json
 import sys
@@ -391,6 +396,30 @@ def check_trace(doc):
             f"{dropped} dropped")
 
 
+def check_same_trace(first, second):
+    """Both traces hold the same events, in the same order, once each
+    event's `ts` is dropped: spans, flow ids, operands and details included."""
+    runs = []
+    for doc in (first, second):
+        require(isinstance(doc, dict) and isinstance(doc.get("traceEvents"), list),
+                "not a trace: no traceEvents list")
+        runs.append([{key: value for key, value in event.items() if key != "ts"}
+                     for event in doc["traceEvents"]])
+    tracks = {event["tid"]: event["args"]["name"]
+              for event in first["traceEvents"] if event.get("ph") == "M"}
+    for index, (a, b) in enumerate(zip(*runs)):
+        if a != b:
+            raise CheckFailed(
+                f"traceEvents[{index}] differs beyond ts: track "
+                f"{tracks.get(a.get('tid'), a.get('tid'))!r}, kind {a.get('name')!r}: "
+                f"{json.dumps(a, sort_keys=True)} != {json.dumps(b, sort_keys=True)}")
+    require(len(runs[0]) == len(runs[1]),
+            f"the traces hold {len(runs[0])} and {len(runs[1])} events")
+    require(first.get("otherData") == second.get("otherData"),
+            f"otherData differs: {first.get('otherData')} != {second.get('otherData')}")
+    return f"{len(runs[0])} events replay once ts is dropped"
+
+
 CHECKS = {
     "population_curves/v2": check_population,
     "network_diversity/v1": check_network,
@@ -407,32 +436,52 @@ def check_document(doc):
     return CHECKS[schema](doc)
 
 
+def read(path):
+    """The text at `path`, or None (reported) when it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as err:
+        print(f"check_bench: cannot read {path}: {err}", file=sys.stderr)
+        return None
+
+
+def report(label, check):
+    """Run one check and print its verdict; the exit status it earns."""
+    try:
+        summary = check()
+    except json.JSONDecodeError as err:
+        print(f"check_bench: FAIL {label}: invalid JSON: {err}", file=sys.stderr)
+        return 1
+    except CheckFailed as failure:
+        print(f"check_bench: FAIL {label}: {failure}", file=sys.stderr)
+        return 1
+    except (KeyError, TypeError, ZeroDivisionError) as err:
+        print(f"check_bench: FAIL {label}: malformed document ({err!r})", file=sys.stderr)
+        return 1
+    print(f"check_bench: OK {label}: {summary}")
+    return 0
+
+
 def main(argv):
+    if argv[1:2] == ["--same-trace"]:
+        if len(argv) != 4:
+            print(__doc__, file=sys.stderr)
+            return 2
+        texts = [read(path) for path in argv[2:]]
+        if None in texts:
+            return 2
+        return report(f"{argv[2]} and {argv[3]}",
+                      lambda: check_same_trace(*map(json.loads, texts)))
     if len(argv) < 2:
         print(__doc__, file=sys.stderr)
         return 2
     status = 0
     for path in argv[1:]:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as err:
-            print(f"check_bench: cannot read {path}: {err}", file=sys.stderr)
+        text = read(path)
+        if text is None:
             return 2
-        try:
-            summary = check_document(json.loads(text))
-        except json.JSONDecodeError as err:
-            print(f"check_bench: FAIL {path}: invalid JSON: {err}", file=sys.stderr)
-            status = 1
-        except CheckFailed as failure:
-            print(f"check_bench: FAIL {path}: {failure}", file=sys.stderr)
-            status = 1
-        except (KeyError, TypeError, ZeroDivisionError) as err:
-            print(f"check_bench: FAIL {path}: malformed document ({err!r})",
-                  file=sys.stderr)
-            status = 1
-        else:
-            print(f"check_bench: OK {path}: {summary}")
+        status |= report(path, lambda: check_document(json.loads(text)))
     return status
 
 
