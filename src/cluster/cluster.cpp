@@ -1,5 +1,7 @@
 #include "cluster/cluster.h"
 
+#include <limits>
+#include <optional>
 #include <random>
 #include <stdexcept>
 #include <utility>
@@ -22,16 +24,13 @@ std::uint64_t resolve_base_seed(std::optional<std::uint64_t> requested) {
 FleetCluster::FleetCluster(ClusterConfig config)
     : config_(std::move(config)),
       clock_(fleet::resolve_clock(config_.shard.clock)),
-      budget_(config_.global_key_budget, config_.shards == 0 ? 1 : config_.shards),
-      gossip_(config_.gossip, config_.shard.clock),
-      router_(config_.router) {
+      budget_(config_.global_key_budget, config_.shards == 0 ? 1 : config_.shards) {
   if (config_.shards == 0) throw std::invalid_argument("cluster needs at least one shard");
   const std::uint64_t base_seed = resolve_base_seed(config_.shard.seed);
   last_sweep_ = clock_();
 
   trace_ = config_.trace;
   if (trace_) {
-    router_track_ = trace_->track("cluster.router");
     gossip_track_ = trace_->track("cluster.gossip");
     tick_track_ = trace_->track("cluster.tick");
   }
@@ -46,16 +45,13 @@ FleetCluster::FleetCluster(ClusterConfig config)
     shard_config.trace = trace_;
     shard_config.trace_scope = util::format("shard%u", index);
     // Locally-raised alerts gossip out; receivers apply without re-publishing
-    // (see VariantFleet::apply_remote_campaign), so the bus cannot loop.
+    // (see VariantFleet::apply_remote_campaign), so gossip cannot loop. The
+    // hook may index fleets_: an alert needs a job, jobs arrive only after
+    // this constructor returns, and fleets_ is reserved above, so no alert
+    // sees the vector while it grows.
     shard_config.on_campaign = [this, index,
                                 user = config_.shard.on_campaign](const fleet::CampaignAlert& alert) {
-      if (trace_) {
-        // Carries the origin shard's alert span: the publish is a hop on the
-        // alert's causal chain, not a new root.
-        trace_->record(gossip_track_, obs::TraceEventKind::kGossipPublish, 0,
-                       alert.trace_span, index, alert.id);
-      }
-      gossip_.publish(index, alert);
+      gossip(index, alert);
       if (user) user(alert);
     };
     fleets_.push_back(std::make_unique<fleet::VariantFleet>(std::move(shard_config)));
@@ -83,22 +79,6 @@ FleetCluster::FleetCluster(ClusterConfig config)
     }
     network_factories_.push_back(std::move(factory));
   }
-
-  // Subscribe in shard order AFTER every fleet exists: subscriber index ==
-  // shard index, and gossip delivery order is ascending shard order.
-  for (unsigned index = 0; index < config_.shards; ++index) {
-    gossip_.subscribe([this, index](unsigned origin, const fleet::CampaignAlert& alert) {
-      if (trace_) {
-        trace_->record(gossip_track_, obs::TraceEventKind::kGossipDeliver, 0,
-                       alert.trace_span, origin, index);
-      }
-      fleets_[index]->apply_remote_campaign(alert);
-    });
-  }
-
-  // Router health cache: sentinel epochs force a full first sample.
-  health_cache_.resize(config_.shards);
-  health_epoch_seen_.assign(config_.shards, std::numeric_limits<std::uint64_t>::max());
 }
 
 FleetCluster::~FleetCluster() { shutdown(); }
@@ -109,86 +89,28 @@ void FleetCluster::shutdown() {
     if (shut_down_) return;
     shut_down_ = true;
   }
-  // Shard workers publish gossip; they must all be joined before this object
-  // starts tearing anything else down.
+  // Shard workers gossip into every shard; they must all be joined before
+  // this object starts tearing anything else down.
   for (auto& fleet : fleets_) fleet->shutdown();
 }
 
-std::vector<ShardHealth> FleetCluster::sample_health() const {
-  // Per-submission cost is O(shards) ATOMIC READS, not O(shards) mutexed
-  // walks: the slow fields (accepting bit, keyspace ledger — each behind its
-  // fleet's mutexes) are re-sampled only when that shard's health_epoch()
-  // moved; queue_depth, the one field that changes per job, always comes
-  // from the lock-free hint.
-  const util::MutexLock lock(health_mutex_);
+void FleetCluster::gossip(unsigned origin, const fleet::CampaignAlert& alert) {
+  if (trace_) {
+    // Carries the origin shard's alert span: the publish is a hop on the
+    // alert's causal chain, not a new root.
+    trace_->record(gossip_track_, obs::TraceEventKind::kGossipPublish, 0, alert.trace_span,
+                   origin, alert.id);
+  }
+  telemetry_.note_gossip_published();
   for (unsigned index = 0; index < fleets_.size(); ++index) {
-    const std::uint64_t epoch = fleets_[index]->health_epoch();
-    if (health_epoch_seen_[index] != epoch) {
-      health_epoch_seen_[index] = epoch;
-      const fleet::KeyspaceAccount account = fleets_[index]->keyspace();
-      health_cache_[index].accepting = fleets_[index]->accepting();
-      health_cache_[index].exhausted = account.exhausted();
-      health_cache_[index].keys_remaining = account.keys_remaining;
-      health_cache_[index].keys_total = account.keys_total;
-      telemetry_.note_health_resample();
-    }
-    health_cache_[index].queue_depth = fleets_[index]->queue_depth_hint();
-    // Like queue depth, shedding moves per-job: always refresh from the
-    // lock-free hint rather than waiting for an epoch bump.
-    health_cache_[index].jobs_shed = fleets_[index]->jobs_shed_hint();
-  }
-  return health_cache_;
-}
-
-std::future<fleet::JobOutcome> FleetCluster::submit(fleet::FleetJob job) {
-  const auto health = sample_health();
-  const auto target = router_.route(health);
-  if (!target.has_value()) {
-    telemetry_.note_unroutable();
+    if (index == origin) continue;
     if (trace_) {
-      trace_->record(router_track_, obs::TraceEventKind::kRouteDecision, 0, 0,
-                     fleets_.size(), 0, "unroutable");
+      trace_->record(gossip_track_, obs::TraceEventKind::kGossipDeliver, 0, alert.trace_span,
+                     origin, index);
     }
-    throw std::runtime_error("cluster has no accepting shard");
+    fleets_[index]->apply_remote_campaign(alert);
+    telemetry_.note_gossip_delivered();
   }
-  if (trace_) {
-    trace_->record(router_track_, obs::TraceEventKind::kRouteDecision, 0, 0, *target,
-                   health[*target].queue_depth);
-  }
-  auto future = fleets_[*target]->submit(std::move(job));
-  telemetry_.note_routed();
-  return future;
-}
-
-std::optional<std::future<fleet::JobOutcome>> FleetCluster::try_submit(fleet::FleetJob job) {
-  // Graceful degradation: walk the ranking so a refusal (full queue, raced a
-  // drain) falls through to the next-best shard instead of failing the job.
-  const auto health = sample_health();
-  for (const unsigned index : router_.ranked(health)) {
-    if (auto future = fleets_[index]->try_submit(job)) {
-      if (trace_) {
-        trace_->record(router_track_, obs::TraceEventKind::kRouteDecision, 0, 0, index,
-                       health[index].queue_depth);
-      }
-      telemetry_.note_routed();
-      return future;
-    }
-  }
-  telemetry_.note_unroutable();
-  if (trace_) {
-    trace_->record(router_track_, obs::TraceEventKind::kRouteDecision, 0, 0, fleets_.size(),
-                   0, "unroutable");
-  }
-  return std::nullopt;
-}
-
-std::future<fleet::JobOutcome> FleetCluster::submit_to(unsigned shard, fleet::FleetJob job) {
-  return fleets_.at(shard)->submit(std::move(job));
-}
-
-fleet::DrainReport FleetCluster::drain_shard(unsigned index,
-                                             std::chrono::milliseconds deadline) {
-  return fleets_.at(index)->shutdown(deadline);
 }
 
 std::string FleetCluster::network_fingerprint(unsigned index) const {
@@ -210,10 +132,6 @@ TickReport FleetCluster::tick() {
   const util::MutexLock lock(tick_mutex_);
   TickReport report;
   report.tick = ++tick_count_;
-  report.gossip_delivered = gossip_.pump();
-  // Tell every shard the clock moved: wakes deadline-bounded drains.
-  for (auto& member : fleets_) member->notify_time_advanced();
-
   if (config_.sweep_interval > std::chrono::milliseconds::zero()) {
     const auto now = clock_();
     if (now - last_sweep_ >= config_.sweep_interval) {
@@ -235,8 +153,7 @@ TickReport FleetCluster::tick() {
     }
   }
   if (trace_) {
-    trace_->record(tick_track_, obs::TraceEventKind::kClusterTick, 0, 0, report.tick,
-                   report.gossip_delivered,
+    trace_->record(tick_track_, obs::TraceEventKind::kClusterTick, 0, 0, report.tick, 0,
                    report.swept ? util::format("swept %zu shards", report.sweeps.size())
                                 : std::string{});
   }
@@ -246,13 +163,9 @@ TickReport FleetCluster::tick() {
 ClusterSnapshot FleetCluster::snapshot() const {
   ClusterSnapshot snap;
   snap.shards = fleets_.size();
-  snap.jobs_routed = telemetry_.jobs_routed();
-  snap.jobs_unroutable = telemetry_.jobs_unroutable();
   snap.network_rotations = telemetry_.network_rotations();
-  snap.health_resamples = telemetry_.health_resamples();
-  snap.gossip_published = gossip_.published();
-  snap.gossip_delivered = gossip_.delivered();
-  snap.gossip_pending = gossip_.pending();
+  snap.gossip_published = telemetry_.gossip_published();
+  snap.gossip_delivered = telemetry_.gossip_delivered();
   snap.network_bits = network_bits_;
 
   // Specs past ~63 bits saturate their shard ledger at uint64 max; the sums

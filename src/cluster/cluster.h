@@ -1,44 +1,40 @@
 // FleetCluster: the fleet-of-fleets.
 //
 // Many VariantFleet shards, each with its OWN SessionFactory and therefore
-// its own diversity draw space, behind a diversity-aware ShardRouter. The
-// paper's per-host entropy argument compounds across the deployment (Chen et
-// al., PAPERS.md): an attacker who burned probes mapping shard A's
-// re-expressions has learned nothing about shard B's, must re-discover every
-// shard's network endpoint (the drawn network-variation identity), and —
-// because shard A's campaign alert gossips to every other shard — meets the
-// rest of the cluster already tightened.
+// its own diversity draw space. The paper's per-host entropy argument
+// compounds across the deployment (Chen et al., PAPERS.md): an attacker who
+// burned probes mapping shard A's re-expressions has learned nothing about
+// shard B's, must re-discover every shard's network endpoint (the drawn
+// network-variation identity), and — because shard A's campaign alert
+// gossips to every other shard — meets the rest of the cluster already
+// tightened. Callers reach a shard directly through shard(i).
 //
 // Wiring per shard i:
 //   - FleetConfig stamped from the shard template: seed base + 2i, the
 //     cluster clock, and SessionSpec::max_unique_keys set to the
 //     ClusterKeyspaceBudget allocation (one noisy shard cannot overdraw the
 //     global space — its factory refuses at its slice boundary).
-//   - on_campaign chains: locally-raised alerts publish on the GossipBus;
-//     every other shard's apply_remote_campaign() tightens its adaptive
-//     posture without rotating or re-publishing (no gossip loops).
+//   - on_campaign chains: a locally-raised alert gossips, on the alerting
+//     worker's thread, to every other shard in ascending shard order; each
+//     receiver's apply_remote_campaign() tightens its adaptive posture
+//     without rotating or re-publishing (no gossip loops).
 //   - A network identity drawn from its own SessionFactory over
 //     ClusterConfig::network_variations (seed base + 2i + 1):
 //     network_fingerprint(i) names it, rotate_shard_network(i) redraws it,
 //     and its keyspace_bits flow into the composed cluster entropy gauge.
 //
 // Everything is deterministic under ManualClock + a fixed seed: shard draw
-// sequences, gossip delivery order (ascending shard index), and routing
-// tie-breaks (round-robin).
+// sequences and gossip delivery order (ascending shard index).
 #ifndef NV_CLUSTER_CLUSTER_H
 #define NV_CLUSTER_CLUSTER_H
 
 #include <chrono>
 #include <cstdint>
-#include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/budget.h"
-#include "cluster/gossip.h"
-#include "cluster/router.h"
 #include "cluster/telemetry.h"
 #include "fleet/fleet.h"
 #include "obs/trace.h"
@@ -54,7 +50,7 @@ struct ClusterConfig {
   /// base + 2i and its network factory base + 2i + 1, so shard draw spaces
   /// are disjoint but the whole cluster reproduces from one number. `clock`
   /// and the campaign/adaptive posture are shared by every shard; a set
-  /// `on_campaign` hook still fires (after the gossip publish).
+  /// `on_campaign` hook still fires (after the alert's gossip).
   fleet::FleetConfig shard;
   /// Registry variations forming each shard's drawn NETWORK identity
   /// (endpoint/port-space diversification). Empty = static network (no
@@ -64,17 +60,14 @@ struct ClusterConfig {
   /// 0 = unlimited. Must be >= shards (every shard needs at least one key),
   /// and in practice >= shards * pool_size so initial sessions can build.
   std::uint64_t global_key_budget = 0;
-  GossipConfig gossip;
-  RouterPolicy router;
   /// Housekeeping sweep period for tick(), measured on the injected clock:
   /// each due sweep re-diversifies (sessions + network identity) every shard
-  /// whose adaptive posture is currently TIGHTENED. 0 disables sweeping —
-  /// tick() still pumps gossip and tells the shards the clock moved.
+  /// whose adaptive posture is currently TIGHTENED. 0 disables sweeping.
   std::chrono::milliseconds sweep_interval{0};
   /// Structured tracing (obs/trace.h): each shard's fleet records under
-  /// trace_scope "shard<i>", and the cluster adds "cluster.router" (route
-  /// decisions), "cluster.gossip" (publish/deliver), and "cluster.tick"
-  /// tracks. Null = untraced. Overrides any ClusterConfig::shard.trace.
+  /// trace_scope "shard<i>", and the cluster adds "cluster.gossip"
+  /// (publish/deliver) and "cluster.tick" tracks. Null = untraced. Overrides
+  /// any ClusterConfig::shard.trace.
   std::shared_ptr<obs::TraceRecorder> trace;
 };
 
@@ -96,7 +89,6 @@ struct ShardSweep {
 /// What one FleetCluster::tick() did.
 struct TickReport {
   std::uint64_t tick = 0;              // ordinal of this tick, 1-based
-  std::size_t gossip_delivered = 0;    // due deliveries pumped this tick
   bool swept = false;                  // the sweep interval elapsed this tick
   std::vector<ShardSweep> sweeps;      // tightened shards swept (empty unless swept)
 };
@@ -112,19 +104,6 @@ class FleetCluster {
   FleetCluster(const FleetCluster&) = delete;
   FleetCluster& operator=(const FleetCluster&) = delete;
 
-  /// Route one job through the ShardRouter and submit it (blocking on the
-  /// chosen shard's backpressure). Throws std::runtime_error when no shard
-  /// is accepting (every refusal counted as jobs_unroutable).
-  [[nodiscard]] std::future<fleet::JobOutcome> submit(fleet::FleetJob job);
-
-  /// Non-blocking: walk shards best-score-first until one admits the job;
-  /// nullopt (counted jobs_unroutable) when none does.
-  [[nodiscard]] std::optional<std::future<fleet::JobOutcome>> try_submit(fleet::FleetJob job);
-
-  /// Bypass the router (tests / experiments that target shards directly —
-  /// not counted as jobs_routed).
-  [[nodiscard]] std::future<fleet::JobOutcome> submit_to(unsigned shard, fleet::FleetJob job);
-
   [[nodiscard]] fleet::VariantFleet& shard(unsigned index) { return *fleets_.at(index); }
   [[nodiscard]] const fleet::VariantFleet& shard(unsigned index) const {
     return *fleets_.at(index);
@@ -132,10 +111,6 @@ class FleetCluster {
   [[nodiscard]] unsigned shard_count() const noexcept {
     return static_cast<unsigned>(fleets_.size());
   }
-
-  /// Drain ONE shard gracefully; the router stops placing work there the
-  /// moment it stops accepting (the cluster degrades instead of failing).
-  fleet::DrainReport drain_shard(unsigned index, std::chrono::milliseconds deadline);
 
   /// Drain every shard (idempotent; called by the destructor).
   void shutdown();
@@ -152,38 +127,28 @@ class FleetCluster {
 
   [[nodiscard]] ClusterSnapshot snapshot() const;
 
-  [[nodiscard]] GossipBus& gossip() noexcept { return gossip_; }
   [[nodiscard]] const ClusterKeyspaceBudget& budget() const noexcept { return budget_; }
 
   /// One cluster housekeeping step, meant to run once per driver tick (after
-  /// the injected clock advances): pumps due gossip deliveries, tells every
-  /// shard the clock moved (waking deadline-bounded drains), and — when
-  /// ClusterConfig::sweep_interval has elapsed since the last sweep — orders a
-  /// fleet-wide re-diversification plus a network-identity redraw on every
-  /// shard whose adaptive posture is tightened. Deterministic under
-  /// ManualClock; records kClusterTick (and per-shard rotation events) when
-  /// tracing. Thread-safe, though one driver thread is the intended caller.
+  /// the injected clock advances): when ClusterConfig::sweep_interval has
+  /// elapsed since the last sweep, orders a fleet-wide re-diversification
+  /// plus a network-identity redraw on every shard whose adaptive posture is
+  /// tightened. Deterministic under ManualClock; records kClusterTick (and
+  /// per-shard rotation events) when tracing. Thread-safe, though one driver
+  /// thread is the intended caller.
   TickReport tick();
 
  private:
-  [[nodiscard]] std::vector<ShardHealth> sample_health() const;
+  /// Hand `origin`'s locally-raised alert to every other shard, in ascending
+  /// shard order, on the alerting worker's thread: every delivery lands
+  /// before the alerting job's future resolves.
+  void gossip(unsigned origin, const fleet::CampaignAlert& alert);
 
   ClusterConfig config_;
   fleet::ClockFn clock_;
   ClusterKeyspaceBudget budget_;
-  /// mutable: sample_health() is const but counts its cache misses.
-  mutable ClusterTelemetry telemetry_;
-  GossipBus gossip_;  // declared before fleets_: handlers reference the fleets
-  ShardRouter router_;
+  ClusterTelemetry telemetry_;  // declared before fleets_: the shards' hooks count here
   std::vector<std::unique_ptr<fleet::VariantFleet>> fleets_;
-
-  /// Router health cache (satellite of the fleets' health_epoch()): the slow
-  /// per-shard fields (accepting, keyspace ledger) are re-sampled only when a
-  /// shard's epoch moved; queue_depth is refreshed every call from the
-  /// lock-free hint. Guarded by health_mutex_.
-  mutable util::Mutex health_mutex_;
-  mutable std::vector<ShardHealth> health_cache_ NV_GUARDED_BY(health_mutex_);
-  mutable std::vector<std::uint64_t> health_epoch_seen_ NV_GUARDED_BY(health_mutex_);
 
   /// tick() state.
   util::Mutex tick_mutex_;
@@ -192,7 +157,6 @@ class FleetCluster {
 
   /// Cluster-level trace tracks (0 when untraced).
   std::shared_ptr<obs::TraceRecorder> trace_;
-  std::uint32_t router_track_ = 0;
   std::uint32_t gossip_track_ = 0;
   std::uint32_t tick_track_ = 0;
 

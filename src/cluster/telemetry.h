@@ -1,7 +1,7 @@
 // Cluster-level observability: ClusterTelemetry holds the cluster's own
-// counters (routing, network rotations); FleetCluster::snapshot() folds them
-// together with every shard's FleetSnapshot, the gossip bus counters, and
-// the keyspace ledgers into one ClusterSnapshot.
+// counters (gossip, network rotations); FleetCluster::snapshot() folds them
+// together with every shard's FleetSnapshot and the keyspace ledgers into
+// one ClusterSnapshot.
 //
 // Every ClusterSnapshot field is documented in docs/TELEMETRY.md —
 // tools/check_docs.py parses this struct and fails CI on an undocumented
@@ -36,14 +36,10 @@ struct ClusterSnapshot {
   std::uint64_t shards = 0;
   std::uint64_t shards_accepting = 0;
   std::uint64_t shards_exhausted = 0;
-  std::uint64_t jobs_routed = 0;      // jobs placed through the ShardRouter
-  std::uint64_t jobs_unroutable = 0;  // router found no accepting shard
   std::uint64_t gossip_published = 0;
   std::uint64_t gossip_delivered = 0;
-  std::uint64_t gossip_pending = 0;
   std::uint64_t remote_campaigns_applied = 0;  // sum of shard remote_campaigns
   std::uint64_t network_rotations = 0;         // shard network identities redrawn
-  std::uint64_t health_resamples = 0;          // slow shard-health reads the router cache missed
 
   // Composed entropy gauges (bits add across independent draws).
   double shard_spec_bits = 0.0;     // one shard's session-spec entropy
@@ -60,33 +56,30 @@ struct ClusterSnapshot {
 /// The cluster's own counters (shard fleets keep theirs in FleetTelemetry).
 class ClusterTelemetry {
  public:
-  void note_routed() noexcept { jobs_routed_.fetch_add(1, std::memory_order_relaxed); }
-  void note_unroutable() noexcept { jobs_unroutable_.fetch_add(1, std::memory_order_relaxed); }
+  void note_gossip_published() noexcept {
+    gossip_published_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void note_gossip_delivered() noexcept {
+    gossip_delivered_.fetch_add(1, std::memory_order_relaxed);
+  }
   void note_network_rotation() noexcept {
     network_rotations_.fetch_add(1, std::memory_order_relaxed);
   }
-  void note_health_resample() noexcept {
-    health_resamples_.fetch_add(1, std::memory_order_relaxed);
-  }
 
-  [[nodiscard]] std::uint64_t jobs_routed() const noexcept {
-    return jobs_routed_.load(std::memory_order_relaxed);
+  [[nodiscard]] std::uint64_t gossip_published() const noexcept {
+    return gossip_published_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t jobs_unroutable() const noexcept {
-    return jobs_unroutable_.load(std::memory_order_relaxed);
+  [[nodiscard]] std::uint64_t gossip_delivered() const noexcept {
+    return gossip_delivered_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t network_rotations() const noexcept {
     return network_rotations_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t health_resamples() const noexcept {
-    return health_resamples_.load(std::memory_order_relaxed);
-  }
 
  private:
-  std::atomic<std::uint64_t> jobs_routed_{0};
-  std::atomic<std::uint64_t> jobs_unroutable_{0};
+  std::atomic<std::uint64_t> gossip_published_{0};
+  std::atomic<std::uint64_t> gossip_delivered_{0};
   std::atomic<std::uint64_t> network_rotations_{0};
-  std::atomic<std::uint64_t> health_resamples_{0};
 };
 
 }  // namespace nv::cluster

@@ -1,46 +1,30 @@
 #include "core/monitor.h"
 
 #include <atomic>
+#include <utility>
 
 #include "util/mutex.h"
 
 namespace nv::core {
 
 void Monitor::raise(Alarm alarm) {
-  AlarmCallback callback;
-  Alarm copy = alarm;
-  {
-    const util::MutexLock lock(mutex_);
-    alarms_.push_back(std::move(alarm));
-    callback = callback_;
-  }
-  if (callback) callback(copy);
+  const util::MutexLock lock(mutex_);
+  if (!first_.has_value()) first_ = std::move(alarm);
 }
 
 bool Monitor::triggered() const {
   const util::MutexLock lock(mutex_);
-  return !alarms_.empty();
+  return first_.has_value();
 }
 
 std::optional<Alarm> Monitor::first_alarm() const {
   const util::MutexLock lock(mutex_);
-  if (alarms_.empty()) return std::nullopt;
-  return alarms_.front();
-}
-
-std::vector<Alarm> Monitor::alarms() const {
-  const util::MutexLock lock(mutex_);
-  return alarms_;
-}
-
-void Monitor::set_alarm_callback(AlarmCallback callback) {
-  const util::MutexLock lock(mutex_);
-  callback_ = std::move(callback);
+  return first_;
 }
 
 void Monitor::reset() {
   const util::MutexLock lock(mutex_);
-  alarms_.clear();
+  first_.reset();
   syscalls_checked_.store(0, std::memory_order_relaxed);
   detection_checks_.store(0, std::memory_order_relaxed);
 }

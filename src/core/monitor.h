@@ -6,9 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <optional>
-#include <vector>
 
 #include "core/alarm.h"
 #include "util/mutex.h"
@@ -18,17 +16,13 @@ namespace nv::core {
 
 class Monitor {
  public:
-  using AlarmCallback = std::function<void(const Alarm&)>;
-
-  /// Record an alarm; the first one wins as the attack verdict. Thread-safe.
+  /// Record an alarm: the first one is the attack verdict, and later ones
+  /// are dropped. Thread-safe: another thread may poll triggered() while a
+  /// session runs.
   void raise(Alarm alarm);
 
   [[nodiscard]] bool triggered() const;
   [[nodiscard]] std::optional<Alarm> first_alarm() const;
-  [[nodiscard]] std::vector<Alarm> alarms() const;
-
-  /// Called (outside the lock) for every alarm raised.
-  void set_alarm_callback(AlarmCallback callback);
 
   // Statistics for the overhead experiments. The counters have one writer,
   // the thread that runs the session's leader, so a count needs no locked
@@ -50,8 +44,7 @@ class Monitor {
   }
 
   mutable util::Mutex mutex_;
-  std::vector<Alarm> alarms_ NV_GUARDED_BY(mutex_);
-  AlarmCallback callback_ NV_GUARDED_BY(mutex_);
+  std::optional<Alarm> first_ NV_GUARDED_BY(mutex_);
   std::atomic<std::uint64_t> syscalls_checked_{0};
   std::atomic<std::uint64_t> detection_checks_{0};
 };

@@ -84,8 +84,8 @@ ClusterCurve run_cluster_experiment(const ClusterExperimentConfig& config) {
   cc.network_variations = config.network_variations;
   cc.global_key_budget = config.global_key_budget;
   // The cluster's own housekeeping replaces the hand-rolled driver loop:
-  // tick() pumps gossip and, every defender_rotate_ticks ticks' worth of
-  // manual time, sweeps the tightened shards (sessions + network identity).
+  // every defender_rotate_ticks ticks' worth of manual time, tick() sweeps
+  // the tightened shards (sessions + network identity).
   cc.sweep_interval = config.tick * config.defender_rotate_ticks;
   cc.trace = config.trace;
   cluster::FleetCluster cluster(cc);
@@ -176,12 +176,12 @@ ClusterCurve run_cluster_experiment(const ClusterExperimentConfig& config) {
     clock.advance(config.tick);
     elapsed_ms += static_cast<std::uint64_t>(config.tick.count());
 
-    // Cluster housekeeping: pump due gossip, and — when the sweep interval
-    // elapsed — re-diversify every TIGHTENED shard (sessions and network
-    // identity) so held footholds die and the attacker must pay endpoint
-    // discovery again. The sweep draws the sessions, but each lane's worker
-    // installs its own; settle each swept shard before the attacker reads
-    // fingerprints, exactly as the hand-rolled loop did.
+    // Cluster housekeeping: when the sweep interval elapsed, re-diversify
+    // every TIGHTENED shard (sessions and network identity) so held
+    // footholds die and the attacker must pay endpoint discovery again.
+    // The sweep draws the sessions, but each lane's worker installs its
+    // own; settle each swept shard before the attacker reads fingerprints,
+    // exactly as the hand-rolled loop did.
     const cluster::TickReport housekeeping = cluster.tick();
     for (const auto& sweep : housekeeping.sweeps) {
       await_rotations(cluster.shard(sweep.shard),
@@ -230,9 +230,8 @@ ClusterCurve run_cluster_experiment(const ClusterExperimentConfig& config) {
         attacker_shard = (attacker_shard + 1) % config.shards;
       } else {
         // Wrong guess: a real divergence quarantine + respawn on shard s.
-        // The alert (if this crossed the threshold) publishes on the gossip
-        // bus and — at delay 0 — tightens every other shard before .get()
-        // returns.
+        // The alert (if this crossed the threshold) gossips to every other
+        // shard and tightens it before .get() returns.
         (void)cluster.shard(s)
             .submit_to(target,
                        [](core::NVariantSystem&) -> core::RunReport {

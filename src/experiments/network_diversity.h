@@ -20,11 +20,12 @@
 //     of probes that never touch the fleet (the scan happens off-host).
 //
 //   The defensive feedback loop under test: a campaign alert raised on the
-//   probed shard gossips to every other shard (synchronously, delay 0), so
-//   shards the attacker has NOT yet reached tighten their adaptive posture
-//   first — `pre_warned_shards` counts them — and the defender's periodic
-//   sweep re-diversifies TIGHTENED shards only (sessions AND network
-//   identity), forcing the attacker back through endpoint discovery.
+//   probed shard gossips to every other shard before the alerting job
+//   resolves, so shards the attacker has NOT yet reached tighten their
+//   adaptive posture first — `pre_warned_shards` counts them — and the
+//   defender's periodic sweep re-diversifies TIGHTENED shards only
+//   (sessions AND network identity), forcing the attacker back through
+//   endpoint discovery.
 //
 // Sweeping the shard count at fixed total lanes yields the
 // attacker-cost-vs-shards curve archived as BENCH_network_diversity.json

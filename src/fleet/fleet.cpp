@@ -242,7 +242,6 @@ DrainReport VariantFleet::drain(std::optional<std::chrono::milliseconds> deadlin
   {
     util::MutexLock lock(queue_mutex_);
     accepting_ = false;
-    health_epoch_.fetch_add(1, std::memory_order_release);  // router-visible flip
     queue_not_empty_.notify_all();
     queue_not_full_.notify_all();
     if (deadline.has_value()) {
@@ -370,7 +369,6 @@ KeyspaceAccount VariantFleet::refresh_keyspace_gauge() {
   telemetry_.set_keyspace(account.keys_total, account.keys_remaining);
   const bool was_exhausted =
       keyspace_exhausted_.exchange(account.exhausted(), std::memory_order_relaxed);
-  health_epoch_.fetch_add(1, std::memory_order_release);  // keyspace is a health input
   if (trace_ && !was_exhausted && account.exhausted()) {
     trace_->record(ops_track_, obs::TraceEventKind::kKeyspaceExhausted, 0, 0,
                    account.keys_issued, account.keys_total);

@@ -256,8 +256,8 @@ class VariantFleet {
   /// directly after advance(). Harmless no-op otherwise.
   void notify_time_advanced();
 
-  /// True while the fleet admits jobs (drain/shutdown flip it off). The
-  /// cluster router's health bit; also useful for operator dashboards.
+  /// True while the fleet admits jobs (drain/shutdown flip it off). Read by
+  /// the cluster's shards_accepting gauge and by operator dashboards.
   [[nodiscard]] bool accepting() const;
 
   /// Cross-shard gossip entry point: apply a campaign alert RAISED ON
@@ -265,7 +265,7 @@ class VariantFleet {
   /// policy exactly as a local alert would (counted as telemetry
   /// remote_campaigns + policy_tightened) but does NOT rotate, does not feed
   /// the local correlator's signature window, and never re-publishes — the
-  /// GossipBus only carries locally-raised alerts, so gossip cannot loop.
+  /// cluster gossips only locally-raised alerts, so gossip cannot loop.
   /// The pre-warned shard meets the attacker already tightened.
   void apply_remote_campaign(const CampaignAlert& alert);
 
@@ -306,25 +306,11 @@ class VariantFleet {
   /// Diversity fingerprints of the sessions currently installed in each lane.
   [[nodiscard]] std::vector<std::string> live_fingerprints() const;
 
-  /// Monotone counter bumped whenever the fleet's SLOW health inputs change:
-  /// accepting flips, keyspace gauge refreshes (draws, rotations), lane
-  /// retirement. A router that cached this fleet's health view may keep
-  /// serving it until the epoch moves — queue depth is the one fast-moving
-  /// field, and queue_depth_hint() reads it without the queue mutex.
-  [[nodiscard]] std::uint64_t health_epoch() const noexcept {
-    return health_epoch_.load(std::memory_order_acquire);
-  }
-  /// Lock-free approximation of queue_depth() for routing decisions: reads
-  /// the same counter, but relaxed and without queue_mutex_ — may be one
-  /// enqueue/dequeue stale, which load balancing tolerates by construction.
+  /// Lock-free approximation of queue_depth(): reads the same counter, but
+  /// relaxed and without queue_mutex_, so it may be one enqueue or dequeue
+  /// stale. A closed-loop client's admission check tolerates that.
   [[nodiscard]] std::size_t queue_depth_hint() const noexcept {
     return total_queued_.load(std::memory_order_relaxed);
-  }
-  /// Lock-free cumulative shed count for routing decisions: a shard that is
-  /// actively shedding is overloaded in a way queue depth alone understates
-  /// (its queue is pinned at capacity; the overflow is invisible there).
-  [[nodiscard]] std::uint64_t jobs_shed_hint() const noexcept {
-    return telemetry_.jobs_shed_count();
   }
 
  private:
@@ -426,15 +412,12 @@ class VariantFleet {
   std::deque<PendingJob> queue_ NV_GUARDED_BY(queue_mutex_);  // oldest first
   std::vector<LaneFlags> lane_flags_ NV_GUARDED_BY(queue_mutex_);
   /// Written only under queue_mutex_; atomic so queue_depth_hint() can read
-  /// it lock-free from the router hot path.
+  /// it lock-free.
   std::atomic<std::size_t> total_queued_{0};
   bool accepting_ NV_GUARDED_BY(queue_mutex_) = true;
   std::uint64_t next_job_id_ NV_GUARDED_BY(queue_mutex_) = 0;
   /// IdleSnapshot::blocked_submitters.
   std::size_t blocked_submitters_ NV_GUARDED_BY(queue_mutex_) = 0;
-  /// See health_epoch(): bumped on accepting flips, keyspace refreshes, and
-  /// lane retirement.
-  std::atomic<std::uint64_t> health_epoch_{0};
 
   /// Tracing (null = untraced). ops_track_ carries fleet-scope events
   /// (admission, alerts, keyspace); lane_tracks_[i] carries lane i's

@@ -100,9 +100,6 @@ class FleetTelemetry {
                                std::memory_order_relaxed)) {
     }
   }
-  [[nodiscard]] std::uint64_t jobs_shed_count() const noexcept {
-    return jobs_shed_.load(std::memory_order_relaxed);
-  }
   void note_rotated() noexcept { sessions_rotated_.fetch_add(1, std::memory_order_relaxed); }
   void note_rotation_failed() noexcept {
     rotations_failed_.fetch_add(1, std::memory_order_relaxed);

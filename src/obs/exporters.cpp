@@ -227,14 +227,10 @@ std::string expose_metrics(const cluster::ClusterSnapshot& snapshot,
   g("shards", static_cast<double>(snapshot.shards));
   g("shards_accepting", static_cast<double>(snapshot.shards_accepting));
   g("shards_exhausted", static_cast<double>(snapshot.shards_exhausted));
-  c("jobs_routed", snapshot.jobs_routed);
-  c("jobs_unroutable", snapshot.jobs_unroutable);
   c("gossip_published", snapshot.gossip_published);
   c("gossip_delivered", snapshot.gossip_delivered);
-  g("gossip_pending", static_cast<double>(snapshot.gossip_pending));
   c("remote_campaigns_applied", snapshot.remote_campaigns_applied);
   c("network_rotations", snapshot.network_rotations);
-  c("health_resamples", snapshot.health_resamples);
   g("shard_spec_bits", snapshot.shard_spec_bits);
   g("network_bits", snapshot.network_bits);
   g("cluster_bits", snapshot.cluster_bits);

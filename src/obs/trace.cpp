@@ -35,7 +35,6 @@ std::string_view to_string(TraceEventKind kind) noexcept {
     case TraceEventKind::kKeyspaceLow: return "keyspace_low";
     case TraceEventKind::kKeyspaceExhausted: return "keyspace_exhausted";
     case TraceEventKind::kRemoteTighten: return "remote_tighten";
-    case TraceEventKind::kRouteDecision: return "route_decision";
     case TraceEventKind::kGossipPublish: return "gossip_publish";
     case TraceEventKind::kGossipDeliver: return "gossip_deliver";
     case TraceEventKind::kClusterTick: return "cluster_tick";

@@ -11,7 +11,7 @@
 //                   timestamped on the INJECTED ClockFn — under a ManualClock
 //                   two identical runs produce byte-identical traces. Tracks
 //                   are cheap named timelines (one per worker lane, one per
-//                   shard ops stream, one for the router, ...).
+//                   shard ops stream, one for cluster gossip, ...).
 //   TraceEvent      kind enum + small fixed payload (span/parent causality
 //                   ids + two uint64 operands + a short detail string).
 //   Spans           new_span() issues process-unique causality ids. An event
@@ -80,9 +80,8 @@ enum class TraceEventKind : std::uint8_t {
   kKeyspaceLow,        // account first observed at/below the low watermark
   kKeyspaceExhausted,  // account reached 0 unique keys remaining
   kRemoteTighten,      // gossip-applied alert tightened THIS fleet
-  kRouteDecision,      // router chose a shard for a submission
-  kGossipPublish,      // locally-raised alert entered the bus
-  kGossipDeliver,      // bus handed the alert to a subscriber shard
+  kGossipPublish,      // a shard's locally-raised alert started its gossip
+  kGossipDeliver,      // gossip handed the alert to another shard
   kClusterTick,        // FleetCluster::tick() housekeeping pass
   kJobShed,            // submit refused at capacity (503-style, AdmissionPolicy)
   kJobDeadlineDropped, // admitted job expired in queue; dropped unserved at pop

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <string>
 
 #include "sim/simulation.h"
 #include "util/stats.h"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace nv::util {
 
@@ -69,35 +68,6 @@ double Samples::percentile(double p) const {
   const std::size_t hi_idx = std::min(lo_idx + 1, values_.size() - 1);
   const double frac = rank - static_cast<double>(lo_idx);
   return values_[lo_idx] * (1.0 - frac) + values_[hi_idx] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets == 0 ? 1 : buckets, 0) {}
-
-void Histogram::add(double x) noexcept {
-  const auto n = static_cast<double>(counts_.size());
-  double pos = (x - lo_) / (hi_ - lo_) * n;
-  pos = std::clamp(pos, 0.0, n - 1.0);
-  ++counts_[static_cast<std::size_t>(pos)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(static_cast<double>(counts_[i]) /
-                                              static_cast<double>(peak) *
-                                              static_cast<double>(width));
-    out << "[" << bucket_lo(i) << ", " << bucket_lo(i + 1) << ") "
-        << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace nv::util

@@ -3,9 +3,7 @@
 #define NV_UTIL_STATS_H
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace nv::util {
@@ -52,27 +50,6 @@ class Samples {
  private:
   mutable std::vector<double> values_;
   mutable bool sorted_ = false;
-};
-
-/// Fixed-width bucket histogram over [lo, hi); out-of-range values clamp to
-/// the edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bucket_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const noexcept;
-  /// Render as a compact ASCII bar chart (for bench output).
-  [[nodiscard]] std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace nv::util

@@ -1,7 +1,7 @@
-// Fleet-of-fleets: GossipBus delivery semantics, ShardRouter scoring,
-// ClusterKeyspaceBudget splitting, FleetCluster wiring — and the acceptance
-// scenario: a campaign on shard A tightens shard B via gossip BEFORE shard B
-// has seen a single quarantine, deterministically under one ManualClock.
+// Fleet-of-fleets: ClusterKeyspaceBudget splitting, FleetCluster wiring —
+// and the acceptance scenario: a campaign on shard A tightens shard B via
+// gossip BEFORE shard B has seen a single quarantine, deterministically under
+// one ManualClock.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -11,121 +11,17 @@
 
 #include "cluster/budget.h"
 #include "cluster/cluster.h"
-#include "cluster/gossip.h"
-#include "cluster/router.h"
 #include "experiments/network_diversity.h"
 #include "fleet_test_harness.h"
 
 namespace nv::cluster {
 namespace {
 
-using fleet::CampaignAlert;
 using fleet::ManualClock;
 using fleet::harness::poison_job;
 using fleet::harness::uid_spec;
 
 using std::chrono::milliseconds;
-
-CampaignAlert alert_with_id(std::uint64_t id) {
-  CampaignAlert alert;
-  alert.id = id;
-  return alert;
-}
-
-// --- GossipBus ---------------------------------------------------------------
-
-TEST(Gossip, SynchronousPublishSkipsOriginAndDeliversInAscendingOrder) {
-  GossipBus bus;
-  std::vector<std::pair<unsigned, unsigned>> seen;  // (subscriber, origin)
-  for (unsigned i = 0; i < 3; ++i) {
-    bus.subscribe([i, &seen](unsigned origin, const CampaignAlert&) {
-      seen.emplace_back(i, origin);
-    });
-  }
-  bus.publish(1, alert_with_id(7));
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], (std::pair<unsigned, unsigned>{0, 1}));
-  EXPECT_EQ(seen[1], (std::pair<unsigned, unsigned>{2, 1}));
-  EXPECT_EQ(bus.published(), 1u);
-  EXPECT_EQ(bus.delivered(), 2u);
-  EXPECT_EQ(bus.pending(), 0u);
-  EXPECT_EQ(bus.pump(), 0u);  // nothing queued at delay 0
-}
-
-TEST(Gossip, DelayedAlertsWaitForTheClockAndDeliverInPublishOrder) {
-  ManualClock clock;
-  GossipConfig config;
-  config.propagation_delay = milliseconds(50);
-  GossipBus bus(config, clock.fn());
-  std::vector<std::uint64_t> order;
-  bus.subscribe([&](unsigned, const CampaignAlert& alert) { order.push_back(alert.id); });
-  bus.subscribe([&](unsigned, const CampaignAlert& alert) { order.push_back(alert.id); });
-
-  bus.publish(0, alert_with_id(1));
-  bus.publish(1, alert_with_id(2));
-  EXPECT_EQ(bus.pending(), 2u);
-  EXPECT_EQ(bus.pump(), 0u);  // not due yet
-  EXPECT_TRUE(order.empty());
-
-  clock.advance(milliseconds(50));
-  // Each alert reaches ONE subscriber (the other is its origin): first alert
-  // 1 to subscriber 1, then alert 2 to subscriber 0 — publish order.
-  EXPECT_EQ(bus.pump(), 2u);
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2}));
-  EXPECT_EQ(bus.pending(), 0u);
-  EXPECT_EQ(bus.delivered(), 2u);
-}
-
-// --- ShardRouter -------------------------------------------------------------
-
-TEST(ShardRouterTest, PrefersShallowQueuesAndFullKeyspaces) {
-  ShardRouter router;
-  std::vector<ShardHealth> shards(2);
-  shards[0].queue_depth = 5;
-  shards[1].queue_depth = 0;
-  EXPECT_EQ(router.route(shards), 1u);
-
-  // Equal load: the shard with more diversity left wins.
-  shards[0].queue_depth = shards[1].queue_depth = 0;
-  shards[0].keys_total = 16;
-  shards[0].keys_remaining = 16;
-  shards[1].keys_total = 16;
-  shards[1].keys_remaining = 1;
-  EXPECT_EQ(router.route(shards), 0u);
-}
-
-TEST(ShardRouterTest, SkipsNonAcceptingAndKeepsExhaustedAsLastResort) {
-  ShardRouter router;
-  std::vector<ShardHealth> shards(3);
-  shards[0].accepting = false;
-  shards[1].exhausted = true;
-  EXPECT_EQ(router.route(shards), 2u);  // healthy shard beats exhausted
-
-  shards[2].accepting = false;  // only the exhausted shard is left: still routable
-  EXPECT_EQ(router.route(shards), 1u);
-
-  shards[1].accepting = false;  // nobody left
-  EXPECT_FALSE(router.route(shards).has_value());
-  EXPECT_TRUE(router.ranked(shards).empty());
-}
-
-TEST(ShardRouterTest, ExactTiesRotateRoundRobin) {
-  ShardRouter router;
-  const std::vector<ShardHealth> shards(3);  // identical scores
-  std::vector<unsigned> picks;
-  for (int i = 0; i < 6; ++i) picks.push_back(*router.route(shards));
-  EXPECT_EQ(picks, (std::vector<unsigned>{0, 1, 2, 0, 1, 2}));
-}
-
-TEST(ShardRouterTest, RankedOrdersByScoreWithAscendingTieBreak) {
-  ShardRouter router;
-  std::vector<ShardHealth> shards(4);
-  shards[0].queue_depth = 2;
-  shards[1].queue_depth = 0;
-  shards[2].queue_depth = 0;
-  shards[3].accepting = false;
-  EXPECT_EQ(router.ranked(shards), (std::vector<unsigned>{1, 2, 0}));
-}
 
 // --- ClusterKeyspaceBudget ---------------------------------------------------
 
@@ -208,47 +104,25 @@ TEST(FleetClusterTest, StaticNetworkWhenNoNetworkVariations) {
   EXPECT_EQ(cluster.snapshot().network_bits, 0.0);
 }
 
-TEST(FleetClusterTest, RoutedJobsRunAndCount) {
+TEST(FleetClusterTest, DrainedShardLeavesTheRestServing) {
   ManualClock clock;
   FleetCluster cluster(small_cluster(clock));
-  for (int i = 0; i < 4; ++i) {
-    auto outcome = cluster.submit([](core::NVariantSystem&) {
-      core::RunReport report;
-      report.completed = true;
-      return report;
-    });
-    EXPECT_TRUE(outcome.get().ok());
-  }
-  EXPECT_EQ(cluster.snapshot().jobs_routed, 4u);
-  EXPECT_EQ(cluster.snapshot().jobs_unroutable, 0u);
-}
+  const auto drain = cluster.shard(0).shutdown(milliseconds(1000));
+  EXPECT_TRUE(drain.clean);
+  EXPECT_EQ(cluster.snapshot().shards_accepting, 1u);
 
-TEST(FleetClusterTest, DrainedShardDegradesGracefully) {
-  ManualClock clock;
-  FleetCluster cluster(small_cluster(clock));
-  const auto report = cluster.drain_shard(0, milliseconds(1000));
-  EXPECT_TRUE(report.clean);
-
-  // The router no longer places work on the drained shard.
   const auto before = cluster.shard(1).telemetry().snapshot().jobs_completed;
   for (int i = 0; i < 3; ++i) {
-    auto outcome = cluster.try_submit([](core::NVariantSystem&) {
-      core::RunReport report;
-      report.completed = true;
-      return report;
-    });
-    ASSERT_TRUE(outcome.has_value());
-    EXPECT_TRUE(outcome->get().ok());
+    EXPECT_TRUE(cluster.shard(1)
+                    .submit([](core::NVariantSystem&) {
+                      core::RunReport report;
+                      report.completed = true;
+                      return report;
+                    })
+                    .get()
+                    .ok());
   }
   EXPECT_EQ(cluster.shard(1).telemetry().snapshot().jobs_completed, before + 3);
-  const ClusterSnapshot snap = cluster.snapshot();
-  EXPECT_EQ(snap.shards_accepting, 1u);
-
-  // Draining the last shard leaves nothing routable: submit() throws.
-  (void)cluster.drain_shard(1, milliseconds(1000));
-  EXPECT_THROW((void)cluster.submit([](core::NVariantSystem&) { return core::RunReport{}; }),
-               std::runtime_error);
-  EXPECT_GE(cluster.snapshot().jobs_unroutable, 1u);
 }
 
 TEST(FleetClusterTest, BudgetIsolatesANoisyShard) {
@@ -265,8 +139,8 @@ TEST(FleetClusterTest, BudgetIsolatesANoisyShard) {
 
   // First poison: respawn burns shard 0's last key. Second: the respawn is
   // refused at the draw site (budget exhausted) and the lane dies.
-  (void)cluster.submit_to(0, poison_job("budget storm")).get();
-  (void)cluster.submit_to(0, poison_job("budget storm")).get();
+  (void)cluster.shard(0).submit(poison_job("budget storm")).get();
+  (void)cluster.shard(0).submit(poison_job("budget storm")).get();
 
   const ClusterSnapshot snap = cluster.snapshot();
   EXPECT_TRUE(snap.shard_views[0].exhausted);
@@ -274,11 +148,12 @@ TEST(FleetClusterTest, BudgetIsolatesANoisyShard) {
   EXPECT_FALSE(snap.shard_views[1].exhausted);
   EXPECT_EQ(snap.shard_views[1].shard_keys_remaining, 1u);
   // And shard 1 still serves.
-  EXPECT_TRUE(cluster.submit_to(1, [](core::NVariantSystem&) {
-                       core::RunReport report;
-                       report.completed = true;
-                       return report;
-                     })
+  EXPECT_TRUE(cluster.shard(1)
+                  .submit([](core::NVariantSystem&) {
+                    core::RunReport report;
+                    report.completed = true;
+                    return report;
+                  })
                   .get()
                   .ok());
 }
@@ -296,7 +171,7 @@ TEST(FleetClusterTest, CampaignOnShardZeroTightensEveryShardBeforeTheyAreProbed)
   const unsigned baseline_threshold = cluster.shard(1).campaign_policy().threshold;
 
   for (int i = 0; i < 3; ++i) {
-    (void)cluster.submit_to(0, poison_job("coordinated probe burst")).get();
+    (void)cluster.shard(0).submit(poison_job("coordinated probe burst")).get();
   }
 
   const ClusterSnapshot snap = cluster.snapshot();
@@ -340,27 +215,6 @@ TEST(FleetClusterTest, GossipTighteningIsDeterministicAcrossRuns) {
     return identity;
   };
   EXPECT_EQ(run_once(), run_once());
-}
-
-TEST(FleetClusterTest, DelayedGossipDeliversOnTheManualClockViaPump) {
-  // With a propagation delay, the tighten lands only after the clock has
-  // moved AND someone pumps — deterministically, in publish order.
-  ManualClock clock;
-  ClusterConfig config = small_cluster(clock);
-  config.gossip.propagation_delay = milliseconds(50);
-  FleetCluster cluster(config);
-
-  for (int i = 0; i < 3; ++i) {
-    (void)cluster.submit_to(0, poison_job("slow gossip burst")).get();
-  }
-  EXPECT_EQ(cluster.snapshot().gossip_pending, 1u);
-  EXPECT_FALSE(cluster.shard(1).adaptive()->tightened());
-
-  EXPECT_EQ(cluster.gossip().pump(), 0u);  // clock has not moved yet
-  clock.advance(milliseconds(50));
-  EXPECT_EQ(cluster.gossip().pump(), 1u);
-  EXPECT_TRUE(cluster.shard(1).adaptive()->tightened());
-  EXPECT_EQ(cluster.shard(1).telemetry().snapshot().sessions_quarantined, 0u);
 }
 
 // --- Experiment smoke --------------------------------------------------------

@@ -190,21 +190,6 @@ TEST(FailureInjection, LaunchWhileRunningThrows) {
   (void)system.stop();
 }
 
-TEST(FailureInjection, AlarmCallbackFiresOnDetection) {
-  const auto system_owner = fast_system();
-  auto& system = *system_owner;
-  std::vector<core::AlarmKind> seen;
-  system.monitor().set_alarm_callback(
-      [&](const core::Alarm& alarm) { seen.push_back(alarm.kind); });
-  LambdaGuest guest([](guest::GuestContext& ctx) {
-    (void)ctx.cond_chk(ctx.variant() == 0);
-    ctx.exit(0);
-  });
-  (void)guest::run_nvariant(system, guest);
-  ASSERT_FALSE(seen.empty());
-  EXPECT_EQ(seen.front(), core::AlarmKind::kConditionMismatch);
-}
-
 TEST(FailureInjection, MissingUnsharedVariantFileFailsLoudly) {
   const auto system_owner = fast_system({}, {"/etc/conf"});
   auto& system = *system_owner;

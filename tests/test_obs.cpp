@@ -399,7 +399,7 @@ TEST(TraceClusterTest, RemoteTightensCarryTheOriginShardsAlertSpan) {
   auto recorder = std::make_shared<TraceRecorder>(TraceConfig{}, clock.fn());
   cluster::FleetCluster cluster(traced_cluster(clock, recorder));
   for (int i = 0; i < 3; ++i) {
-    (void)cluster.submit_to(0, poison_job("cross-shard campaign")).get();
+    (void)cluster.shard(0).submit(poison_job("cross-shard campaign")).get();
   }
 
   const auto alerts = events_of(*recorder, TraceEventKind::kCampaignAlert);
@@ -434,7 +434,33 @@ TEST(TraceClusterTest, RemoteTightensCarryTheOriginShardsAlertSpan) {
   EXPECT_EQ(tightened_tracks, (std::set<std::string>{"shard1.ops", "shard2.ops"}));
 }
 
-TEST(TraceClusterTest, TickPumpsEnforcesAndSweepsTightenedShards) {
+TEST(TraceClusterTest, GossipReachesEveryOtherShardInAscendingOrder) {
+  // An alert raised on the MIDDLE shard: gossip skips its origin and visits
+  // the others in ascending shard order, and every delivery has landed by
+  // the time the alerting job's future resolves.
+  ManualClock clock;
+  auto recorder = std::make_shared<TraceRecorder>(TraceConfig{}, clock.fn());
+  cluster::FleetCluster cluster(traced_cluster(clock, recorder));
+  for (int i = 0; i < 3; ++i) {
+    (void)cluster.shard(1).submit(poison_job("middle-shard campaign")).get();
+  }
+
+  const auto delivers = events_of(*recorder, TraceEventKind::kGossipDeliver);
+  ASSERT_EQ(delivers.size(), 2u);
+  EXPECT_EQ(delivers[0].a, 1u);  // from shard 1
+  EXPECT_EQ(delivers[0].b, 0u);  // to shard 0 first
+  EXPECT_EQ(delivers[1].a, 1u);
+  EXPECT_EQ(delivers[1].b, 2u);  // then shard 2
+
+  const auto snap = cluster.snapshot();
+  EXPECT_EQ(snap.gossip_published, 1u);
+  EXPECT_EQ(snap.gossip_delivered, 2u);
+  EXPECT_EQ(snap.shard_views[1].fleet.remote_campaigns, 0u);
+  EXPECT_EQ(snap.shard_views[0].fleet.remote_campaigns, 1u);
+  EXPECT_EQ(snap.shard_views[2].fleet.remote_campaigns, 1u);
+}
+
+TEST(TraceClusterTest, TickSweepsTightenedShards) {
   ManualClock clock;
   auto recorder = std::make_shared<TraceRecorder>(TraceConfig{}, clock.fn());
   auto config = traced_cluster(clock, recorder);
@@ -451,7 +477,7 @@ TEST(TraceClusterTest, TickPumpsEnforcesAndSweepsTightenedShards) {
   // elapses the next tick sweeps ALL of them — flagging their lanes for
   // rotation and redrawing their network identities.
   for (int i = 0; i < 3; ++i) {
-    (void)cluster.submit_to(0, poison_job("sweep me")).get();
+    (void)cluster.shard(0).submit(poison_job("sweep me")).get();
   }
   clock.advance(milliseconds(100));
   const auto swept = cluster.tick();
@@ -470,36 +496,6 @@ TEST(TraceClusterTest, TickPumpsEnforcesAndSweepsTightenedShards) {
   EXPECT_EQ(ticks[0].detail, "");
   EXPECT_EQ(ticks[1].a, 2u);
   EXPECT_EQ(ticks[1].detail, "swept 3 shards");
-}
-
-// --- ShardRouter health cache ------------------------------------------------
-
-TEST(ShardRouterCacheTest, RoutingDoesNotResampleShardsWhoseEpochIsUnchanged) {
-  // The satellite regression contract: per-submission routing cost is O(K)
-  // atomic reads — the mutexed health walk happens ONLY when a shard's
-  // health epoch moved (first contact, quarantine respawn, drain).
-  ManualClock clock;
-  auto recorder = std::make_shared<TraceRecorder>(TraceConfig{}, clock.fn());
-  cluster::FleetCluster cluster(traced_cluster(clock, recorder, /*shards=*/2));
-  EXPECT_EQ(cluster.snapshot().health_resamples, 0u);
-
-  // First routed submission: sentinel epochs force one full sample (K = 2).
-  (void)cluster.submit(clean_job()).get();
-  EXPECT_EQ(cluster.snapshot().health_resamples, 2u);
-
-  // Clean traffic changes only queue depths (served lock-free from the
-  // hint): five more routed submissions re-sample NOTHING.
-  for (int i = 0; i < 5; ++i) (void)cluster.submit(clean_job()).get();
-  EXPECT_EQ(cluster.snapshot().health_resamples, 2u);
-
-  // A quarantine respawn on shard 0 moves ITS epoch (the keyspace gauge
-  // refresh); the next routed submission re-samples exactly that one shard.
-  (void)cluster.submit_to(0, poison_job("cache invalidation probe")).get();
-  (void)cluster.submit(clean_job()).get();
-  EXPECT_EQ(cluster.snapshot().health_resamples, 3u);
-
-  // And the router left its decisions in the trace.
-  EXPECT_FALSE(events_of(*recorder, TraceEventKind::kRouteDecision).empty());
 }
 
 // --- Exporters ---------------------------------------------------------------
@@ -549,8 +545,8 @@ TEST(ObsExportersTest, FleetMetricsExposeEverySnapshotFieldAndHistograms) {
 TEST(ObsExportersTest, ClusterMetricsExposeAggregatesAndPerShardSeries) {
   cluster::ClusterSnapshot snap;
   snap.shards = 2;
-  snap.jobs_routed = 6;
-  snap.health_resamples = 3;
+  snap.gossip_delivered = 6;
+  snap.network_rotations = 3;
   cluster::ShardSnapshot view;
   view.shard = 1;
   view.fleet.jobs_completed = 5;
@@ -558,8 +554,8 @@ TEST(ObsExportersTest, ClusterMetricsExposeAggregatesAndPerShardSeries) {
 
   const std::string text = expose_metrics(snap);
   EXPECT_NE(text.find("nv_cluster_shards 2"), std::string::npos);
-  EXPECT_NE(text.find("nv_cluster_jobs_routed 6"), std::string::npos);
-  EXPECT_NE(text.find("nv_cluster_health_resamples 3"), std::string::npos);
+  EXPECT_NE(text.find("nv_cluster_gossip_delivered 6"), std::string::npos);
+  EXPECT_NE(text.find("nv_cluster_network_rotations 3"), std::string::npos);
   EXPECT_NE(text.find("nv_fleet_jobs_completed{shard=\"1\"} 5"), std::string::npos);
   // One # TYPE header per metric name, even with per-shard label series.
   EXPECT_EQ(text.find("# TYPE nv_fleet_jobs_completed counter"),

@@ -4,16 +4,19 @@
 1. Markdown link check: every relative link in README.md and docs/*.md must
    point at a file (or directory) that exists in the repo. External links
    (http/https/mailto) are not fetched.
-2. Telemetry coverage: every field of fleet::FleetSnapshot declared in
-   src/fleet/telemetry.h — and of cluster::ClusterSnapshot declared in
-   src/cluster/telemetry.h — must appear (as `backtick-quoted` code) in
-   docs/TELEMETRY.md — a counter or gauge without documented semantics is a
-   CI failure, per the docs contract.
-3. Trace coverage: every obs::TraceEventKind enumerator declared in
-   src/obs/trace.h must have a `backtick-quoted` entry in docs/TRACING.md
-   under its stable lower_snake name (kSessionDraw -> `session_draw`) — an
-   event kind without documented span/parent/operand semantics is a CI
-   failure, same contract.
+2. Telemetry coverage, both ways: every field of fleet::FleetSnapshot
+   declared in src/fleet/telemetry.h — and of cluster::ClusterSnapshot
+   declared in src/cluster/telemetry.h — must appear (as `backtick-quoted`
+   code) in docs/TELEMETRY.md, and every glossary table row there
+   (| `name` | ...) must name a field one of those structs declares. A
+   counter without documented semantics fails, and so does a row that
+   outlived its field.
+3. Trace coverage, both ways: every obs::TraceEventKind enumerator declared
+   in src/obs/trace.h must have a `backtick-quoted` entry in docs/TRACING.md
+   under its stable lower_snake name (kSessionDraw -> `session_draw`), and
+   every table row under TRACING.md's "Event glossary" heading must name a
+   declared kind. An undocumented kind fails, and so does a row whose kind
+   is gone.
 4. Lint-rule coverage: every rule id tools/nvlint.py enforces (its RULE_IDS
    tuple) must have a `backtick-quoted` glossary entry in
    docs/STATIC_ANALYSIS.md — a lint failure whose rule has no documented
@@ -30,6 +33,8 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # Field declarations inside the FleetSnapshot struct, e.g.
 #   std::uint64_t jobs_submitted = 0;   double latency_mean_us = 0.0;
 FIELD_RE = re.compile(r"^\s*(?:std::uint64_t|std::size_t|double)\s+(\w+)\s*=", re.MULTILINE)
+# A glossary table row, keyed by its first cell: | `jobs_submitted` | jobs | ...
+ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 
 
 def check_links(root: pathlib.Path, errors: list) -> int:
@@ -62,9 +67,21 @@ SNAPSHOT_STRUCTS = [
 ]
 
 
+def glossary_rows(numbered_lines) -> list:
+    """(line number, first-cell name) of every | `name` | table row among
+    (line number, line) pairs."""
+    rows = []
+    for lineno, line in numbered_lines:
+        match = ROW_RE.match(line)
+        if match:
+            rows.append((lineno, match.group(1)))
+    return rows
+
+
 def check_telemetry_coverage(root: pathlib.Path, errors: list) -> int:
     glossary = root / "docs" / "TELEMETRY.md"
     documented = glossary.read_text(encoding="utf-8") if glossary.exists() else ""
+    declared = set()
     total = 0
     for parts, struct in SNAPSHOT_STRUCTS:
         header = root.joinpath(*parts)
@@ -80,7 +97,12 @@ def check_telemetry_coverage(root: pathlib.Path, errors: list) -> int:
             if f"`{field}`" not in documented:
                 errors.append(
                     f"{struct} field '{field}' has no entry in docs/TELEMETRY.md")
+        declared.update(fields)
         total += len(fields)
+    for lineno, name in glossary_rows(enumerate(documented.splitlines(), 1)):
+        if name not in declared:
+            errors.append(f"docs/TELEMETRY.md:{lineno}: row `{name}` names no "
+                          "FleetSnapshot or ClusterSnapshot field")
     return total
 
 
@@ -111,6 +133,21 @@ def check_trace_coverage(root: pathlib.Path, errors: list) -> int:
         if f"`{name}`" not in documented:
             errors.append(
                 f"TraceEventKind::k{kind} ('{name}') has no entry in docs/TRACING.md")
+    # The event glossary runs from its heading to the next level-2 heading.
+    section = []
+    in_glossary = False
+    for lineno, line in enumerate(documented.splitlines(), 1):
+        if line.startswith("## "):
+            in_glossary = line.strip() == "## Event glossary"
+        elif in_glossary:
+            section.append((lineno, line))
+    if not section:
+        errors.append(f"{glossary}: cannot locate the \"Event glossary\" section")
+    declared = {snake_case(kind) for kind in kinds}
+    for lineno, name in glossary_rows(section):
+        if name not in declared:
+            errors.append(f"docs/TRACING.md:{lineno}: event glossary row `{name}` "
+                          "names no TraceEventKind")
     return len(kinds)
 
 
