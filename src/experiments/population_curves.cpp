@@ -196,14 +196,8 @@ PopulationCurve run_population_experiment(const PopulationExperimentConfig& conf
         const auto after = fleet.telemetry().snapshot();
         if (after.campaign_alerts > before.campaign_alerts &&
             fleet.campaign_policy().rotate_fleet_on_alert) {
-          std::uint64_t dead_lanes = 0;
-          for (const auto& record : fleet.quarantine_log()) {
-            if (record.replacement_fingerprint.rfind("(respawn failed", 0) == 0) {
-              ++dead_lanes;
-            }
-          }
           await_rotations(fleet, before.sessions_rotated + before.rotations_failed +
-                                     (pool - 1 - dead_lanes));
+                                     (pool - 1 - after.lanes_retired));
         }
         reconcile();
       }

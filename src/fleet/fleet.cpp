@@ -325,7 +325,7 @@ std::vector<std::string> VariantFleet::live_fingerprints() const {
 
 std::vector<QuarantineRecord> VariantFleet::quarantine_log() const {
   const util::MutexLock lock(quarantine_mutex_);
-  return quarantine_log_;
+  return {quarantine_log_.begin(), quarantine_log_.end()};
 }
 
 std::vector<CampaignAlert> VariantFleet::campaign_alerts() const {
@@ -560,7 +560,7 @@ void VariantFleet::run_job(unsigned lane, PendingJob job) {
   const auto latency = std::chrono::duration_cast<std::chrono::microseconds>(clock_() - start);
   outcome.latency = latency;
 
-  telemetry_.record_latency(lane, static_cast<double>(latency.count()));
+  telemetry_.record_latency(lane, static_cast<std::uint64_t>(latency.count()));
   telemetry_.add_syscall_rounds(outcome.report.syscall_rounds);
   if (!outcome.error.empty()) {
     telemetry_.note_job_error();
@@ -646,9 +646,12 @@ void VariantFleet::respawn(unsigned lane, JobOutcome& outcome) {
       record.replacement_id = replacement->id;
       record.replacement_fingerprint = replacement->fingerprint;
       const std::uint64_t replacement_span = replacement->trace_span;
+      // The poisoned session is torn down when this block ends, outside the
+      // lock every lane's run_job takes.
+      Session poisoned;
       {
         const util::MutexLock lock(sessions_mutex_);
-        sessions_[lane] = std::move(*replacement);
+        poisoned = std::exchange(sessions_[lane], std::move(*replacement));
       }
       telemetry_.note_respawned();
       if (trace_) {
@@ -665,6 +668,7 @@ void VariantFleet::respawn(unsigned lane, JobOutcome& outcome) {
         trace_->record(lane_tracks_[lane], obs::TraceEventKind::kLaneRetired, 0,
                        outcome.trace_span, lane, 0, replacement.error());
       }
+      telemetry_.note_lane_retired();
       const util::MutexLock lock(queue_mutex_);
       lane_flags_[lane].dead = true;
       retire_lane_locked(lane);
@@ -679,6 +683,7 @@ void VariantFleet::respawn(unsigned lane, JobOutcome& outcome) {
   {
     const util::MutexLock lock(quarantine_mutex_);
     quarantine_log_.push_back(std::move(record));
+    if (quarantine_log_.size() > kQuarantineLogCapacity) quarantine_log_.pop_front();
   }
   // Every quarantine is attacker activity: an ongoing campaign whose later
   // incidents merely JOIN (no re-alert) must still defer the adaptive decay.
@@ -691,8 +696,7 @@ void VariantFleet::respawn(unsigned lane, JobOutcome& outcome) {
       // on_campaign so gossip subscribers can parent their remote tighten.
       alert->trace_span = trace_->new_span();
       trace_->record(ops_track_, obs::TraceEventKind::kCampaignAlert, alert->trace_span,
-                     outcome.trace_span, alert->id, alert->session_ids.size(),
-                     alert->signature.key());
+                     outcome.trace_span, alert->id, alert->members, alert->signature.key());
     }
     if (adaptive_.has_value()) {
       const util::MutexLock install_lock(adaptive_install_mutex_);
@@ -760,9 +764,12 @@ std::size_t VariantFleet::draw_rotations_locked(std::optional<unsigned> except,
 void VariantFleet::rotate_lane(unsigned lane, Rotation rotation) {
   const std::uint64_t replacement_span = rotation.session.trace_span;
   const std::uint64_t replacement_id = rotation.session.id;
+  // The replaced session is torn down when this function returns, outside
+  // the lock every lane's run_job takes.
+  Session replaced;
   {
     const util::MutexLock lock(sessions_mutex_);
-    sessions_[lane] = std::move(rotation.session);
+    replaced = std::exchange(sessions_[lane], std::move(rotation.session));
   }
   if (trace_) {
     trace_->record(lane_tracks_[lane], obs::TraceEventKind::kRotation, replacement_span,

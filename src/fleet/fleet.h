@@ -22,8 +22,9 @@
 //     reexpression;
 //   - graceful drain: shutdown(deadline) stops admission, finishes in-flight
 //     jobs, and returns the queued jobs it had to abandon;
-//   - telemetry: FleetTelemetry aggregates per-lane counters and latency
-//     samples into fleet-wide percentiles.
+//   - telemetry: FleetTelemetry folds shared counters and per-lane latency
+//     histograms into fleet-wide percentiles, in memory that does not grow
+//     with the jobs served.
 //
 // A job receives a session's sealed NVariantSystem and drives it however it
 // likes (run a guest to completion, serve a server to one client, or
@@ -280,6 +281,9 @@ class VariantFleet {
 
   [[nodiscard]] FleetTelemetry& telemetry() noexcept { return telemetry_; }
   [[nodiscard]] const FleetTelemetry& telemetry() const noexcept { return telemetry_; }
+  /// Forensics keep the newest kQuarantineLogCapacity quarantines, oldest
+  /// first; FleetSnapshot::sessions_quarantined counts every one.
+  static constexpr std::size_t kQuarantineLogCapacity = 64;
   [[nodiscard]] std::vector<QuarantineRecord> quarantine_log() const;
   /// Fleet-level campaign alerts raised so far (members folded in).
   [[nodiscard]] std::vector<CampaignAlert> campaign_alerts() const;
@@ -442,7 +446,7 @@ class VariantFleet {
   std::vector<Session> sessions_ NV_GUARDED_BY(sessions_mutex_);  // one per lane
 
   mutable util::Mutex quarantine_mutex_;
-  std::vector<QuarantineRecord> quarantine_log_ NV_GUARDED_BY(quarantine_mutex_);
+  std::deque<QuarantineRecord> quarantine_log_ NV_GUARDED_BY(quarantine_mutex_);  // oldest first
 
   std::vector<std::jthread> workers_;
 };

@@ -31,8 +31,11 @@ std::optional<CampaignAlert> CampaignCorrelator::observe(const core::Alarm& alar
   if (track.open_alert.has_value()) {
     // Campaign already raised: fold this incident in, do not re-alert.
     CampaignAlert& alert = alerts_[*track.open_alert];
-    alert.session_ids.push_back(session_id);
-    alert.fingerprints.push_back(fingerprint);
+    ++alert.members;
+    if (alert.session_ids.size() < CampaignAlert::kKeptMembers) {
+      alert.session_ids.push_back(session_id);
+      alert.fingerprints.push_back(fingerprint);
+    }
     alert.last_seen = now;
     return std::nullopt;
   }
@@ -43,7 +46,9 @@ std::optional<CampaignAlert> CampaignCorrelator::observe(const core::Alarm& alar
   alert.signature = signature;
   alert.first_seen = track.window.front().at;
   alert.last_seen = now;
+  alert.members = track.window.size();
   for (const Incident& incident : track.window) {
+    if (alert.session_ids.size() == CampaignAlert::kKeptMembers) break;
     alert.session_ids.push_back(incident.session_id);
     alert.fingerprints.push_back(incident.fingerprint);
   }
@@ -105,9 +110,10 @@ void CampaignCorrelator::set_policy(CampaignPolicy policy) {
 std::string CampaignAlert::describe() const {
   const auto span =
       std::chrono::duration_cast<std::chrono::milliseconds>(last_seen - first_seen);
-  return util::format("campaign #%llu: %zu sessions share signature {%s} within %lld ms",
-                      static_cast<unsigned long long>(id), session_ids.size(),
-                      signature.describe().c_str(), static_cast<long long>(span.count()));
+  return util::format("campaign #%llu: %llu sessions share signature {%s} within %lld ms",
+                      static_cast<unsigned long long>(id),
+                      static_cast<unsigned long long>(members), signature.describe().c_str(),
+                      static_cast<long long>(span.count()));
 }
 
 std::string DrainReport::describe() const {

@@ -96,12 +96,18 @@ struct CampaignPolicy {
 
 /// One fleet-level alert: a campaign, with every member incident folded in.
 struct CampaignAlert {
+  /// session_ids and fingerprints keep the campaign's first kKeptMembers
+  /// members; `members` counts them all.
+  static constexpr std::size_t kKeptMembers = 64;
+
   std::uint64_t id = 0;
   core::AlarmSignature signature;
-  /// Quarantined sessions folded into this campaign (>= threshold at raise
-  /// time; later same-signature quarantines are appended, not re-alerted).
+  /// Quarantines folded into this campaign (>= threshold at raise time;
+  /// later same-signature quarantines join, not re-alert).
+  std::uint64_t members = 0;
+  /// The first kKeptMembers quarantined sessions, in the order they joined.
   std::vector<std::uint64_t> session_ids;
-  /// Diversity identities the attacker burned, one per member session.
+  /// Diversity identities the attacker burned, one per kept member session.
   std::vector<std::string> fingerprints;
   std::chrono::steady_clock::time_point first_seen{};
   std::chrono::steady_clock::time_point last_seen{};

@@ -7,14 +7,8 @@ namespace nv::fleet {
 FleetTelemetry::FleetTelemetry(unsigned lanes) {
   lanes_.reserve(lanes == 0 ? 1 : lanes);
   for (unsigned i = 0; i < (lanes == 0 ? 1 : lanes); ++i) {
-    lanes_.push_back(std::make_unique<Lane>());
+    lanes_.push_back(std::make_unique<util::LatencyHistogram>());
   }
-}
-
-void FleetTelemetry::record_latency(unsigned lane, double latency_us) {
-  Lane& target = *lanes_[lane % lanes_.size()];
-  const util::MutexLock lock(target.mutex);
-  target.latencies_us.add(latency_us);
 }
 
 FleetSnapshot FleetTelemetry::snapshot() const {
@@ -32,6 +26,7 @@ FleetSnapshot FleetTelemetry::snapshot() const {
   snap.sessions_quarantined = sessions_quarantined_.load(std::memory_order_relaxed);
   snap.sessions_respawned = sessions_respawned_.load(std::memory_order_relaxed);
   snap.sessions_rotated = sessions_rotated_.load(std::memory_order_relaxed);
+  snap.lanes_retired = lanes_retired_.load(std::memory_order_relaxed);
   snap.rotations_failed = rotations_failed_.load(std::memory_order_relaxed);
   snap.campaign_alerts = campaign_alerts_.load(std::memory_order_relaxed);
   snap.remote_campaigns = remote_campaigns_.load(std::memory_order_relaxed);
@@ -45,16 +40,16 @@ FleetSnapshot FleetTelemetry::snapshot() const {
     if (trace_) snap.trace_drops = trace_->dropped();
   }
 
-  util::Samples merged;
-  for (const auto& lane : lanes_) {
-    const util::MutexLock lock(lane->mutex);
-    merged.merge(lane->latencies_us);
-  }
+  // On this thread's stack: 16 KiB, and no heap allocation.
+  util::LatencyHistogram merged;
+  for (const auto& lane : lanes_) merged.merge(*lane);
   snap.latency_count = merged.count();
+  snap.latency_sum_us = merged.sum();
   snap.latency_mean_us = merged.mean();
   snap.latency_p50_us = merged.percentile(50.0);
   snap.latency_p95_us = merged.percentile(95.0);
   snap.latency_p99_us = merged.percentile(99.0);
+  merged.coarse_counts(obs::kHistogramBounds, snap.latency_buckets);
   return snap;
 }
 

@@ -1,8 +1,9 @@
-// Fleet-wide observability: every worker lane records into its own
-// low-contention collector (counters are shared atomics; latency samples are
-// per-lane under a per-lane lock), and snapshot() folds the lanes into one
-// fleet view — counts, rates, and latency percentiles via
-// util::Samples::merge().
+// Fleet-wide observability: counters are shared relaxed atomics, and each
+// worker lane records job latency into its own fixed-size
+// util::LatencyHistogram, which only that lane's worker writes, without a
+// lock. snapshot() folds the lanes into one fleet view (counts, rates, and
+// latency percentiles and buckets) without a heap allocation, so neither the
+// fleet's memory nor a snapshot's cost grows with the jobs served.
 //
 // This is the population-level measurement the diversity literature asks for
 // (Chen et al.: quantify effectiveness across many diversified instances,
@@ -11,6 +12,7 @@
 #ifndef NV_FLEET_TELEMETRY_H
 #define NV_FLEET_TELEMETRY_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -18,8 +20,8 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "util/latency_histogram.h"
 #include "util/mutex.h"
-#include "util/stats.h"
 #include "util/thread_annotations.h"
 
 namespace nv::fleet {
@@ -42,6 +44,7 @@ struct FleetSnapshot {
   std::uint64_t sessions_quarantined = 0;
   std::uint64_t sessions_respawned = 0;
   std::uint64_t sessions_rotated = 0;  // proactive re-diversifications (campaign escalation)
+  std::uint64_t lanes_retired = 0;     // lanes retired because a respawn failed
   std::uint64_t rotations_failed = 0;  // rotation kept serving a burned reexpression
   std::uint64_t campaign_alerts = 0;   // fleet-level correlated-attack alerts
   std::uint64_t remote_campaigns = 0;  // gossip-applied alerts raised on OTHER fleets
@@ -61,11 +64,15 @@ struct FleetSnapshot {
   std::uint64_t keys_total = 0;
   std::uint64_t keys_remaining = 0;
 
-  std::size_t latency_count = 0;  // completed-job latencies sampled
+  std::size_t latency_count = 0;  // job latencies recorded
+  std::uint64_t latency_sum_us = 0;  // exact
   double latency_mean_us = 0.0;
   double latency_p50_us = 0.0;
   double latency_p95_us = 0.0;
   double latency_p99_us = 0.0;
+  /// The latencies per bucket of obs::kHistogramBounds (not cumulative); the
+  /// last entry is the +Inf bucket. Sums across fleets, unlike percentiles.
+  std::array<std::uint64_t, obs::kHistogramBounds.size() + 1> latency_buckets{};
 
   [[nodiscard]] std::string describe() const;
 };
@@ -84,6 +91,7 @@ class FleetTelemetry {
     sessions_quarantined_.fetch_add(1, std::memory_order_relaxed);
   }
   void note_respawned() noexcept { sessions_respawned_.fetch_add(1, std::memory_order_relaxed); }
+  void note_lane_retired() noexcept { lanes_retired_.fetch_add(1, std::memory_order_relaxed); }
   void note_abandoned() noexcept { jobs_abandoned_.fetch_add(1, std::memory_order_relaxed); }
   void note_shed() noexcept { jobs_shed_.fetch_add(1, std::memory_order_relaxed); }
   void note_deadline_dropped() noexcept {
@@ -125,8 +133,11 @@ class FleetTelemetry {
     keys_remaining_.store(remaining, std::memory_order_relaxed);
   }
 
-  /// Record one job's end-to-end latency into `lane`'s collector.
-  void record_latency(unsigned lane, double latency_us);
+  /// Record one job's latency, in whole microseconds, into `lane`'s
+  /// histogram. Only the lane's own worker records into it.
+  void record_latency(unsigned lane, std::uint64_t latency_us) noexcept {
+    lanes_[lane % lanes_.size()]->record(latency_us);
+  }
 
   /// Surface `recorder`'s drop counter as FleetSnapshot::trace_drops (read at
   /// snapshot time). Null detaches. The fleet wires its FleetConfig::trace
@@ -137,17 +148,13 @@ class FleetTelemetry {
     trace_ = std::move(recorder);
   }
 
-  /// Fold every lane's samples (merge()) plus the counters into one view.
+  /// Fold every lane's histogram plus the counters into one view. Allocates
+  /// nothing; its work is bounded by the lanes' highest buckets in use.
   [[nodiscard]] FleetSnapshot snapshot() const;
 
   [[nodiscard]] unsigned lanes() const noexcept { return static_cast<unsigned>(lanes_.size()); }
 
  private:
-  struct Lane {
-    mutable util::Mutex mutex;
-    util::Samples latencies_us NV_GUARDED_BY(mutex);
-  };
-
   std::atomic<std::uint64_t> jobs_submitted_{0};
   std::atomic<std::uint64_t> jobs_rejected_{0};
   std::atomic<std::uint64_t> jobs_completed_{0};
@@ -161,6 +168,7 @@ class FleetTelemetry {
   std::atomic<std::uint64_t> sessions_quarantined_{0};
   std::atomic<std::uint64_t> sessions_respawned_{0};
   std::atomic<std::uint64_t> sessions_rotated_{0};
+  std::atomic<std::uint64_t> lanes_retired_{0};
   std::atomic<std::uint64_t> rotations_failed_{0};
   std::atomic<std::uint64_t> campaign_alerts_{0};
   std::atomic<std::uint64_t> remote_campaigns_{0};
@@ -171,7 +179,8 @@ class FleetTelemetry {
   std::atomic<std::uint64_t> keys_remaining_{0};
   mutable util::Mutex trace_mutex_;
   std::shared_ptr<const obs::TraceRecorder> trace_ NV_GUARDED_BY(trace_mutex_);
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  /// One histogram per lane; only the lane's worker records into it.
+  std::vector<std::unique_ptr<util::LatencyHistogram>> lanes_;
 };
 
 }  // namespace nv::fleet

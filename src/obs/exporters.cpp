@@ -51,6 +51,29 @@ void gauge(std::string& out, std::set<std::string>& typed, const std::string& na
   series(out, typed, name, "gauge", labels, util::format("%.6g", value));
 }
 
+/// One Prometheus histogram from per-bucket counts at kHistogramBounds (the
+/// last is +Inf): cumulative `_bucket` series, then `_sum` and `_count`,
+/// under one # TYPE header per metric name.
+void histogram(std::string& out, std::set<std::string>& typed, const std::string& name,
+               const std::string& labels,
+               const std::array<std::uint64_t, kHistogramBounds.size() + 1>& buckets,
+               const std::string& sum, std::uint64_t count) {
+  if (typed.insert(name).second) out += "# TYPE " + name + " histogram\n";
+  // `le` joins the series' own labels.
+  const std::string open = labels.empty() ? "{" : labels.substr(0, labels.size() - 1) + ",";
+  std::uint64_t cumulative = 0;
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    cumulative += buckets[i];
+    const std::string le =
+        i < kHistogramBounds.size() ? util::format("%g", kHistogramBounds[i]) : "+Inf";
+    out += util::format("%s_bucket%sle=\"%s\"} %llu\n", name.c_str(), open.c_str(), le.c_str(),
+                        static_cast<unsigned long long>(cumulative));
+  }
+  out += name + "_sum" + labels + " " + sum + "\n";
+  out += util::format("%s_count%s %llu\n", name.c_str(), labels.c_str(),
+                      static_cast<unsigned long long>(count));
+}
+
 /// Every documented FleetSnapshot field (docs/TELEMETRY.md glossary); the
 /// docs CI contract keeps this list honest — a new field lands in the
 /// glossary, and this exporter is the glossary's machine-readable twin.
@@ -76,6 +99,7 @@ void expose_fleet(std::string& out, std::set<std::string>& typed,
   c("sessions_quarantined", snap.sessions_quarantined);
   c("sessions_respawned", snap.sessions_respawned);
   c("sessions_rotated", snap.sessions_rotated);
+  c("lanes_retired", snap.lanes_retired);
   c("rotations_failed", snap.rotations_failed);
   c("campaign_alerts", snap.campaign_alerts);
   c("remote_campaigns", snap.remote_campaigns);
@@ -90,6 +114,9 @@ void expose_fleet(std::string& out, std::set<std::string>& typed,
   g("latency_p50_us", snap.latency_p50_us);
   g("latency_p95_us", snap.latency_p95_us);
   g("latency_p99_us", snap.latency_p99_us);
+  histogram(out, typed, prefix + "_latency_us", labels, snap.latency_buckets,
+            util::format("%llu", static_cast<unsigned long long>(snap.latency_sum_us)),
+            snap.latency_count);
 }
 
 std::string sanitize_metric(const std::string& name) {
@@ -106,20 +133,8 @@ std::string sanitize_metric(const std::string& name) {
 void expose_histograms(std::string& out, std::set<std::string>& typed,
                        const TraceRecorder& recorder) {
   for (const auto& hist : recorder.histograms()) {
-    const std::string name = "nv_trace_" + sanitize_metric(hist.name);
-    if (typed.insert(name).second) out += "# TYPE " + name + " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < kHistogramBounds.size(); ++i) {
-      cumulative += hist.buckets[i];
-      out += util::format("%s_bucket{le=\"%g\"} %llu\n", name.c_str(), kHistogramBounds[i],
-                          static_cast<unsigned long long>(cumulative));
-    }
-    cumulative += hist.buckets[kHistogramBounds.size()];
-    out += util::format("%s_bucket{le=\"+Inf\"} %llu\n", name.c_str(),
-                        static_cast<unsigned long long>(cumulative));
-    out += util::format("%s_sum %.6g\n", name.c_str(), hist.sum);
-    out += util::format("%s_count %llu\n", name.c_str(),
-                        static_cast<unsigned long long>(hist.count));
+    histogram(out, typed, "nv_trace_" + sanitize_metric(hist.name), "", hist.buckets,
+              util::format("%.6g", hist.sum), hist.count);
   }
 }
 

@@ -11,9 +11,10 @@
 //                       tools/check_bench.py in ctest.
 //   expose_metrics()    Prometheus text exposition: every documented
 //                       FleetSnapshot / ClusterSnapshot field as a counter or
-//                       gauge (per-shard series labeled {shard="i"}), plus
-//                       the recorder's trace-derived histograms (cumulative
-//                       buckets over obs::kHistogramBounds).
+//                       gauge (per-shard series labeled {shard="i"}), job
+//                       latency as a histogram, plus the recorder's
+//                       trace-derived histograms (cumulative buckets over
+//                       obs::kHistogramBounds).
 //
 // Formats are documented in docs/TRACING.md.
 #ifndef NV_OBS_EXPORTERS_H

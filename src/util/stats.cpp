@@ -43,12 +43,6 @@ void Samples::add(double x) {
   sorted_ = false;
 }
 
-void Samples::merge(const Samples& other) {
-  if (other.values_.empty()) return;
-  values_.insert(values_.end(), other.values_.begin(), other.values_.end());
-  sorted_ = false;
-}
-
 double Samples::mean() const noexcept {
   if (values_.empty()) return 0.0;
   double sum = 0.0;

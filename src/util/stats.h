@@ -35,11 +35,6 @@ class RunningStats {
 class Samples {
  public:
   void add(double x);
-  /// Absorb every sample from `other` (which is left untouched). Percentiles
-  /// over the merged collector equal percentiles over the concatenated sample
-  /// sets — the aggregation FleetTelemetry uses to fold per-session latency
-  /// collectors into fleet-wide p50/p95/p99.
-  void merge(const Samples& other);
   [[nodiscard]] std::size_t count() const noexcept { return values_.size(); }
   [[nodiscard]] double mean() const noexcept;
   /// Percentile in [0, 100]; linear interpolation between order statistics.

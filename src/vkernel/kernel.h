@@ -40,7 +40,13 @@ class KernelContext {
   [[nodiscard]] std::uint64_t syscalls_executed() const noexcept {
     return syscall_count_.load(std::memory_order_relaxed);
   }
-  void count_syscall() noexcept { syscall_count_.fetch_add(1, std::memory_order_relaxed); }
+  /// One thread drives a KernelContext (the session's leader, or the plain
+  /// kernel's guest thread), so the count has one writer and needs no locked
+  /// read-modify-write; other threads may read it.
+  void count_syscall() noexcept {
+    syscall_count_.store(syscall_count_.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
+  }
 
   /// Queue an asynchronous event (simulated signal). Guests observe it via
   /// the poll_event syscall, which the MVEE executes once and replicates —

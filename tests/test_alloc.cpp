@@ -10,7 +10,10 @@
 //   - a run pays nothing for file work that did not change: a path lookup
 //     allocates nothing, and unchanged trusted files are not derived again;
 //   - a web job pays only for the text it keeps: its parsers walk their
-//     input in place, and a passwd lookup builds only the entry it returns.
+//     input in place, and a passwd lookup builds only the entry it returns;
+//   - the fleet does not grow with the jobs it serves: recording a job's
+//     latency and taking a snapshot allocate nothing, and an exit-only job
+//     through the fleet makes a fixed number of allocations.
 #include <dlfcn.h>
 #include <gtest/gtest.h>
 
@@ -26,6 +29,8 @@
 #include "fleet/fleet.h"
 #include "fleet/jobs.h"
 #include "fleet/session_factory.h"
+#include "fleet/telemetry.h"
+#include "fleet_test_harness.h"
 #include "httpd/mini_ftpd.h"
 #include "httpd/mini_httpd.h"
 #include "variants/registry.h"
@@ -360,6 +365,61 @@ TEST(FileAllocations, ExitOnlyRunPaysNothingForAnUnchangedSite) {
   EXPECT_TRUE(with_site.report.completed);
   EXPECT_TRUE(without_etc.report.completed);
   EXPECT_EQ(with_site.allocations, without_etc.allocations);
+}
+
+TEST(FleetAllocations, RecordingLatenciesAllocatesNothing) {
+  fleet::FleetTelemetry telemetry(2);
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::uint64_t i = 0; i < 1'000'000; ++i) {
+    telemetry.record_latency(static_cast<unsigned>(i % 2), (i * 7919) % 1'000'000);
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(telemetry.snapshot().latency_count, 1'000'000u);
+}
+
+TEST(FleetAllocations, ASnapshotAllocatesTheSameAfter10RecordsAsAfter1M) {
+  fleet::FleetTelemetry telemetry(2);
+  const auto snapshot_allocations = [&telemetry] {
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const fleet::FleetSnapshot snap = telemetry.snapshot();
+    const std::uint64_t made = g_allocations.load(std::memory_order_relaxed) - before;
+    EXPECT_GT(snap.latency_count, 0u);
+    return made;
+  };
+  std::uint64_t recorded = 0;
+  for (; recorded < 10; ++recorded) {
+    telemetry.record_latency(static_cast<unsigned>(recorded % 2), recorded * 37);
+  }
+  const std::uint64_t after_10 = snapshot_allocations();
+  for (; recorded < 1'000'000; ++recorded) {
+    telemetry.record_latency(static_cast<unsigned>(recorded % 2), (recorded * 7919) % 1'000'000);
+  }
+  const std::uint64_t after_1m = snapshot_allocations();
+  EXPECT_EQ(after_10, after_1m);
+  EXPECT_EQ(after_1m, 0u);
+}
+
+TEST(FleetAllocations, AnExitOnlyFleetJobMakesAtMost12Allocations) {
+  // Everything a job costs on both sides of the fleet: the submitter's
+  // admission and future, the worker's run and the job's outcome. What the
+  // fleet keeps per job is fixed in size, so the average holds at any count.
+  fleet::FleetConfig config;
+  config.pool_size = 1;
+  config.seed = 1;
+  fleet::VariantFleet fleet(config);
+  const fleet::FleetJob job = fleet::jobs::uid_churn(0);
+  // The worker readies its next job slot after it hands an outcome back,
+  // racing the submitter's read of the counter: count from a parked worker
+  // to a parked worker, so the window holds exactly kJobs turns of its loop.
+  const auto parked = [&fleet] { return fleet.idle_snapshot().idle_workers == 1; };
+  for (int i = 0; i < 1'000; ++i) ASSERT_TRUE(fleet.submit(job).get().ok());
+  constexpr std::uint64_t kJobs = 10'000;
+  ASSERT_TRUE(fleet::harness::wait_until(parked));
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::uint64_t i = 0; i < kJobs; ++i) ASSERT_TRUE(fleet.submit(job).get().ok());
+  ASSERT_TRUE(fleet::harness::wait_until(parked));
+  const std::uint64_t made = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(made, 12 * kJobs) << static_cast<double>(made) / kJobs << " allocations per job";
 }
 
 }  // namespace

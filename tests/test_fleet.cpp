@@ -6,8 +6,10 @@
 // covered in test_fleet_ops.cpp.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <set>
+#include <thread>
 
 #include "fleet/fleet.h"
 #include "fleet/jobs.h"
@@ -122,6 +124,45 @@ TEST(FleetTelemetry, MergesLaneSamplesIntoFleetPercentiles) {
   EXPECT_NEAR(snap.latency_p95_us, 94.1, 1e-9);
   EXPECT_NEAR(snap.latency_p99_us, 98.02, 1e-9);
   EXPECT_NE(snap.describe().find("99 completed"), std::string::npos);
+}
+
+TEST(FleetTelemetry, SnapshotWhileALaneRecords) {
+  // One thread records into lane 0 while this one folds the lanes. A
+  // snapshot counts only records that had begun, and each record it counts
+  // it counts whole, so its percentiles stay inside the values recorded.
+  constexpr std::uint64_t kRecords = 100'000;
+  constexpr std::uint64_t kLowest = 10;
+  constexpr std::uint64_t kHighest = kLowest + 999'983;
+  FleetTelemetry telemetry(2);
+  std::atomic<std::uint64_t> begun{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+      begun.store(i + 1, std::memory_order_release);
+      telemetry.record_latency(0, kLowest + (i * 7919) % (kHighest - kLowest + 1));
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::uint64_t snapshots = 0;
+  std::uint64_t violations = 0;
+  for (bool last = false; !last;) {
+    last = done.load(std::memory_order_acquire);
+    const FleetSnapshot snap = telemetry.snapshot();
+    const std::uint64_t begun_after = begun.load(std::memory_order_acquire);
+    ++snapshots;
+    if (snap.latency_count > begun_after) ++violations;
+    if (snap.latency_count == 0) continue;
+    for (const double p : {snap.latency_p50_us, snap.latency_p95_us, snap.latency_p99_us}) {
+      if (p < static_cast<double>(kLowest) || p > static_cast<double>(kHighest)) ++violations;
+    }
+    if (snap.latency_p50_us > snap.latency_p95_us || snap.latency_p95_us > snap.latency_p99_us) {
+      ++violations;
+    }
+  }
+  writer.join();
+  EXPECT_EQ(violations, 0u) << "over " << snapshots << " snapshots";
+  const FleetSnapshot final_snap = telemetry.snapshot();
+  EXPECT_EQ(final_snap.latency_count, kRecords);
 }
 
 // --- VariantFleet: dispatch -------------------------------------------------

@@ -13,6 +13,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -237,6 +238,25 @@ TEST(CampaignCorrelator, CampaignClosesWhenWindowEmptiesThenCanRealert) {
   EXPECT_EQ(alerts[1].session_ids, (std::vector<std::uint64_t>{2, 3}));
 }
 
+TEST(CampaignCorrelator, AnAlertKeepsItsFirst64MembersAndCountsThemAll) {
+  ManualClock clock;  // frozen: every incident lands inside the window
+  CampaignCorrelator correlator(policy_of(3, std::chrono::milliseconds(1000)), clock.fn());
+  for (std::uint64_t session = 0; session < 100; ++session) {
+    (void)correlator.observe(uid_mismatch_alarm(1, session), session,
+                             "fp-" + std::to_string(session));
+  }
+  const auto alerts = correlator.alerts();
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts[0].members, 100u);
+  ASSERT_EQ(alerts[0].session_ids.size(), CampaignAlert::kKeptMembers);
+  ASSERT_EQ(alerts[0].fingerprints.size(), CampaignAlert::kKeptMembers);
+  for (std::size_t i = 0; i < CampaignAlert::kKeptMembers; ++i) {
+    EXPECT_EQ(alerts[0].session_ids[i], i);
+    EXPECT_EQ(alerts[0].fingerprints[i], "fp-" + std::to_string(i));
+  }
+  EXPECT_NE(alerts[0].describe().find("100 sessions"), std::string::npos);
+}
+
 // --- VariantFleet: campaign correlation end to end --------------------------
 
 TEST(FleetCampaign, SameSignatureQuarantinesRaiseOneFleetAlert) {
@@ -267,7 +287,7 @@ TEST(FleetCampaign, SameSignatureQuarantinesRaiseOneFleetAlert) {
   const FleetSnapshot snap = fleet.telemetry().snapshot();
   EXPECT_EQ(snap.campaign_alerts, 1u);
   EXPECT_EQ(snap.sessions_quarantined, 3u);
-  EXPECT_EQ(fleet.quarantine_log().size(), 3u);  // forensics keep every incident
+  EXPECT_EQ(fleet.quarantine_log().size(), 3u);  // forensics keep the newest 64 incidents
 }
 
 TEST(FleetCampaign, MixedSignatureQuarantinesStayBelowThreshold) {
@@ -692,6 +712,46 @@ TEST(FleetWorkStealing, SubmitToAnUnknownLaneThrows) {
   EXPECT_THROW((void)fleet.submit_to(fleet.pool_size(), jobs::uid_churn(3)), std::out_of_range);
   EXPECT_EQ(fleet.telemetry().snapshot().jobs_submitted, 0u);
   EXPECT_TRUE(fleet.submit_to(fleet.pool_size() - 1, jobs::uid_churn(3)).get().ok());
+}
+
+// --- VariantFleet: forensics in constant space --------------------------------
+
+TEST(FleetForensics, TheQuarantineLogKeepsTheNewest64) {
+  FleetConfig config;
+  config.spec = uid_spec();
+  config.pool_size = 1;
+  config.seed = 0xF0F0;
+  VariantFleet fleet(config);
+  std::vector<std::uint64_t> quarantined;
+  for (int i = 0; i < 200; ++i) {
+    const JobOutcome outcome = fleet.submit(poison_job("forensics probe")).get();
+    ASSERT_TRUE(outcome.session_quarantined);
+    quarantined.push_back(outcome.session_id);
+  }
+  EXPECT_EQ(fleet.telemetry().snapshot().sessions_quarantined, 200u);
+  const auto log = fleet.quarantine_log();
+  ASSERT_EQ(log.size(), VariantFleet::kQuarantineLogCapacity);
+  const std::size_t first_kept = quarantined.size() - log.size();
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].session_id, quarantined[first_kept + i]) << "record " << i;
+  }
+  EXPECT_EQ(log.back().session_id, quarantined.back());  // newest last
+}
+
+TEST(FleetForensics, AFailedRespawnCountsOneRetiredLane) {
+  // One key for one lane: the initial session spends it, so the respawn
+  // fails and the lane retires.
+  FleetConfig config;
+  config.spec = uid_spec();
+  config.spec.max_unique_keys = 1;
+  config.pool_size = 1;
+  config.seed = 0xDEAF;
+  VariantFleet fleet(config);
+  EXPECT_TRUE(fleet.submit(poison_job("retire probe")).get().session_quarantined);
+  const FleetSnapshot snap = fleet.telemetry().snapshot();
+  EXPECT_EQ(snap.lanes_retired, 1u);
+  EXPECT_EQ(snap.sessions_quarantined, 1u);
+  EXPECT_EQ(snap.sessions_respawned, 0u);
 }
 
 // --- VariantFleet: graceful drain -------------------------------------------

@@ -24,6 +24,7 @@
 #include "obs/exporters.h"
 #include "obs/trace.h"
 #include "test_helpers.h"
+#include "util/latency_histogram.h"
 
 namespace nv::obs {
 namespace {
@@ -542,6 +543,57 @@ TEST(ObsExportersTest, FleetMetricsExposeEverySnapshotFieldAndHistograms) {
   EXPECT_EQ(expose_metrics(snap).find("nv_trace_"), std::string::npos);
 }
 
+TEST(ObsExportersTest, FleetLatencyExportsAsAPrometheusHistogram) {
+  // 200 and 201 share one fine bucket, and so do 1000-1007: at those bounds
+  // the cumulative count may miss the straddling bucket, and nothing more.
+  const std::vector<std::uint64_t> latencies = {0,   1,   1,    2,    3,    5,       7,
+                                                10,  50,  99,   100,  127,  150,     199,
+                                                200, 201, 201,  499,  500,  1'000,   1'004,
+                                                999, 1'500, 5'000, 123'456, 1'000'000};
+  fleet::FleetTelemetry telemetry(2);
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < latencies.size(); ++i) {
+    telemetry.record_latency(static_cast<unsigned>(i % 2), latencies[i]);
+    sum += latencies[i];
+  }
+  const fleet::FleetSnapshot snap = telemetry.snapshot();
+  ASSERT_EQ(snap.latency_count, latencies.size());
+  EXPECT_EQ(snap.latency_sum_us, sum);
+
+  std::uint64_t cumulative = 0;
+  for (std::size_t i = 0; i < kHistogramBounds.size(); ++i) {
+    cumulative += snap.latency_buckets[i];
+    const double bound = kHistogramBounds[i];
+    const auto at_or_below = static_cast<std::uint64_t>(
+        std::count_if(latencies.begin(), latencies.end(),
+                      [bound](std::uint64_t us) { return static_cast<double>(us) <= bound; }));
+    if (bound < static_cast<double>(util::LatencyHistogram::kExactBelow)) {
+      EXPECT_EQ(cumulative, at_or_below) << "le=" << bound;
+      continue;
+    }
+    const std::size_t straddling =
+        util::LatencyHistogram::bucket_of(static_cast<std::uint64_t>(bound));
+    const auto in_straddling = static_cast<std::uint64_t>(
+        std::count_if(latencies.begin(), latencies.end(), [straddling](std::uint64_t us) {
+          return util::LatencyHistogram::bucket_of(us) == straddling;
+        }));
+    EXPECT_LE(cumulative, at_or_below) << "le=" << bound;
+    EXPECT_LE(at_or_below - cumulative, in_straddling) << "le=" << bound;
+  }
+  EXPECT_EQ(cumulative + snap.latency_buckets.back(), latencies.size());
+
+  const std::string text = expose_metrics(snap);
+  EXPECT_NE(text.find("# TYPE nv_fleet_latency_us histogram\n"), std::string::npos);
+  EXPECT_NE(text.find("nv_fleet_latency_us_bucket{le=\"1\"} 3\n"), std::string::npos);
+  EXPECT_NE(text.find("nv_fleet_latency_us_bucket{le=\"100\"} 11\n"), std::string::npos);
+  EXPECT_NE(text.find("nv_fleet_latency_us_bucket{le=\"+Inf\"} 26\n"), std::string::npos);
+  EXPECT_NE(text.find("nv_fleet_latency_us_sum " + std::to_string(sum) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("nv_fleet_latency_us_count 26\n"), std::string::npos);
+  // The gauges stay beside the histogram.
+  EXPECT_NE(text.find("nv_fleet_latency_p99_us"), std::string::npos);
+}
+
 TEST(ObsExportersTest, ClusterMetricsExposeAggregatesAndPerShardSeries) {
   cluster::ClusterSnapshot snap;
   snap.shards = 2;
@@ -560,6 +612,36 @@ TEST(ObsExportersTest, ClusterMetricsExposeAggregatesAndPerShardSeries) {
   // One # TYPE header per metric name, even with per-shard label series.
   EXPECT_EQ(text.find("# TYPE nv_fleet_jobs_completed counter"),
             text.rfind("# TYPE nv_fleet_jobs_completed counter"));
+}
+
+TEST(ObsExportersTest, ClusterLatencyHistogramsShareOneTypeHeader) {
+  cluster::ClusterSnapshot snap;
+  snap.shards = 2;
+  cluster::ShardSnapshot view;
+  view.fleet.lanes_retired = 1;
+  view.fleet.latency_count = 2;
+  view.fleet.latency_sum_us = 1;
+  view.fleet.latency_buckets[0] = 2;
+  for (const unsigned shard : {0u, 1u}) {
+    view.shard = shard;
+    snap.shard_views.push_back(view);
+  }
+
+  const std::string text = expose_metrics(snap);
+  EXPECT_NE(text.find("nv_fleet_lanes_retired{shard=\"1\"} 1"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE nv_fleet_latency_us histogram"), std::string::npos);
+  EXPECT_EQ(text.find("# TYPE nv_fleet_latency_us histogram"),
+            text.rfind("# TYPE nv_fleet_latency_us histogram"));
+  // `le` joins each shard's label.
+  for (const char* shard : {"0", "1"}) {
+    const std::string labels = std::string("{shard=\"") + shard + "\"";
+    EXPECT_NE(text.find("nv_fleet_latency_us_bucket" + labels + ",le=\"1\"} 2\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("nv_fleet_latency_us_bucket" + labels + ",le=\"+Inf\"} 2\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("nv_fleet_latency_us_sum" + labels + "} 1\n"), std::string::npos);
+    EXPECT_NE(text.find("nv_fleet_latency_us_count" + labels + "} 2\n"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <string_view>
 #include <vector>
 
 #include "util/expected.h"
+#include "util/latency_histogram.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strings.h"
@@ -120,52 +123,137 @@ TEST(Samples, PercentileEdgeCases) {
   EXPECT_DOUBLE_EQ(one.percentile(100), 7.5);
 }
 
-TEST(Samples, MergeEqualsConcatenation) {
-  Samples a;
-  Samples b;
-  Samples all;
-  for (int i = 1; i <= 50; ++i) {
-    a.add(i);
-    all.add(i);
+TEST(LatencyHistogram, ValuesBelow128AreExact) {
+  LatencyHistogram histogram;
+  Samples samples;
+  for (std::uint64_t us = 0; us < LatencyHistogram::kExactBelow; ++us) {
+    EXPECT_EQ(LatencyHistogram::bucket_of(us), us);
+    EXPECT_DOUBLE_EQ(LatencyHistogram::bucket_midpoint(us), static_cast<double>(us));
+    // Skewed, so the order statistics are not evenly spaced.
+    for (std::uint64_t copy = 0; copy <= us % 3; ++copy) {
+      histogram.record(us);
+      samples.add(static_cast<double>(us));
+    }
   }
-  for (int i = 51; i <= 100; ++i) {
-    b.add(i);
-    all.add(i);
+  ASSERT_EQ(histogram.count(), samples.count());
+  EXPECT_DOUBLE_EQ(histogram.mean(), samples.mean());
+  for (const double p : {0.0, 1.0, 10.0, 33.3, 50.0, 90.0, 95.0, 99.0, 99.9, 100.0}) {
+    EXPECT_DOUBLE_EQ(histogram.percentile(p), samples.percentile(p)) << "p" << p;
   }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.median(), all.median(), 1e-9);
-  EXPECT_NEAR(a.percentile(95), all.percentile(95), 1e-9);
-  // The merged-from collector is untouched.
-  EXPECT_EQ(b.count(), 50u);
 }
 
-TEST(Samples, MergeEmptyIsNoOpEitherWay) {
-  Samples s;
-  s.add(1.0);
-  s.add(3.0);
-  Samples empty;
-  s.merge(empty);
-  EXPECT_EQ(s.count(), 2u);
-  EXPECT_DOUBLE_EQ(s.median(), 2.0);
-  empty.merge(s);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.median(), 2.0);
+TEST(LatencyHistogram, EveryValueIsWithinOnePart128OfItsBucketMidpoint) {
+  ASSERT_EQ(LatencyHistogram::kBuckets, 2048u);
+  EXPECT_EQ(LatencyHistogram::bucket_lowest(0), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket_highest(LatencyHistogram::kBuckets - 1),
+            (std::uint64_t{1} << LatencyHistogram::kTopExponent) - 1);
+  for (std::size_t bucket = 0; bucket < LatencyHistogram::kBuckets; ++bucket) {
+    const std::uint64_t lowest = LatencyHistogram::bucket_lowest(bucket);
+    const std::uint64_t highest = LatencyHistogram::bucket_highest(bucket);
+    // The buckets tile [0, 2^37) in order.
+    ASSERT_EQ(LatencyHistogram::bucket_of(lowest), bucket);
+    ASSERT_EQ(LatencyHistogram::bucket_of(highest), bucket);
+    if (bucket + 1 < LatencyHistogram::kBuckets) {
+      ASSERT_EQ(LatencyHistogram::bucket_lowest(bucket + 1), highest + 1);
+    }
+    // A bucket's ends are its values farthest from the midpoint.
+    const double midpoint = LatencyHistogram::bucket_midpoint(bucket);
+    for (const std::uint64_t us : {lowest, highest}) {
+      if (us == 0) continue;
+      ASSERT_LT(std::abs(midpoint - static_cast<double>(us)) / static_cast<double>(us),
+                1.0 / 128.0)
+          << "bucket " << bucket << " value " << us;
+    }
+  }
 }
 
-TEST(Samples, MergeAfterPercentileQueryResorts) {
-  // percentile() sorts lazily; a merge after a query must invalidate the
-  // sorted state so later percentiles see the combined, re-sorted samples.
-  Samples s;
-  s.add(10.0);
-  s.add(30.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 30.0);
-  Samples more;
-  more.add(20.0);
-  more.add(40.0);
-  s.merge(more);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 40.0);
-  EXPECT_DOUBLE_EQ(s.median(), 25.0);
+TEST(LatencyHistogram, FoldingTwoLanesEqualsOneHistogramFedTheirUnion) {
+  LatencyHistogram lane_a;
+  LatencyHistogram lane_b;
+  LatencyHistogram union_fed;
+  Rng rng{7};
+  for (int i = 0; i < 5000; ++i) {
+    // Spread from 0 to 2^40 us, so the values fill buckets at every scale,
+    // the top one included.
+    const std::uint64_t us = rng.next_u64() >> (24 + rng.next_u64() % 40);
+    (i % 3 == 0 ? lane_a : lane_b).record(us);
+    union_fed.record(us);
+  }
+  LatencyHistogram folded;
+  folded.merge(lane_a);
+  folded.merge(lane_b);
+  EXPECT_EQ(folded.count(), union_fed.count());
+  EXPECT_EQ(folded.sum(), union_fed.sum());
+  EXPECT_EQ(folded.min(), union_fed.min());
+  EXPECT_EQ(folded.max(), union_fed.max());
+  for (double p = 0.0; p <= 100.0; p += 0.5) {
+    EXPECT_DOUBLE_EQ(folded.percentile(p), union_fed.percentile(p)) << "p" << p;
+  }
+  const std::array<double, 4> bounds = {10, 1000, 1e6, 1e12};
+  std::array<std::uint64_t, bounds.size() + 1> folded_counts{};
+  std::array<std::uint64_t, bounds.size() + 1> union_counts{};
+  folded.coarse_counts(bounds, folded_counts);
+  union_fed.coarse_counts(bounds, union_counts);
+  EXPECT_EQ(folded_counts, union_counts);
+}
+
+TEST(LatencyHistogram, CountSumMinAndMaxAreExact) {
+  LatencyHistogram histogram;
+  const std::array<std::uint64_t, 5> values = {1'000'003, 3, 5'000, 123'456'789, 77};
+  std::uint64_t sum = 0;
+  for (const std::uint64_t us : values) {
+    histogram.record(us);
+    sum += us;
+  }
+  EXPECT_EQ(histogram.count(), 5u);
+  EXPECT_EQ(histogram.sum(), sum);
+  EXPECT_EQ(histogram.min(), 3u);
+  EXPECT_EQ(histogram.max(), 123'456'789u);
+  EXPECT_DOUBLE_EQ(histogram.mean(), static_cast<double>(sum) / 5.0);
+  EXPECT_DOUBLE_EQ(histogram.percentile(0), 3.0);
+  EXPECT_DOUBLE_EQ(histogram.percentile(100), 123'456'789.0);
+  // The median, 5000, reads its bucket's midpoint.
+  EXPECT_NEAR(histogram.percentile(50), 5000.0, 5000.0 / 128.0);
+}
+
+TEST(LatencyHistogram, AnEmptyHistogramReadsZero) {
+  LatencyHistogram histogram;
+  LatencyHistogram folded;
+  folded.merge(histogram);
+  for (const LatencyHistogram* h : {&histogram, &folded}) {
+    EXPECT_EQ(h->count(), 0u);
+    EXPECT_EQ(h->sum(), 0u);
+    EXPECT_EQ(h->min(), 0u);
+    EXPECT_EQ(h->max(), 0u);
+    EXPECT_DOUBLE_EQ(h->mean(), 0.0);
+    EXPECT_DOUBLE_EQ(h->percentile(50), 0.0);
+    const std::array<double, 2> bounds = {1, 2};
+    std::array<std::uint64_t, 3> counts = {9, 9, 9};
+    h->coarse_counts(bounds, counts);
+    EXPECT_EQ(counts, (std::array<std::uint64_t, 3>{0, 0, 0}));
+  }
+}
+
+TEST(LatencyHistogram, AValuePastTheTopBucketClampsAndMaxStaysExact) {
+  const std::uint64_t far = std::uint64_t{1} << 40;
+  EXPECT_EQ(LatencyHistogram::bucket_of(far), LatencyHistogram::kBuckets - 1);
+  EXPECT_EQ(LatencyHistogram::bucket_of(std::uint64_t{1} << LatencyHistogram::kTopExponent),
+            LatencyHistogram::kBuckets - 1);
+  LatencyHistogram histogram;
+  histogram.record(5);
+  histogram.record(far);
+  histogram.record(far + 1);
+  EXPECT_EQ(histogram.max(), far + 1);
+  EXPECT_EQ(histogram.sum(), 2 * far + 6);
+  EXPECT_DOUBLE_EQ(histogram.percentile(100), static_cast<double>(far + 1));
+  // The middle value reads the top bucket's midpoint: past 2^37, only the
+  // max is exact.
+  EXPECT_DOUBLE_EQ(histogram.percentile(50),
+                   LatencyHistogram::bucket_midpoint(LatencyHistogram::kBuckets - 1));
+  const std::array<double, 1> bounds = {1e12};
+  std::array<std::uint64_t, 2> counts{};
+  histogram.coarse_counts(bounds, counts);
+  EXPECT_EQ(counts, (std::array<std::uint64_t, 2>{1, 2}));
 }
 
 TEST(Strings, SplitAndJoin) {

@@ -32,7 +32,9 @@ import sys
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # Field declarations inside the FleetSnapshot struct, e.g.
 #   std::uint64_t jobs_submitted = 0;   double latency_mean_us = 0.0;
-FIELD_RE = re.compile(r"^\s*(?:std::uint64_t|std::size_t|double)\s+(\w+)\s*=", re.MULTILINE)
+#   std::array<std::uint64_t, obs::kHistogramBounds.size() + 1> latency_buckets{};
+FIELD_RE = re.compile(
+    r"^\s*(?:std::uint64_t|std::size_t|double|std::array<[^>]*>)\s+(\w+)\s*[={]", re.MULTILINE)
 # A glossary table row, keyed by its first cell: | `jobs_submitted` | jobs | ...
 ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 
